@@ -7,6 +7,7 @@ Config files are UTF-8 text, one ``key = value`` per line, ``#`` comments.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -57,7 +58,15 @@ class SimConfig:
         if self.subcarrier < 0:
             self.subcarrier = self.M // 2
         self.schemes = tuple(self.schemes)
-        self.channels = tuple(self.channels)
+        for c in self.channels:
+            # the text form splits on ',', '#' and line breaks and strips names
+            if (not isinstance(c, str) or c.splitlines() != [c]
+                    or c != c.strip() or "," in c or "#" in c):
+                raise ConfigError(
+                    f"channels: bad name {c!r}; need non-empty text without ',',"
+                    " '#', line breaks or surrounding whitespace")
+        self.channels = tuple(_CHANNEL_NAMES.get(c.lower(), c)
+                              for c in self.channels)
         DecimationPlan(self.M, self.D1)
         for name, lo in (("N_t", 1), ("N_r", 1), ("trials", 1), ("L_g", 1),
                          ("Lg_prime", 1), ("alpha", 0), ("L_p", 1),
@@ -72,8 +81,11 @@ class SimConfig:
             raise ConfigError(f"subcarrier must be in [0, M), got {self.subcarrier}")
         if not 0 <= self.user < self.N_t:
             raise ConfigError(f"user must be in [0, N_t), got {self.user}")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample_rate must be positive")
+        if not math.isfinite(self.gamma_db):
+            raise ConfigError(f"gamma_db must be finite, got {self.gamma_db}")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ConfigError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}")
         for s in self.schemes:
             if s not in _SCHEME_KINDS:
                 raise ConfigError(f"unknown scheme {s!r}; known: {_SCHEME_KINDS}")
@@ -162,10 +174,7 @@ def _parse_items(text, base_M=None):
             elif t is float:
                 items[key] = float(val)
             elif t is tuple:
-                parts = tuple(p.strip() for p in val.split(",") if p.strip())
-                if key == "channels":
-                    parts = tuple(_CHANNEL_NAMES.get(p.lower(), p) for p in parts)
-                items[key] = parts
+                items[key] = tuple(p.strip() for p in val.split(",") if p.strip())
             else:
                 items[key] = val
         except ConfigError:

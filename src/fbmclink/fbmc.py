@@ -175,24 +175,28 @@ def modulate(grid, pf):
 
 
 def _afb(y, pf, offsets):
-    """Analysis bank at arbitrary sample offsets.
+    """Analysis bank at arbitrary sample offsets, over any leading stream axes.
 
-    Returns D[m, k] = sum_t y[offsets[k] + t] f_m^*[t]; offsets may be negative,
-    the stream is treated as zero outside its support.
+    Returns D[..., m, k] = sum_t y[..., offsets[k] + t] f_m^*[t], shape
+    (..., M, len(offsets)); offsets may be negative, the streams are zero
+    outside their support. The kappa prototype blocks are folded one at a
+    time, so no whole L_f window per offset is held.
     """
     y = np.asarray(y)
     M, L_f = pf.M, pf.L_f
     offsets = np.asarray(offsets, dtype=int)
-    lo = int(offsets.min())
-    pad_front = max(0, -lo)
-    pad_back = max(0, int(offsets.max()) + L_f - y.size)
-    ypad = np.pad(y, (pad_front, pad_back))
-    idx = (offsets[None, :] + pad_front) + np.arange(L_f)[:, None]
-    seg = ypad[idx] * pf.coeffs[:, None]
-    folded = seg.reshape(pf.kappa, M, offsets.size).sum(axis=0)
-    D = np.fft.fft(folded, axis=0)
-    D *= np.exp(2j * np.pi * np.arange(M) * pf.centre / M)[:, None]
-    return D
+    pad_front = max(0, -int(offsets.min()))
+    pad_back = max(0, int(offsets.max()) + L_f - y.shape[-1])
+    ypad = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(pad_front, pad_back)])
+    idx = (offsets[:, None] + pad_front) + np.arange(M)
+    p = pf.coeffs.reshape(pf.kappa, M)
+    folded = np.take(ypad, idx, axis=-1) * p[0]
+    for q in range(1, pf.kappa):
+        folded += np.take(ypad, idx + q * M, axis=-1) * p[q]
+    D = np.fft.fft(folded, axis=-1)
+    # e^{j 2 pi m centre / M}, argument reduced exactly (2 centre = L_f - 1)
+    D *= np.exp(1j * np.pi * (np.arange(M) * (L_f - 1) % (2 * M)) / M)
+    return np.swapaxes(D, -1, -2)
 
 
 def demodulate(stream, pf, n_out=None):

@@ -93,17 +93,15 @@ def _kernel(scheme, pf, m, u):
         return K, 0, 0
     if isinstance(scheme, HighRateEqualizer):
         g = scheme.taps[u]                       # (N_r, L_g)
-        K = fftconvolve(fmc[None, :], g[:, ::-1], axes=1)
-        return K, -(g.shape[1] - 1), scheme.alpha
-    if isinstance(scheme, LowRateEqualizerBank):
-        g = scheme.taps_for(m)[u]                # (N_r, L'_g)
-        D1, Lp = scheme.plan.D1, g.shape[1]
-        K = np.zeros((g.shape[0], pf.L_f + (Lp - 1) * D1), dtype=complex)
-        for k in range(Lp):
-            j = (Lp - 1 - k) * D1
-            K[:, j:j + pf.L_f] += g[:, k:k + 1] * fmc[None, :]
-        return K, -(Lp - 1) * D1, scheme.alpha
-    raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
+    elif isinstance(scheme, LowRateEqualizerBank):
+        # g-bar runs at rate 1/D1: its full-rate kernel is g-bar upsampled by D1
+        gbar, D1 = scheme.taps_for(m)[u], scheme.plan.D1
+        g = np.zeros((gbar.shape[0], (gbar.shape[1] - 1) * D1 + 1), dtype=complex)
+        g[:, ::D1] = gbar
+    else:
+        raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
+    K = fftconvolve(fmc[None, :], g[:, ::-1], axes=1)
+    return K, -(g.shape[1] - 1), scheme.alpha
 
 
 @dataclass

@@ -7,13 +7,25 @@ at the intermediate rate, and a final D2-fold decimation brings the stream to
 the symbol rate (D1*D2 = M/2). g-bar is realized as D2 polyphase branches so
 every multiplication happens at the lowest possible rate.
 
+The least-squares fit is one path for every subcarrier. The D1-decimated
+analysis filter of subcarrier m is the real m = 0 filter times a unit-modulus
+phase ramp,
+
+    b_m[k] = f_m^*[(N_f-1-k) D1] = c_m p[(N_f-1-k) D1] w_m^k,
+    c_m = e^{-j 2 pi m ((N_f-1) D1 - centre) / M},  w_m = e^{j 2 pi m D1 / M},
+
+so its Toeplitz regression matrix is F_m = c_m D_w F_0 D_w^{-1} with the
+unit-modulus diagonal D_w = diag(w_m^k). One real pseudo-inverse of F_0
+therefore serves every subcarrier, and the right-hand sides of all (m, u, r)
+come from one analysis-bank call.
+
 method1_bandpass / method2_periodize are the two reference constructions of
 g-bar; the least-squares fit is what build_lowrate_receiver uses.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
 
 from .errors import ConfigError
 from .fbmc import _afb
@@ -90,16 +102,33 @@ def method2_periodize(g, m, M):
     return np.fft.ifft(out)
 
 
-def _decimated_analysis(pf, m, D1):
-    """Causal D1-decimated time-reversed-conjugate analysis filter.
+def _fit(g, pf, subcarriers, D1, Lg_prime):
+    """Least-squares low-rate equalizers of the streams g (..., L) for every m
+    in `subcarriers`; returns shape (len(subcarriers), ..., Lg_prime).
 
-    b[k] = f_m^*[(N_f-1-k) D1], k = 0..N_f-1 with N_f = L_f/D1; entry k sits at
-    true low-rate lag k - (N_f-1).
+    Row k of the fit is low-rate lag k - (N_f-1), N_f = L_f/D1: the target
+    e[k] = (g conv f_m^*[-.])[D1-1 + k D1] is the analysis bank of g at offset
+    (k+1) D1 - L_f, and the solution of F_m x = e is
+    x = D_w pinv(F_0) conj(c_m) D_w^{-1} e (see the module docstring).
     """
-    f_m = pf.subcarrier_filter(m)
-    N_f = pf.L_f // D1
-    k = np.arange(N_f)
-    return np.conj(f_m[(N_f - 1 - k) * D1])
+    if Lg_prime < 1:
+        raise ConfigError(f"Lg_prime must be >= 1, got {Lg_prime}")
+    if pf.L_f % D1 != 0:
+        raise ConfigError(f"D1={D1} does not divide L_f={pf.L_f}")
+    M, N_f = pf.M, pf.L_f // D1
+    rows = N_f + Lg_prime - 1
+    p = pf.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
+    F0 = toeplitz(np.concatenate([p, np.zeros(Lg_prime - 1)]),
+                  np.zeros(Lg_prime))
+    k = np.arange(rows)
+    E = _afb(g, pf, (k + 1) * D1 - pf.L_f)[..., subcarriers, :]
+    # w_m^k and c_m with their arguments reduced exactly (2 centre = L_f - 1)
+    m = np.asarray(subcarriers)[:, None]
+    ramp = np.exp(2j * np.pi * (m * k * D1 % M) / M)
+    c = np.exp(-1j * np.pi * (m * (2 * (N_f - 1) * D1 - pf.L_f + 1) % (2 * M)) / M)
+    x = (E * np.conj(c * ramp)) @ np.linalg.pinv(F0).T
+    x *= ramp[:, :Lg_prime]
+    return np.moveaxis(x, -2, 0)
 
 
 def ls_fit(g, pf, m, plan, Lg_prime):
@@ -107,34 +136,16 @@ def ls_fit(g, pf, m, plan, Lg_prime):
 
     Minimizes sum_n |E_(a)[n] - E_(c)[n]|^2 where E_(a) = (g conv f_m^*[-.])
     decimated by D1 and E_(c) = (f_m^*[-.])_{down D1} conv g-bar, both indexed
-    causally from low-rate lag -(L_f/D1 - 1).
+    causally from low-rate lag -(L_f/D1 - 1). It is the bank's fit on one
+    stream: F_m = c_m D_w F_0 D_w^{-1}, one pseudo-inverse of F_0 for all m.
     """
-    if Lg_prime < 1:
-        raise ConfigError(f"Lg_prime must be >= 1, got {Lg_prime}")
-    g = np.asarray(g, dtype=complex)
-    D1 = plan.D1
-    if pf.L_f % D1 != 0:
-        raise ConfigError(f"D1={D1} does not divide L_f={pf.L_f}")
-    b = _decimated_analysis(pf, m, D1)
-    N_f = b.size
-    rows = N_f + Lg_prime - 1
-    F = toeplitz(np.concatenate([b, np.zeros(Lg_prime - 1)]),
-                 np.concatenate([b[:1], np.zeros(Lg_prime - 1)]))
-    f_m = pf.subcarrier_filter(m)
-    c = np.convolve(g, np.conj(f_m[::-1]))
-    e_full = c[D1 - 1::D1]           # causal decimation, lag -(N_f-1) first
-    if Lg_prime < g.size / D1:
-        e = e_full[:rows]
-    else:
-        e = np.concatenate([e_full, np.zeros(rows - e_full.size, dtype=complex)])
-    gbar, *_ = np.linalg.lstsq(F, e, rcond=None)
-    return gbar
+    return _fit(g, pf, [m], plan.D1, Lg_prime)[0]
 
 
 def polyphase_split(gbar, D2):
-    """Branch decomposition G_l[n] = g-bar[D2 n + l], l = 0..D2-1."""
+    """Branch decomposition G_l[n] = g-bar[..., D2 n + l], l = 0..D2-1."""
     gbar = np.asarray(gbar)
-    return [gbar[l::D2] for l in range(D2)]
+    return [gbar[..., l::D2] for l in range(D2)]
 
 
 class LowRateEqualizerBank:
@@ -151,7 +162,7 @@ class LowRateEqualizerBank:
         self.plan = plan
         self.alpha = int(alpha)
         self.criterion = criterion
-        self.branches = [self.gbar[..., l::plan.D2] for l in range(plan.D2)]
+        self.branches = polyphase_split(self.gbar, plan.D2)
 
     @property
     def Lg_prime(self):
@@ -163,36 +174,17 @@ class LowRateEqualizerBank:
 
 def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
                            sigma_z2=0.0, P_s=1.0, L_g=None, subcarriers=None):
-    """Full two-stage design: Stage-1 filter, then per-(m,r,u) LS fits.
+    """Full two-stage design: Stage-1 filter, then the per-(m,r,u) LS fits.
 
     `subcarriers` restricts the bank to a subset of m values (default: all M).
+    All N_t*N_r stage-1 taps go through one analysis-bank call, and since
+    F_m = c_m D_w F_0 D_w^{-1}, one factorization of F_0 fits every subcarrier.
     """
     eq = design_highrate(csi, L_g=L_g, alpha=alpha, criterion=criterion,
                          sigma_z2=sigma_z2, P_s=P_s)
-    M = pf.M
     if subcarriers is None:
-        subcarriers = list(range(M))
-    N_t, N_r, L_g_eff = eq.taps.shape
-    D1 = plan.D1
-    N_f = pf.L_f // D1
-    rows = N_f + Lg_prime - 1
-    gbar = np.empty((len(subcarriers), N_t, N_r, Lg_prime), dtype=complex)
-    flat_g = eq.taps.reshape(N_t * N_r, L_g_eff)
-    for i, m in enumerate(subcarriers):
-        b = _decimated_analysis(pf, m, D1)
-        F = toeplitz(np.concatenate([b, np.zeros(Lg_prime - 1)]),
-                     np.concatenate([b[:1], np.zeros(Lg_prime - 1)]))
-        f_m = pf.subcarrier_filter(m)
-        conv = fftconvolve(flat_g, np.conj(f_m[::-1])[None, :], axes=1)
-        e_full = conv[:, D1 - 1::D1]
-        if Lg_prime < L_g_eff / D1:
-            E = e_full[:, :rows]
-        else:
-            E = np.concatenate(
-                [e_full, np.zeros((flat_g.shape[0], rows - e_full.shape[1]),
-                                  dtype=complex)], axis=1)
-        sol, *_ = np.linalg.lstsq(F, E.T, rcond=None)
-        gbar[i] = sol.T.reshape(N_t, N_r, Lg_prime)
+        subcarriers = list(range(pf.M))
+    gbar = _fit(eq.taps, pf, subcarriers, plan.D1, Lg_prime)
     return LowRateEqualizerBank(gbar, subcarriers, plan, alpha, criterion)
 
 
@@ -214,35 +206,21 @@ def equalize_lowrate(y, bank, pf):
     y = np.asarray(y, dtype=complex)
     if y.ndim == 1:
         y = y[None]
-    plan = bank.plan
-    D1, D2, M = plan.D1, plan.D2, plan.M
+    D1, D2, M = bank.plan.D1, bank.plan.D2, bank.plan.M
     N_f = pf.L_f // D1
-    n_sub, N_t, N_r, Lgp = bank.gbar.shape
+    N_r, Lgp = bank.gbar.shape[2:]
     if y.shape[0] != N_r:
         raise ValueError(f"{y.shape[0]} antenna streams for N_r={N_r}")
     if y.shape[1] < pf.L_f:
         raise ValueError("stream too short for one analysis window")
     nu_max = (y.shape[1] - 1) // (M // 2)
     v_lo = -(N_f - 1) - (Lgp - 1)        # lowest low-rate index ever touched
-    v_hi = nu_max * D2
-    n1 = np.arange(v_lo, v_hi + 1)
-    sub_idx = np.asarray(bank.subcarriers)
-    n_nu = nu_max + 1
-    out = np.zeros((N_t, n_sub, n_nu), dtype=complex)
-    # gather index per branch: column of v supplying tap i of branch l at nu
-    nu = np.arange(n_nu)
-    for r in range(N_r):
-        V = _afb(y[r], pf, n1 * D1)[sub_idx, :]      # (n_sub, len(n1))
-        for l in range(D2):
-            br = bank.branches[l][:, :, r, :]        # (n_sub, N_t, len_l)
-            len_l = br.shape[-1]
-            if len_l == 0:
-                continue
-            cols = (nu[:, None] - np.arange(len_l)[None, :]) * D2 - l - v_lo
-            Vg = V[:, cols]                          # (n_sub, n_nu, len_l)
-            out += np.einsum("sni,usi->usn", Vg,
-                             np.moveaxis(br, 1, 0))
-    return out
+    n1 = np.arange(v_lo, nu_max * D2 + 1)
+    V = _afb(y, pf, n1 * D1)[:, bank.subcarriers, :]   # (N_r, n_sub, len(n1))
+    # Tap j = l + i D2 (tap i of branch l) meets low-rate index nu D2 - j, so
+    # the D2 branch outputs summed at instant nu are one window of V per nu.
+    win = sliding_window_view(V, Lgp, axis=-1)[:, :, N_f - 1::D2, ::-1]
+    return np.einsum("rsnj,surj->usn", win, bank.gbar)
 
 
 def recover_symbols(dgrid, alpha, N_d):

@@ -1,6 +1,10 @@
 """CLI presets: CSV output and the emitted plot scripts."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -35,3 +39,15 @@ def test_fig7_orthogonal_bank_writes_infinite_bound(tmp_path, capsys):
     assert script.index("ax.axhline(bound") > guard
     assert script.count("axhline") == 1
     assert "import math\n" in script
+
+
+def test_python_m_fbmclink_starts_without_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fbmclink",
+         "--help"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: fbmclink" in proc.stdout

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from fbmclink import (OqamGrid, demodulate, design_prototype, modulate,
                       oqam_to_qam, phase_factor, qam_to_oqam,
                       transmux_response)
+from fbmclink.fbmc import _afb
 
 
 # ---------------------------------------------------------------- prototype
@@ -171,6 +172,27 @@ def test_demodulate_is_the_matched_filter(pf16):
             f_m = pf16.subcarrier_filter(m)
             want = np.sum(y[k * 8:k * 8 + pf16.L_f] * np.conj(f_m))
             assert abs(D[m, k] - want) < 1e-10
+
+
+def test_afb_batched_streams(pf16):
+    # leading stream axes: each stream as if analysed alone, zero outside
+    # the support, and demodulate on one stream
+    rng = np.random.default_rng(12)
+    y = rng.normal(size=(2, 3, 150)) + 1j * rng.normal(size=(2, 3, 150))
+    offsets = np.array([-70, -3, 0, 8, 40, 100, 149])
+    D = _afb(y, pf16, offsets)
+    assert D.shape == (2, 3, 16, offsets.size)
+    for i in range(2):
+        for j in range(3):
+            assert_allclose(D[i, j], _afb(y[i, j], pf16, offsets),
+                            rtol=0, atol=1e-12)
+    ypad = np.concatenate([np.zeros(70), y[1, 2], np.zeros(pf16.L_f)])
+    for m in (0, 5, 15):
+        f_m = np.conj(pf16.subcarrier_filter(m))
+        want = [np.sum(ypad[o + 70:o + 70 + pf16.L_f] * f_m) for o in offsets]
+        assert_allclose(D[1, 2, m], want, rtol=0, atol=1e-12)
+    assert_allclose(_afb(y[0, 1], pf16, np.arange(12) * 8),
+                    demodulate(y[0, 1], pf16, n_out=12), rtol=0, atol=1e-12)
 
 
 def test_demodulate_noise_variance(pf32):

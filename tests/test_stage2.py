@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from fbmclink.channel import (ChannelRealization, draw_channel, freq_csi,
                               make_rng)
 from fbmclink.errors import ConfigError
 from fbmclink.fbmc import design_prototype, modulate, qam_to_oqam
-from fbmclink.stage1 import single_tap
-from fbmclink.stage2 import (DecimationPlan, build_lowrate_receiver, decimate,
+from fbmclink.stage1 import design_highrate, single_tap
+from fbmclink.stage2 import (DecimationPlan, LowRateEqualizerBank,
+                             build_lowrate_receiver, decimate,
                              equalize_lowrate, ls_fit, method1_bandpass,
                              method2_periodize, polyphase_split,
                              recover_symbols)
@@ -188,6 +190,56 @@ def test_ls_fit_errors(pf16):
         ls_fit(np.ones(4), pf16, 0, DecimationPlan(12, 6), 5)
 
 
+def _oracle_fit(g, pf, m, D1, Lgp):
+    """Brute-force LS fit of one stream: subcarrier m's own Toeplitz matrix,
+    a full convolution, truncated or zero-padded to the fit's rows."""
+    b = _dec_analysis(pf, m, D1)
+    F = toeplitz(np.concatenate([b, np.zeros(Lgp - 1)]),
+                 np.concatenate([b[:1], np.zeros(Lgp - 1)]))
+    e_full = np.convolve(g, np.conj(pf.subcarrier_filter(m)[::-1]))[D1 - 1::D1]
+    e = np.zeros(F.shape[0], dtype=complex)
+    n = min(e.size, e_full.size)
+    e[:n] = e_full[:n]
+    return np.linalg.lstsq(F, e, rcond=None)[0]
+
+
+def _assert_rel_close(got, want, rel=1e-10):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("M, D1", [(16, 8), (16, 2), (64, 32), (64, 8)])
+@pytest.mark.parametrize("Lgp", [1, 3, 5, 9])
+def test_fit_matches_brute_force_oracle(M, D1, Lgp, eva):
+    # stage-1 taps of length M and random streams, each both shorter and
+    # longer than D1*Lgp for some Lgp
+    pf = design_prototype(4, M)
+    plan = DecimationPlan(M, D1)
+    csi = freq_csi(draw_channel([eva, eva], 3, 21), M)
+    taps = design_highrate(csi, L_g=M).taps
+    edges = [0, M // 2, M - 1]
+    subset = [M - 1, 3, M // 2]
+    full = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp, L_g=M)
+    sub = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp, L_g=M,
+                                 subcarriers=subset)
+    for bank, ms in ((full, edges), (sub, subset)):
+        for m in ms:
+            want = np.array([[_oracle_fit(taps[u, r], pf, m, D1, Lgp)
+                              for r in range(3)] for u in range(2)])
+            _assert_rel_close(bank.taps_for(m), want)
+    rng = make_rng(Lgp)
+    for L in (3, D1 * Lgp + 7):
+        g = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        for m in edges + [3]:
+            _assert_rel_close(ls_fit(g, pf, m, plan, Lgp),
+                              _oracle_fit(g, pf, m, D1, Lgp))
+
+
+def test_bank_rejects_bad_lg_prime(eva, pf16):
+    csi = freq_csi(draw_channel(eva, 2, 1), 16)
+    with pytest.raises(ConfigError, match="Lg_prime"):
+        build_lowrate_receiver(csi, pf16, DecimationPlan(16, 4), Lg_prime=0)
+
+
 # ---------------------------------------------------------------- polyphase
 
 def test_polyphase_split_round_trip():
@@ -249,6 +301,23 @@ def test_lowrate_loopback(pf16):
     est = recover_symbols(out, 1, N_d)
     # residual sits at the intrinsic filter-bank floor, way below symbol scale
     assert np.abs(est[0] - grid.symbols[0]).max() < 5e-3
+
+
+def test_equalize_lowrate_sums_antennas(pf16, eva):
+    # the N_r-antenna receiver is the sum of single-antenna receivers
+    csi = freq_csi(draw_channel([eva, eva], 4, 3), 16)
+    plan = DecimationPlan(16, 4)
+    bank = build_lowrate_receiver(csi, pf16, plan, Lg_prime=5,
+                                  subcarriers=[0, 7, 15])
+    rng = make_rng(13)
+    y = rng.standard_normal((4, 300)) + 1j * rng.standard_normal((4, 300))
+    out = equalize_lowrate(y, bank, pf16)
+    assert out.shape == (2, 3, (300 - 1) // 8 + 1)
+    parts = [equalize_lowrate(
+        y[r:r + 1], LowRateEqualizerBank(bank.gbar[:, :, r:r + 1],
+                                         bank.subcarriers, plan, 1, "zf"),
+        pf16) for r in range(4)]
+    np.testing.assert_allclose(out, sum(parts), rtol=0, atol=1e-12)
 
 
 def test_equalize_lowrate_errors(pf16, eva):
