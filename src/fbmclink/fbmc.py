@@ -54,9 +54,11 @@ class PrototypeFilter:
         return (self.L_f - 1) / 2.0
 
     def subcarrier_filter(self, m):
-        """f_m[t] = p[t] e^{j 2 pi m (t - centre) / M}, length L_f."""
-        t = np.arange(self.L_f)
-        return self.coeffs * np.exp(2j * np.pi * m * (t - self.centre) / self.M)
+        """f_m[t] = p[t] e^{j 2 pi m (t - centre) / M}, length L_f; the phase
+        argument pi m (2t - L_f + 1) / M is reduced exactly modulo 2 pi."""
+        M, t = self.M, np.arange(self.L_f)
+        return self.coeffs * np.exp(
+            1j * np.pi * (m * (2 * t - self.L_f + 1) % (2 * M)) / M)
 
     def __repr__(self):
         return f"PrototypeFilter(kappa={self.kappa}, M={self.M})"

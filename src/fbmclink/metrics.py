@@ -2,17 +2,25 @@
 empirical SIR/SINR with jackknife standard errors, symbol-level MSE runs, and
 parameter sweeps.
 
-The coefficient path avoids running sample streams: for each receiver scheme
-the composite per-antenna receive kernel K^r[t] (equalizer and analysis filter
-combined, at the full rate) is formed once, and the coefficient with which the
-real symbol s_{m',n'} of user u' reaches the phase-compensated output is
+The coefficient path avoids running sample streams. For each receiver scheme
+the composite per-antenna receive kernel K^r (equalizer and analysis filter
+combined, at the full rate) is formed once, and the antennas are summed first
+into one effective kernel per transmitting user,
 
-    R[u', m', dn] = Re{ j^{(m'-m-dn) mod 4} sum_r (h^{r,u'} * f_{m'} * K^r)
-                        [(dn + alpha) M/2] },      dn = n - n'.
+    e_{u'} = sum_r h^{r,u'} * flip(K^r).
 
-This is exact (same numbers a full transmit/receive chain produces, without
-edge effects), so SIR/SINR estimates need no symbol averaging. The
-demodulated-noise power per trial is (sigma_z^2 / 2) sum_r ||K^r||^2.
+The coefficient with which the real symbol s_{m',n'} of user u' reaches the
+phase-compensated output is then (array indices from 0)
+
+    R[u', m', dn] = Re{ j^{(m'-m-dn) mod 4} (f_{m'} * e_{u'})
+                        [(dn + alpha) M/2 + L_f - 1] },      dn = n - n'.
+
+Only these lattice samples are needed, and they are an analysis bank of the
+conjugated, reversed e_{u'} (fbmc._afb: one fold by M and one FFT per lag for
+all m'), so the cost does not grow as N_r M L_f. This is exact (same numbers
+a full transmit/receive chain produces, without edge effects), so SIR/SINR
+estimates need no symbol averaging. The demodulated-noise power per trial is
+(sigma_z^2 / 2) sum_r ||K^r||^2.
 """
 
 import logging
@@ -26,7 +34,7 @@ from .channel import (draw_channel, apply_channel, add_awgn, freq_csi,
                       estimate_csi_mmse, trial_rng, load_pdp)
 from .config import P_SYM, SimConfig, channel_assignment, fingerprint
 from .errors import ConfigError
-from .fbmc import design_prototype, qam_to_oqam, modulate, demodulate
+from .fbmc import _afb, design_prototype, qam_to_oqam, modulate, demodulate
 from .stage1 import (HighRateEqualizer, SingleTapEqualizer, design_highrate,
                      single_tap, apply_highrate)
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,
@@ -82,15 +90,16 @@ def _build_scheme(spec, csi, pf, cfg, sigma_z2, m):
 
 
 def _kernel(scheme, pf, m, u):
-    """Composite receive kernel per antenna: (K (N_r, len), first lag, alpha).
+    """Composite receive kernel per antenna: (K (N_r, len), alpha).
 
     The output sample for receive instant nu is sum_{r,s} y^r[s] K^r[s - nu M/2]
-    with K^r[x] stored at array index x - first_lag.
+    with K^r[x] stored at array index x + L - 1, L the full-rate equalizer length
+    (1 for the single-tap scheme).
     """
     fmc = np.conj(pf.subcarrier_filter(m))
     if isinstance(scheme, SingleTapEqualizer):
         K = scheme.W[m, u][:, None] * fmc[None, :]
-        return K, 0, 0
+        return K, 0
     if isinstance(scheme, HighRateEqualizer):
         g = scheme.taps[u]                       # (N_r, L_g)
     elif isinstance(scheme, LowRateEqualizerBank):
@@ -101,7 +110,7 @@ def _kernel(scheme, pf, m, u):
     else:
         raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
     K = fftconvolve(fmc[None, :], g[:, ::-1], axes=1)
-    return K, -(g.shape[1] - 1), scheme.alpha
+    return K, scheme.alpha
 
 
 @dataclass
@@ -128,37 +137,26 @@ class CoeffSet:
 
 
 def _measure_many(H, schemes, pf, m, u):
-    """Measure several scheme objects on one realization, sharing the
-    channel-side convolutions. Returns a list of CoeffSet."""
-    M, L_f = pf.M, pf.L_f
-    N_r, N_t = H.N_r, H.N_t
-    t = np.arange(L_f)
-    Fmat = pf.coeffs[None, :] * np.exp(
-        2j * np.pi * np.arange(M)[:, None] * (t[None, :] - pf.centre) / M)
-    kernels = [_kernel(s, pf, m, u) for s in schemes]
-    sums = [None] * len(schemes)
-    for r in range(N_r):
-        A_r = fftconvolve(Fmat[None, :, :], H.taps[r][:, None, :], axes=2)
-        for i, (K, _, _) in enumerate(kernels):
-            C = fftconvolve(A_r, K[r, ::-1][None, None, :], axes=2)
-            sums[i] = C if sums[i] is None else sums[i] + C
+    """Measure several scheme objects on one realization; returns a list of
+    CoeffSet.
 
+    Per scheme, one batched convolution gives e_{u'} for every user, and one
+    analysis-bank call over the N_t kernels gives every column
+    i = (dn + alpha) M/2 + L_f - 1: (f conv e)[i] = conj(AFB(conj(flip(e)))
+    [L_e - 1 - i]) (see the module docstring).
+    """
+    M, L_f = pf.M, pf.L_f
     half = M // 2
     out = []
-    for (K, start, a_s), Csum in zip(kernels, sums):
-        L_C = Csum.shape[2]
-        dn_lo = -((L_f - 1) // half) - a_s
-        dn_hi = (L_C - L_f) // half - a_s
-        dns, cols = [], []
-        for dn in range(dn_lo, dn_hi + 1):
-            i = (dn + a_s) * half + L_f - 1
-            if 0 <= i < L_C:
-                dns.append(dn)
-                cols.append(i)
-        dns = np.array(dns)
+    for scheme in schemes:
+        K, a_s = _kernel(scheme, pf, m, u)
+        e = fftconvolve(H.taps, K[:, None, ::-1], axes=2).sum(axis=0)
+        L_e = e.shape[1]
+        dns = np.arange(-((L_f - 1) // half), (L_e - 1) // half + 1) - a_s
+        C = np.conj(_afb(np.conj(e[:, ::-1]), pf,
+                         L_e - L_f - (dns + a_s) * half))
         ph = 1j ** ((np.arange(M)[:, None] - m - dns[None, :]) % 4)
-        R = (Csum[:, :, cols] * ph[None, :, :]).real
-        out.append(CoeffSet(R=R, dn=dns, m=m, u=u, alpha=a_s,
+        out.append(CoeffSet(R=(C * ph).real, dn=dns, m=m, u=u, alpha=a_s,
                             noise_gain=float(np.sum(np.abs(K) ** 2))))
     return out
 

@@ -71,6 +71,22 @@ def test_subcarrier_filter_modulation(pf64):
     assert_allclose(pf64.subcarrier_filter(m), want, atol=1e-13)
 
 
+@pytest.mark.parametrize("M", [256, 1024])
+def test_subcarrier_filter_phase_is_exact(M):
+    # the phase pi m (2t - L_f + 1) / M reaches about pi kappa M rad; against
+    # an exact phase the taps stay at round-off of p, not of that argument
+    mpmath = pytest.importorskip("mpmath")
+    pf = design_prototype(4, M)
+    t = np.arange(pf.L_f)
+    with mpmath.workdps(30):
+        for m in (1, M // 2 + 1, M - 1):
+            k = m * (2 * t - pf.L_f + 1)
+            want = pf.coeffs * np.array(
+                [complex(mpmath.expjpi(mpmath.mpf(int(x)) / M)) for x in k])
+            err = np.abs(pf.subcarrier_filter(m) - want).max()
+            assert err <= 1e-14 * np.abs(pf.coeffs).max()
+
+
 # ------------------------------------------------------------------- phases
 
 def test_phase_factor_table():
