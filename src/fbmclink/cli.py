@@ -98,9 +98,13 @@ def _run_fig4(cfg, scale, out_dir, threads):
     nr_list = [4, 16] if scale == "desk" else [4, 16, 64]
     pf = design_prototype(cfg.kappa, cfg.M)
     m = cfg.subcarrier
+    profiles = [load_pdp(ch, cfg.sample_rate) for ch in cfg.channels]
+    for ch, profile in zip(cfg.channels, profiles):
+        if not profile.L_h - 1 < cfg.M:
+            raise ConfigError(f"channel {ch} spans L_h={profile.L_h} taps; "
+                              f"the closed form needs L_h-1 < M={cfg.M}")
     rows = []
-    for ch in cfg.channels:
-        profile = load_pdp(ch, cfg.sample_rate)
+    for ch, profile in zip(cfg.channels, profiles):
         for N_r in nr_list:
             c = replace(cfg, channels=(ch,), N_r=N_r, N_t=1, user=0)
             res = sweep(c, "gamma_db", gammas,

@@ -7,8 +7,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from fbmclink import cli
+from fbmclink.channel import load_pdp
 from fbmclink.cli import main
+from fbmclink.config import P_SYM, SimConfig
+from fbmclink.fbmc import design_prototype
+from fbmclink.theory import theoretical_sinr
 
 _TINY_FIG7 = """\
 M = 16
@@ -51,3 +57,56 @@ def test_python_m_fbmclink_starts_without_warning():
          "--help"], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage: fbmclink" in proc.stdout
+
+
+def _run(tmp_path, preset, text):
+    cfg = tmp_path / f"{preset}.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", preset, "--config", str(cfg), "--out", str(out)])
+    return code, out
+
+
+def test_fig4_exit_0_and_theory_column(tmp_path, capsys):
+    code, out = _run(tmp_path, "fig4", "M = 16\ntrials = 2\nchannels = PedA\n")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "fig4.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 4                 # desk N_r in {4, 16} x 4 SNRs
+    cfg = SimConfig(M=16, N_t=1, channels=("PedA",))
+    pf = design_prototype(cfg.kappa, 16)
+    profile = load_pdp("PedA", cfg.sample_rate)
+    for r in rows:
+        want = theoretical_sinr([profile], pf, 16, int(r["N_r"]), cfg.alpha,
+                                cfg.subcarrier, 0,
+                                cfg.noise_var(float(r["gamma_db"])), P_s=P_SYM)
+        assert float(r["sinr_theory_db"]) == want
+
+
+def test_fig4_channel_longer_than_m_exits_2_before_the_sweep(
+        tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        pytest.fail("the Monte Carlo sweep ran before the config check")
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    code, out = _run(tmp_path, "fig4", "M = 16\ntrials = 2\nchannels = ETU\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert "L_h-1 < M=16" in err
+    assert not (out / "fig4.csv").exists()
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # two PedA users on the orthogonal kappa=2 bank: the leading-order
+    # multi-user interference cancels to a negative round-off total
+    def failing_preset(cfg, scale, out_dir, threads):
+        peda = load_pdp("PedA", cfg.sample_rate)
+        theoretical_sinr([peda, peda], design_prototype(2, 64), 64, 8, 1, 32,
+                         0, 0.0, P_s=P_SYM)
+        return []
+    monkeypatch.setitem(cli._RUNNERS, "fig4", failing_preset)
+    code, _ = _run(tmp_path, "fig4", "M = 16\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: ") and err.count("\n") == 1

@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
+from scipy.special import roots_hermite
 
-from fbmclink.channel import (PdpProfile, draw_channel, freq_csi, trial_rng,
-                              make_rng)
-from fbmclink.fbmc import demodulate, design_prototype
+from fbmclink.channel import (PdpProfile, draw_channel, freq_csi, load_pdp,
+                              make_rng, trial_rng)
+from fbmclink.errors import ConfigError, NumericalError
+from fbmclink.fbmc import demodulate, design_prototype, transmux_response
 from fbmclink.stage1 import apply_highrate, design_highrate, equivalent_channel
 from fbmclink.theory import (_gauss_gamma, _ratio_moments, average_power,
                              error_stats, interference_table, noise_power,
@@ -358,11 +361,11 @@ def test_multiuser_cancellation_is_not_reported_as_orthogonal(peda):
     # two PedA users on kappa=2: the leading-order multi-user statistics are
     # nonzero but their own-pair powers cancel analytically, which is not
     # float64 round-off of the bank, so the +inf rule must not apply (the
-    # single-user exact kernel gives ~108 dB for the same channel)
+    # single-user exact kernel gives ~108 dB for the same channel); the
+    # total is then negative round-off, a NumericalError rather than a NaN
     pf = design_prototype(2, 64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = theoretical_sinr([peda, peda], pf, 64, 8, 1, 32, 0, 0.0, P_s=0.5)
-    assert got != np.inf
+    with pytest.raises(NumericalError):
+        theoretical_sinr([peda, peda], pf, 64, 8, 1, 32, 0, 0.0, P_s=0.5)
 
 
 def test_sir_upper_bound_reference_values(pf64):
@@ -450,3 +453,306 @@ def test_sinr_trends(peda, pf32):
     hi = [theoretical_sinr([peda], pf32, 32, 8, 1, 16, 0, s2, P_s=0.5)
           for s2 in (50.0, 100.0)]
     assert abs(hi[0] - hi[1] - 3.0103) < 0.01
+
+
+# ------------------------------------------------ brute-force kernel oracles
+# Straightforward per-lag, per-row, per-m' and 4-D evaluations of the closed
+# form. The module evaluates the same sums on the band support of eps and
+# eps_check, from one analysis-bank pass, and with the G axis of the
+# ratio-moment quadrature folded; both must agree to 1e-12 of the maximum.
+
+def _assert_close(got, want, rel=1e-12):
+    """|got - want| <= rel max|want|, and a 1e-9 relative bump of the largest
+    entry of got must break that (the comparison is not vacuous)."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.abs(want).max()
+    assert scale > 0
+    assert np.abs(got - want).max() <= rel * scale
+    bumped = got.astype(complex)
+    bumped.flat[np.argmax(np.abs(want))] *= 1 + 1e-9
+    assert np.abs(bumped - want).max() > rel * scale
+
+
+def _ratio_moments_oracle(bvals, N_r, nx=48, ng=48, nh=24):
+    """The quadrature on the full 4-D (X, G, w_r, w_i) grid."""
+    xg, xw = _gauss_gamma(nx, N_r - 1)
+    gg, gw = _gauss_gamma(ng, N_r - 2)
+    hr, hw = roots_hermite(nh)
+    hw = hw / hw.sum()
+    X = xg[:, None, None, None]
+    G = gg[None, :, None, None]
+    wr = hr[None, None, :, None]
+    wi = hr[None, None, None, :]
+    W = (xw[:, None, None, None] * gw[None, :, None, None]
+         * hw[None, None, :, None] * hw[None, None, None, :])
+    sqX = np.sqrt(X)
+    out = []
+    for b in bvals:
+        if b >= 1.0 - 1e-12:
+            out.append((1.0 / (N_r - 1), 1.0, 1.0))
+            continue
+        s = np.sqrt(1.0 - b * b)
+        Zr = b * X + s * sqX * wr
+        Zi = s * sqX * wi
+        Y = b * b * X + 2 * b * s * sqX * wr + s * s * (wr * wr + wi * wi + G)
+        inv_xy = W / (X * Y)
+        out.append((np.sum(Zr * inv_xy), np.sum((Zr * Zr - Zi * Zi) * inv_xy),
+                    np.sum((Zr * Zr + Zi * Zi) * inv_xy)))
+    return np.array(out).T
+
+
+def _error_stats_oracle(profiles, M, N_r, alpha, pair, exact=False,
+                        n_eff=None):
+    """(eps, eps_check, mu) from the per-lag loops over every l and the lags
+    l' = l, l +- M (eps) and l' = 2A - l (mod M) (eps_check); the exact
+    kernels take their ratio moments from `_ratio_moments`, which has its
+    own oracle above."""
+    u, up = pair
+    q = np.asarray(profiles[up].taps, dtype=float)
+    q = q / q.sum()
+    L_h = q.size
+    tau_u = tau(profiles[u], M)
+    t = (tau_u / tau_u[0, 0].real)[:, 0]
+    A = alpha * M // 2
+    n = M + L_h - 1
+    ll = np.arange(n)
+    lo = np.maximum(0, ll - (M - 1))
+    hi = np.minimum(ll, L_h - 1)
+    qc = np.concatenate([[0.0], np.cumsum(q)])
+    Q = qc[hi + 1] - qc[lo]
+    dgrid = np.arange(M)
+    # phase arguments reduced modulo M, as in the module
+    Wd = np.exp(-2j * np.pi * (np.outer(dgrid, np.arange(L_h)) % M) / M) * q
+    pre = np.concatenate([np.zeros((M, 1), dtype=complex),
+                          np.cumsum(Wd, axis=1)], axis=1)
+    S = pre[:, hi + 1] - pre[:, lo]
+    full = pre[:, L_h]
+    ph = np.exp(2j * np.pi * (np.outer(dgrid, ll - A) % M) / M)
+    U = np.conj(S) - Q[None, :] * t[:, None]
+    V = S - Q[None, :] * np.conj(t)[:, None]
+    if exact:
+        babs = np.abs(t)
+        g1, g2, g3 = _ratio_moments(babs, N_r)
+        ph1 = t / np.where(babs < 1e-300, 1.0, babs)
+        s2 = 1.0 - babs * babs
+        inv_s2 = np.where(s2 < 1e-8, 0.0, 1.0 / np.where(s2 == 0, 1.0, s2))
+        k_eps2 = (g2 - babs * babs) * ph1 * ph1 * inv_s2
+        k_chk = (g3 - babs * babs) * inv_s2 * inv_s2
+        k_j1 = ph1 * g1
+    else:
+        scale = 1.0 / (M * (N_r if n_eff is None else n_eff))
+    eps = np.zeros((n, n), dtype=complex)
+    for l in range(n):
+        for lp in (l - M, l, l + M):
+            if not 0 <= lp < n:
+                continue
+            a, b = max(lo[l], lo[lp]), min(hi[l], hi[lp])
+            inter = pre[:, b + 1] - pre[:, a] if b >= a else 0.0
+            C = inter - Q[l] * S[:, lp] - Q[lp] * S[:, l] + Q[l] * Q[lp] * full
+            if exact:
+                gg = V[:, l] * np.conj(U[:, lp]) * inv_s2
+                T = gg * k_eps2 + (C + t * gg) * k_j1
+                eps[l, lp] = np.sum(T * ph[:, lp]) / M
+            else:
+                eps[l, lp] = scale * np.sum(t * C * ph[:, lp])
+    eps_check = np.zeros((n, n), dtype=complex)
+    mu = np.zeros(n, dtype=complex)
+    if u == up:
+        for l in range(n):
+            for lp in range((2 * A - l) % M, n, M):
+                if exact:
+                    Tc = V[:, l] * U[:, lp] * k_chk
+                    eps_check[l, lp] = np.sum(Tc * np.conj(ph[:, lp])) / M
+                else:
+                    eps_check[l, lp] = scale * np.sum(
+                        U[:, lp] * V[:, l] * np.conj(ph[:, lp]))
+        peaks = (ll - A) % M == 0
+        mu[peaks] = Q[peaks]
+        mu[A] -= 1.0
+    return eps, eps_check, mu
+
+
+def _table_oracle(pf, M, m):
+    """F_{mm'}[l] for every m' by direct convolution."""
+    return np.stack([transmux_response(pf, m, mp) for mp in range(M)])
+
+
+def _average_power_oracle(stats, F, M, m, alpha, dns, P_s):
+    """Per-row [Re v; -Im v] vectors through the dense real covariance."""
+    n, L_f = stats.n, (F.shape[1] + 1) // 2
+    own = stats.pair[0] == stats.pair[1]
+    vecs, peaks = [], []
+    for mp in range(M):
+        for dn in dns:
+            ph = 1j ** ((mp - m - dn) % 4)
+            i = (dn + alpha) * (M // 2) - np.arange(n) + L_f - 1
+            ok = (i >= 0) & (i < F.shape[1])
+            v = np.zeros(n, dtype=complex)
+            v[ok] = F[mp, i[ok]] * ph
+            vecs.append(np.concatenate([v.real, -v.imag]))
+            i0 = dn * (M // 2) + L_f - 1
+            peaks.append((F[mp, i0] * ph).real if 0 <= i0 < F.shape[1]
+                         else 0.0)
+    vecs = np.array(vecs)
+    quad = np.einsum("ij,jk,ik->i", vecs, stats.psi_cov, vecs)
+    amp = np.zeros(len(vecs))
+    if own:
+        amp = vecs @ np.concatenate([stats.mu.real, stats.mu.imag])
+        amp += np.array(peaks)
+    return ((quad + amp * amp) * P_s).reshape(M, len(dns))
+
+
+def _noise_power_oracle(profile, pf, M, N_r, alpha, sigma_z2, m, N_t):
+    """Dense form: the M bin responses through f_m, weighted by the combiner
+    cross moments of every bin pair."""
+    tmat = tau(profile, M)
+    c0 = tmat[0, 0].real
+    tmat = tmat / c0
+    ll = np.arange(M)
+    E = np.exp(2j * np.pi * ll[:, None] * (ll[None, :] - alpha * M // 2) / M)
+    Amat = fftconvolve(E, pf.subcarrier_filter(m)[::-1][None, :], axes=1)
+    B = Amat @ Amat.conj().T
+    if N_t == 1:
+        t = tmat[:, 0]
+        babs = np.abs(t)
+        g1 = _ratio_moments(babs, N_r)[0]
+        j1 = t / np.where(babs < 1e-300, 1.0, babs) * g1
+        K = j1[(ll[None, :] - ll[:, None]) % M]
+    else:
+        K = tmat.T / (N_r - N_t)
+    return (sigma_z2 / (2 * M * M * c0) * np.sum(B * K)).real
+
+
+def _loopback_energy_oracle(pf, M, m):
+    """Sum of squared loopback coefficients, one transmux_response per m'."""
+    half, L_f = M // 2, pf.L_f
+    den, n_terms = 0.0, 0
+    for mp in range(M):
+        F = transmux_response(pf, m, mp)
+        for dn in range(-2 * pf.kappa, 2 * pf.kappa + 1):
+            i = dn * half + L_f - 1
+            if i < 0 or i >= F.size or (mp == m and dn == 0):
+                continue
+            c = (F[i] * 1j ** ((mp - m - dn) % 4)).real
+            den += c * c
+            n_terms += 1
+    return den, n_terms
+
+
+# spilling PDPs (support past M/2 + 1 taps), so the own-pair leading terms
+# and eps_check do not cancel; a second PDP for the cross pairs
+_ORACLE_PDPS = {8: ([0.35, 0.0, 0.25, 0.2, 0.1, 0.1], [0.5, 0.3, 0.15, 0.05]),
+                16: ("PedA", [0.4, 0.3, 0.2, 0.1]),
+                32: ("EVA", "PedA")}
+
+
+def _oracle_profiles(M):
+    return [load_pdp(q, RATE) if isinstance(q, str)
+            else PdpProfile("q", q, RATE) for q in _ORACLE_PDPS[M]]
+
+
+_KINDS = {"own": ((0, 0), False, None), "own-exact": ((0, 0), True, None),
+          "cross": ((1, 0), False, None), "cross-n_eff": ((0, 1), False, 3)}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("M", [8, 16, 32])
+def test_error_stats_matches_lag_loop_oracle(M, alpha, kind):
+    pair, exact, n_eff = _KINDS[kind]
+    profiles = _oracle_profiles(M)
+    st = error_stats(profiles, M, 6, alpha, pair, exact=exact, n_eff=n_eff)
+    eps, chk, mu = _error_stats_oracle(profiles, M, 6, alpha, pair,
+                                       exact=exact, n_eff=n_eff)
+    _assert_close(st.eps, eps)
+    if pair[0] == pair[1]:
+        _assert_close(st.eps_check, chk)
+        _assert_close(st.mu, mu)
+    else:
+        assert not (st.eps_check.any() or st.mu.any())
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("M", [8, 16, 32])
+def test_interference_table_matches_transmux_oracle(M, kappa):
+    pf = design_prototype(kappa, M)
+    for m in (0, M // 2, M - 1):
+        _assert_close(interference_table(pf, M, 1, m=m).F,
+                      _table_oracle(pf, M, m))
+
+
+@pytest.mark.parametrize("kind", ["own", "own-exact", "cross"])
+@pytest.mark.parametrize("alpha", [0, 1])
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("M", [8, 16, 32])
+def test_average_power_matches_row_oracle(M, kappa, alpha, kind):
+    pair, exact, n_eff = _KINDS[kind]
+    pf = design_prototype(kappa, M)
+    st = error_stats(_oracle_profiles(M), M, 6, alpha, pair, exact=exact)
+    for m in (0, M // 2, M - 1):
+        tab = interference_table(pf, M, alpha, m=m)
+        got, dns = average_power(st, tab, 0.5)
+        want = _average_power_oracle(st, _table_oracle(pf, M, m), M, m,
+                                     alpha, dns, 0.5)
+        _assert_close(got, want)
+
+
+@pytest.mark.parametrize("N_r", [2, 5, 64])
+def test_ratio_moments_match_4d_oracle(N_r):
+    b = np.concatenate([np.linspace(0.0, 0.999, 12), [1.0]])
+    got = np.array(_ratio_moments(b, N_r))
+    want = _ratio_moments_oracle(b, N_r)
+    for g, w in zip(got, want):
+        _assert_close(g, w)
+    # an odd node count puts a Hermite node at w_i = 0, which is not folded
+    b5 = np.array([0.3, 0.8])
+    for g, w in zip(_ratio_moments(b5, N_r, nx=6, ng=5, nh=5),
+                    _ratio_moments_oracle(b5, N_r, nx=6, ng=5, nh=5)):
+        _assert_close(g, w)
+
+
+@pytest.mark.parametrize("N_t", [1, 3])
+@pytest.mark.parametrize("kappa", [2, 4])
+@pytest.mark.parametrize("M", [8, 16, 32])
+def test_noise_power_matches_dense_oracle(M, kappa, N_t):
+    pf = design_prototype(kappa, M)
+    profile = _oracle_profiles(M)[0]
+    for alpha in (0, 1):
+        for m in (0, M // 2, M - 1):
+            _assert_close(noise_power(profile, pf, M, 6, alpha, 0.3, m,
+                                      N_t=N_t),
+                          _noise_power_oracle(profile, pf, M, 6, alpha, 0.3,
+                                              m, N_t))
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("M", [8, 16, 32])
+def test_sir_upper_bound_matches_loop_oracle(M, kappa):
+    pf = design_prototype(kappa, M)
+    for m in (0, M // 2, M - 1):
+        den, n_terms = _loopback_energy_oracle(pf, M, m)
+        got = sir_upper_bound(pf, M, 1, m)
+        if kappa == 2:
+            assert den <= n_terms * (pf.L_f * np.finfo(float).eps) ** 2
+            assert got == np.inf
+        else:
+            _assert_close(10 ** (-got / 10), den)
+
+
+def test_sir_upper_bound_orthogonal_bank_every_size():
+    for M in 2 ** np.arange(2, 11):
+        pf = design_prototype(2, int(M))
+        for m in (0, M // 2, M - 1):
+            assert sir_upper_bound(pf, int(M), 1, int(m)) == np.inf
+
+
+def test_theory_input_errors_are_config_errors(uni4, eva, pf32):
+    # ConfigError is a ValueError, so older callers still catch these
+    cases = [lambda: error_stats([eva], 16, 8, 1, (0, 0)),
+             lambda: error_stats([uni4, uni4], 16, 8, 1, (0, 1), n_eff=0),
+             lambda: _ratio_moments([0.5], 1),
+             lambda: noise_power(uni4, pf32, 32, 4, 1, 0.3, 16, N_t=4),
+             lambda: theoretical_sinr([uni4] * 4, pf32, 32, 4, 1, 16, 0, 0.1)]
+    for call in cases:
+        with pytest.raises(ConfigError):
+            call()
