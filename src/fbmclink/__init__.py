@@ -13,10 +13,8 @@ from .fbmc import (PrototypeFilter, design_prototype, phase_factor, OqamGrid,
 from .channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                       ChannelRealization, draw_channel, apply_channel,
                       add_awgn, FreqCsi, freq_csi, estimate_csi_mmse)
-from .stage1 import (HighRateEqualizer, SingleTapEqualizer, zf_freq_response,
-                     mmse_freq_response, alpha_bound, frequency_sample,
-                     design_highrate, apply_highrate, single_tap,
-                     equivalent_channel)
+from .stage1 import (HighRateEqualizer, SingleTapEqualizer, alpha_bound,
+                     design_highrate, apply_highrate, single_tap)
 from .stage2 import (DecimationPlan, decimate, method1_bandpass,
                      method2_periodize, ls_fit, polyphase_split,
                      LowRateEqualizerBank, build_lowrate_receiver,

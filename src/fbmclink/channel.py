@@ -201,13 +201,28 @@ def add_awgn(y, sigma_z2, seed):
     return y + np.sqrt(sigma_z2 / 2.0) * z
 
 
+def bin_response(taps, n):
+    """H_tilde(2 pi k/n) = sum_l taps[..., l] e^{-j 2 pi k l/n}, shape (n, ...).
+
+    The taps are folded modulo n before a length-n DFT, which is the exact
+    DTFT on that grid for any tap length (``np.fft.fft(taps, n=n)`` would
+    drop the taps past n).
+    """
+    taps = np.asarray(taps, dtype=complex)
+    folded = np.pad(taps, [(0, 0)] * (taps.ndim - 1) + [(0, -taps.shape[-1] % n)])
+    folded = folded.reshape(taps.shape[:-1] + (-1, n)).sum(axis=-2)
+    return np.moveaxis(np.fft.fft(folded, axis=-1), -1, 0)
+
+
 class FreqCsi:
     """Frequency-domain CSI on the M DFT bins.
 
-    H_tilde has shape (M, N_r, N_t). time_taps is the representation used by
-    the equalizer designers when they need H_tilde(omega) off the bin grid:
-    the true taps for perfect CSI, the full length-M IDFT of the estimated
-    bins for estimated CSI (exactly consistent with the bins either way).
+    H_tilde has shape (M, N_r, N_t). time_taps, shape (N_r, N_t, L), is what
+    the equalizer designers read: they take its bins at any grid size n with
+    ``bin_response(time_taps, n)``, which folds the taps modulo n. It holds
+    the true taps for perfect CSI and the length-M IDFT of the estimated bins
+    for estimated CSI, so ``bin_response(time_taps, M)`` reproduces H_tilde
+    either way.
     """
 
     def __init__(self, H_tilde, time_taps, flag="perfect"):
@@ -227,16 +242,10 @@ class FreqCsi:
     def N_t(self):
         return self.H_tilde.shape[2]
 
-    def response_at(self, omega):
-        """H_tilde(omega) = sum_l time_taps[l] e^{-j omega l}, (N_r, N_t)."""
-        ph = np.exp(-1j * omega * np.arange(self.time_taps.shape[2]))
-        return self.time_taps @ ph
-
 
 def freq_csi(H, M):
     """Perfect CSI: H_tilde_m = sum_l H[l] e^{-j 2 pi m l / M} for m = 0..M-1."""
-    Ht = np.fft.fft(H.taps, n=M, axis=2)          # (N_r, N_t, M)
-    return FreqCsi(np.moveaxis(Ht, 2, 0), H.taps, flag="perfect")
+    return FreqCsi(bin_response(H.taps, M), H.taps, flag="perfect")
 
 
 def estimate_csi_mmse(csi, P_p, sigma_z2, seed):

@@ -137,11 +137,12 @@ def oqam_to_qam(grid):
 
 
 def _tx_phases(M, N_d, pf):
-    """Per-(m,n) transmit phase factor_factor(m,n) * e^{-j 2 pi m centre / M}."""
+    """Per-(m,n) transmit phase j^{m+n} e^{-j 2 pi m centre / M}; the centre
+    phase argument pi m (L_f - 1) / M is reduced exactly modulo 2 pi."""
     m = np.arange(M)[:, None]
     n = np.arange(N_d)[None, :]
-    theta = np.exp(1j * np.pi * (m + n) / 2)
-    centre_ph = np.exp(-2j * np.pi * m * pf.centre / M)
+    theta = np.asarray(_J_POW)[(m + n) % 4]
+    centre_ph = np.exp(-1j * np.pi * (m * (pf.L_f - 1) % (2 * M)) / M)
     return theta * centre_ph
 
 

@@ -1,13 +1,25 @@
 """Stage 1: high-rate ZF/MMSE equalizers via frequency sampling, plus the
 single-tap per-subcarrier baseline.
 
-All matrix solves go through numpy's least-squares (QR/SVD based, backward
-stable); no explicit inverses are formed.
+Both designs are one batched solve over frequency bins. The CSI is read at
+omega_k = 2 pi k/n (``channel.bin_response``), every bin is factored by one
+batched SVD H~ = U diag(s) V^H, and the combiner is
+
+    G~_k = V diag(s / (s^2 + lam)) U^H = (H~^H H~ + lam I)^{-1} H~^H,
+
+with lam = sigma_z2/P_s for MMSE and lam = 0 for ZF (and for MMSE without
+noise). No explicit inverse or normal matrix is formed. A ZF bin is singular
+when N_r < N_t, when its smallest singular value is zero, or when the
+condition number of H~^H H~, (s_max/s_min)^2, exceeds ``_COND_CUTOFF``; the
+error names the first such bin and its omega.
 """
+
+import warnings
 
 import numpy as np
 from scipy.signal import fftconvolve
 
+from .channel import bin_response
 from .errors import ConfigError, SingularChannelError
 
 _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singular
@@ -39,45 +51,34 @@ class SingleTapEqualizer:
         return self.W.shape[0]
 
 
-def _regularized_solve(A, lam):
-    """(A^H A + lam I)^{-1} A^H via stacked least squares; shape (N_t, N_r)."""
-    N_r, N_t = A.shape
+def _ridge(criterion, sigma_z2, P_s):
+    """The lam of the bin solve: sigma_z2/P_s for MMSE, 0 for ZF."""
+    if criterion == "zf":
+        return 0.0
+    if criterion == "mmse":
+        return sigma_z2 / P_s
+    raise ConfigError(f"unknown criterion {criterion!r} (zf|mmse)")
+
+
+def _solve_bins(A, lam):
+    """V diag(s/(s^2+lam)) U^H for every bin A[k] = H~(2 pi k/n).
+
+    A has shape (n, N_r, N_t); the result has shape (n, N_t, N_r).
+    """
+    n, N_r, N_t = A.shape
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if lam == 0:
-        s = np.linalg.svd(A, compute_uv=False)
         # H~^H H~ is N_t x N_t; fewer rows than columns leaves it rank-deficient
-        if N_r < N_t or s[-1] == 0 or (s[0] / s[-1]) ** 2 > _COND_CUTOFF:
-            raise SingularChannelError("rank-deficient channel matrix")
-        return np.linalg.lstsq(A, np.eye(N_r, dtype=complex), rcond=None)[0]
-    B = np.vstack([A, np.sqrt(lam) * np.eye(N_t, dtype=complex)])
-    C = np.vstack([np.eye(N_r, dtype=complex), np.zeros((N_t, N_r), dtype=complex)])
-    return np.linalg.lstsq(B, C, rcond=None)[0]
-
-
-def zf_freq_response(csi, omega_k, alpha):
-    """Zero-forcing response G~(omega) = (H~^H H~)^{-1} H~^H e^{-j omega alpha M/2}.
-
-    Raises SingularChannelError (identifying omega) when H~(omega) is
-    rank-deficient at the 1e12 condition-number cutoff.
-    """
-    A = csi.response_at(omega_k)
-    try:
-        X = _regularized_solve(A, 0.0)
-    except SingularChannelError:
-        raise SingularChannelError(
-            f"channel matrix singular at omega={omega_k:.6g}") from None
-    return X * np.exp(-1j * omega_k * alpha * csi.M / 2)
-
-
-def mmse_freq_response(csi, omega_k, alpha, sigma_z2, P_s):
-    """MMSE response: ZF with a (sigma_z2/P_s) I ridge in the normal equations.
-
-    With sigma_z2 = 0 this falls through to the ZF formula exactly.
-    """
-    if sigma_z2 == 0:
-        return zf_freq_response(csi, omega_k, alpha)
-    A = csi.response_at(omega_k)
-    X = _regularized_solve(A, sigma_z2 / P_s)
-    return X * np.exp(-1j * omega_k * alpha * csi.M / 2)
+        bad = ((N_r < N_t) | (s[:, -1] == 0)
+               | (s[:, 0] ** 2 > _COND_CUTOFF * s[:, -1] ** 2))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SingularChannelError(
+                f"bin {k}: channel matrix singular at omega={2 * np.pi * k / n:.6g}")
+        d = 1.0 / s
+    else:
+        d = s / (s ** 2 + lam)
+    return (Vh.conj().swapaxes(1, 2) * d[:, None, :]) @ U.conj().swapaxes(1, 2)
 
 
 def alpha_bound(L_h, L_g, M):
@@ -85,27 +86,12 @@ def alpha_bound(L_h, L_g, M):
     return int(np.ceil(2 * (L_h + L_g - 1) / M)) - 1
 
 
-def frequency_sample(designer, L_g, alpha, M, criterion="zf"):
-    """Realize a frequency-response designer as an FIR filter by uniform sampling.
-
-    G[l] = (1/L_g) sum_k G~(2 pi k/L_g) e^{j 2 pi l k/L_g}. The designer closure
-    must already include the alpha delay phase; alpha is recorded on the result.
-    """
-    if L_g < M:
-        import warnings
-        warnings.warn(f"L_g={L_g} below the minimum sampling count M={M}")
-    samples = []
-    for k in range(L_g):
-        try:
-            samples.append(designer(2 * np.pi * k / L_g))
-        except SingularChannelError as exc:
-            raise SingularChannelError(f"bin {k}: {exc}") from None
-    G = np.fft.ifft(np.stack(samples, axis=0), axis=0)   # (L_g, N_t, N_r)
-    return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha, criterion, M)
-
-
 def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.0):
-    """Stage-1 design with precondition checks (alpha range, criterion name)."""
+    """Frequency-sampled high-rate equalizer with L_g taps and delay alpha*M/2.
+
+    G[l] = (1/L_g) sum_k G~_k e^{-j omega_k alpha M/2} e^{j 2 pi l k/L_g} with
+    omega_k = 2 pi k/L_g; the delay phase is reduced exactly modulo 2 pi.
+    """
     M = csi.M
     if L_g is None:
         L_g = M
@@ -113,13 +99,14 @@ def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.
     bound = alpha_bound(L_h, L_g, M)
     if not 0 <= alpha <= bound:
         raise ConfigError(f"alpha={alpha} outside the admissible range [0, {bound}]")
-    if criterion == "zf":
-        designer = lambda w: zf_freq_response(csi, w, alpha)
-    elif criterion == "mmse":
-        designer = lambda w: mmse_freq_response(csi, w, alpha, sigma_z2, P_s)
-    else:
-        raise ConfigError(f"unknown criterion {criterion!r} (zf|mmse)")
-    return frequency_sample(designer, L_g, alpha, M, criterion)
+    lam = _ridge(criterion, sigma_z2, P_s)
+    if L_g < M:
+        warnings.warn(f"L_g={L_g} below the minimum sampling count M={M}")
+    G = _solve_bins(bin_response(csi.time_taps, L_g), lam)
+    delay = np.arange(L_g) * (alpha * M // 2) % L_g
+    G *= np.exp(-2j * np.pi * delay / L_g)[:, None, None]
+    G = np.fft.ifft(G, axis=0)                          # (L_g, N_t, N_r)
+    return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha, criterion, M)
 
 
 def apply_highrate(y, eq):
@@ -138,21 +125,6 @@ def single_tap(csi, criterion="zf", sigma_z2=0.0, P_s=1.0):
     No delay phase is applied (the baseline demodulates first and combines
     bins, so alpha = 0 for this scheme).
     """
-    M = csi.M
-    W = np.empty((M, csi.N_t, csi.N_r), dtype=complex)
-    for m in range(M):
-        omega = 2 * np.pi * m / M
-        if criterion == "zf":
-            W[m] = zf_freq_response(csi, omega, 0)
-        elif criterion == "mmse":
-            W[m] = mmse_freq_response(csi, omega, 0, sigma_z2, P_s)
-        else:
-            raise ConfigError(f"unknown criterion {criterion!r} (zf|mmse)")
-    return SingleTapEqualizer(W, criterion)
-
-
-def equivalent_channel(eq, H):
-    """H_eq[l] = (G conv H)[l], shape (N_t, N_t_users, L_g + L_h - 1)."""
-    G = eq.taps[:, None, :, :]                       # (N_t, 1, N_r, L_g)
-    Hm = np.moveaxis(H.taps, 0, 1)[None, :, :, :]    # (1, N_t', N_r, L_h)
-    return fftconvolve(G, Hm, axes=3).sum(axis=2)
+    lam = _ridge(criterion, sigma_z2, P_s)
+    return SingleTapEqualizer(_solve_bins(bin_response(csi.time_taps, csi.M), lam),
+                              criterion)

@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
 
 from .errors import ConfigError
-from .fbmc import _afb
+from .fbmc import _J_POW, _afb
 from .stage1 import design_highrate
 
 
@@ -233,5 +233,5 @@ def recover_symbols(dgrid, alpha, N_d):
     M = dgrid.shape[-2]
     n = np.arange(N_d)
     m = np.arange(M)[:, None]
-    comp = np.exp(-1j * np.pi * (m + n[None, :]) / 2)
+    comp = np.conj(np.asarray(_J_POW)[(m + n[None, :]) % 4])    # e^{-j pi (m+n)/2}
     return (dgrid[..., alpha:alpha + N_d] * comp).real

@@ -5,7 +5,8 @@ import pytest
 
 from fbmclink.channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                               ChannelRealization, draw_channel, apply_channel,
-                              add_awgn, freq_csi, estimate_csi_mmse)
+                              add_awgn, bin_response, freq_csi,
+                              estimate_csi_mmse)
 
 RATE = 7.68e6
 
@@ -190,8 +191,30 @@ def test_freq_csi_matches_dft(eva, uni4):
     for m in (0, 1, 17, 31):
         want = (H.taps * np.exp(-2j * np.pi * m * l / M)).sum(axis=2)
         np.testing.assert_allclose(csi.H_tilde[m], want, atol=1e-12)
-        np.testing.assert_allclose(csi.response_at(2 * np.pi * m / M), want,
-                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["EVA", "ETU"])
+def test_freq_csi_longer_channel_than_bins(name):
+    # L_h = 28 (EVA) and 47 (ETU) exceed M = 16: every tap still counts
+    M = 16
+    H = draw_channel(load_pdp(name, RATE), 3, 5)
+    assert H.L_h > M
+    l = np.arange(H.L_h)
+    want = np.stack([(H.taps * np.exp(-2j * np.pi * m * l / M)).sum(axis=2)
+                     for m in range(M)])
+    got = freq_csi(H, M).H_tilde
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 28, 40])
+def test_bin_response_is_the_dtft_on_the_grid(eva, n):
+    taps = draw_channel(eva, 2, 9).taps                # (2, 1, 28)
+    l = np.arange(taps.shape[2])
+    want = np.stack([(taps * np.exp(-2j * np.pi * k * l / n)).sum(axis=2)
+                     for k in range(n)])
+    got = bin_response(taps, n)
+    assert got.shape == (n, 2, 1)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_estimate_csi_noiseless(eva):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from fbmclink import (OqamGrid, demodulate, design_prototype, modulate,
                       oqam_to_qam, phase_factor, qam_to_oqam,
                       transmux_response)
-from fbmclink.fbmc import _afb
+from fbmclink.fbmc import _afb, _tx_phases
 
 
 # ---------------------------------------------------------------- prototype
@@ -85,6 +85,21 @@ def test_subcarrier_filter_phase_is_exact(M):
                 [complex(mpmath.expjpi(mpmath.mpf(int(x)) / M)) for x in k])
             err = np.abs(pf.subcarrier_filter(m) - want).max()
             assert err <= 1e-14 * np.abs(pf.coeffs).max()
+
+
+def test_tx_phases_are_exact():
+    # j^{m+n} e^{-j pi m (L_f - 1) / M}: the centre argument reaches about
+    # pi kappa M rad at M = 1024
+    mpmath = pytest.importorskip("mpmath")
+    M, N_d = 1024, 6
+    pf = design_prototype(4, M)
+    m = np.arange(M)[:, None]
+    n = np.arange(N_d)[None, :]
+    with mpmath.workdps(30):
+        centre = np.array([complex(mpmath.expjpi(mpmath.mpf(-k * (pf.L_f - 1)) / M))
+                           for k in range(M)])
+    want = np.array([1, 1j, -1, -1j])[(m + n) % 4] * centre[:, None]
+    assert np.abs(_tx_phases(M, N_d, pf) - want).max() <= 2e-15
 
 
 # ------------------------------------------------------------------- phases

@@ -339,3 +339,14 @@ def test_recover_symbols_mapping():
     dgrid[:, alpha:alpha + N_d] = a * np.exp(1j * np.pi * (m + n) / 2)
     np.testing.assert_allclose(recover_symbols(dgrid, alpha, N_d), a,
                                atol=1e-14)
+
+
+def test_recover_symbols_phases_are_exact():
+    # on a unit grid the output is Re(j^{-(m+n)}) (or Im for a j grid): 0, +-1
+    M, N_d = 64, 9
+    k = np.arange(M)[:, None] + np.arange(N_d)[None, :]
+    ones = np.ones((M, N_d + 1), dtype=complex)
+    np.testing.assert_array_equal(recover_symbols(ones, 1, N_d),
+                                  np.array([1.0, 0.0, -1.0, 0.0])[k % 4])
+    np.testing.assert_array_equal(recover_symbols(1j * ones, 0, N_d),
+                                  np.array([0.0, 1.0, 0.0, -1.0])[k % 4])

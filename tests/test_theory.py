@@ -11,12 +11,19 @@ from fbmclink.channel import (PdpProfile, draw_channel, freq_csi, load_pdp,
                               make_rng, trial_rng)
 from fbmclink.errors import ConfigError, NumericalError
 from fbmclink.fbmc import demodulate, design_prototype, transmux_response
-from fbmclink.stage1 import apply_highrate, design_highrate, equivalent_channel
+from fbmclink.stage1 import apply_highrate, design_highrate
 from fbmclink.theory import (_gauss_gamma, _ratio_moments, average_power,
                              error_stats, interference_table, noise_power,
                              sir_upper_bound, tau, theoretical_sinr)
 
 RATE = 7.68e6
+
+
+def equivalent_channel(eq, H):
+    """Cascade H_eq[l] = (G conv H)[l], shape (N_t, N_t_users, L_g + L_h - 1)."""
+    G = eq.taps[:, None, :, :]                       # (N_t, 1, N_r, L_g)
+    Hm = np.moveaxis(H.taps, 0, 1)[None, :, :, :]    # (1, N_t', N_r, L_h)
+    return fftconvolve(G, Hm, axes=3).sum(axis=2)
 
 
 # ---------------------------------------------------------------- tau
