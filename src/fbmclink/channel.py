@@ -3,7 +3,7 @@
 import os
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import fft, ifft, next_fast_len
 
 # Standard profiles as (delay ns, average power dB) anchor lists (3GPP TS 36.101
 # annex B for EVA/ETU, ITU-R M.1225 for the pedestrian profiles).
@@ -57,19 +57,23 @@ class PdpProfile:
 
 
 def _place_anchors(delays_ns, powers_db, sample_rate):
-    """Spread anchor paths onto the sample grid with a fractional-delay kernel."""
+    """Spread anchor paths onto the sample grid with a fractional-delay kernel.
+
+    Each anchor covers the 2 _KERNEL_HALF + 1 grid points around it; the
+    contributions are added in anchor order, so the profile does not depend
+    on how the anchor-by-offset table is evaluated.
+    """
     t = np.asarray(delays_ns, dtype=float) * 1e-9 * sample_rate
     p_lin = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
     L_h = int(np.floor(t.max())) + 2 * _KERNEL_HALF + 1
+    k = np.floor(t).astype(int)[:, None] + np.arange(-_KERNEL_HALF,
+                                                     _KERNEL_HALF + 1)
+    x = k - t[:, None]
+    w = 0.5 * (1.0 + np.cos(np.pi * x / _KERNEL_WIDTH))
+    contrib = np.where(np.abs(x) < _KERNEL_WIDTH,
+                       p_lin[:, None] * (np.sinc(x) * w) ** 2, 0.0)
     q = np.zeros(L_h)
-    for ti, pi in zip(t, p_lin):
-        base = int(np.floor(ti))
-        for k in range(base - _KERNEL_HALF, base + _KERNEL_HALF + 1):
-            x = k - ti
-            if abs(x) >= _KERNEL_WIDTH:
-                continue
-            w = 0.5 * (1.0 + np.cos(np.pi * x / _KERNEL_WIDTH))
-            q[k + _KERNEL_HALF] += pi * (np.sinc(x) * w) ** 2
+    np.add.at(q, k + _KERNEL_HALF, contrib)
     return q
 
 
@@ -177,6 +181,22 @@ def draw_channel(profiles, N_r, seed):
     return ChannelRealization(taps, profiles)
 
 
+def _convolve(a, b, sum_axis=None):
+    """Linear convolution of a and b along the last axis, broadcasting the
+    leading axes, by one FFT of each and one inverse FFT.
+
+    With `sum_axis`, that axis of the broadcast product is summed in the
+    frequency domain, before the inverse FFT. The result is complex, of length
+    a.shape[-1] + b.shape[-1] - 1.
+    """
+    n = np.shape(a)[-1] + np.shape(b)[-1] - 1
+    n_fft = next_fast_len(n)
+    prod = fft(a, n_fft) * fft(b, n_fft)
+    if sum_axis is not None:
+        prod = prod.sum(axis=sum_axis)
+    return ifft(prod)[..., :n]
+
+
 def apply_channel(x, H):
     """y^r = sum_u x^u conv h^{r,u}; output length = input length + L_h - 1."""
     x = np.asarray(x, dtype=complex)
@@ -184,9 +204,8 @@ def apply_channel(x, H):
         x = x[None]
     if x.shape[0] != H.N_t:
         raise ValueError(f"{x.shape[0]} streams for {H.N_t} users")
-    # batched convolution over (N_r, N_t, time), then sum the user axis
-    y = fftconvolve(x[None, :, :], H.taps, axes=2).sum(axis=1)
-    return y
+    # batched convolution over (N_r, N_t, time), summing the user axis
+    return _convolve(x[None, :, :], H.taps, sum_axis=1)
 
 
 def add_awgn(y, sigma_z2, seed):

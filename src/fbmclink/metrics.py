@@ -9,6 +9,9 @@ into one effective kernel per transmitting user,
 
     e_{u'} = sum_r h^{r,u'} * flip(K^r).
 
+That is one batched FFT convolution (channel._convolve) over (r, u'), with the
+antenna sum taken in the frequency domain, so only N_t inverse FFTs run.
+
 The coefficient with which the real symbol s_{m',n'} of user u' reaches the
 phase-compensated output is then (array indices from 0)
 
@@ -28,10 +31,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .channel import (draw_channel, apply_channel, add_awgn, freq_csi,
-                      estimate_csi_mmse, trial_rng, load_pdp)
+from .channel import (_convolve, draw_channel, apply_channel, add_awgn,
+                      freq_csi, estimate_csi_mmse, trial_rng, load_pdp)
 from .config import P_SYM, SimConfig, channel_assignment, fingerprint
 from .errors import ConfigError
 from .fbmc import _afb, design_prototype, qam_to_oqam, modulate, demodulate
@@ -109,7 +111,7 @@ def _kernel(scheme, pf, m, u):
         g[:, ::D1] = gbar
     else:
         raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
-    K = fftconvolve(fmc[None, :], g[:, ::-1], axes=1)
+    K = _convolve(fmc, g[:, ::-1])
     return K, scheme.alpha
 
 
@@ -140,17 +142,18 @@ def _measure_many(H, schemes, pf, m, u):
     """Measure several scheme objects on one realization; returns a list of
     CoeffSet.
 
-    Per scheme, one batched convolution gives e_{u'} for every user, and one
-    analysis-bank call over the N_t kernels gives every column
-    i = (dn + alpha) M/2 + L_f - 1: (f conv e)[i] = conj(AFB(conj(flip(e)))
-    [L_e - 1 - i]) (see the module docstring).
+    Per scheme, one batched convolution, summed over antennas before its
+    inverse FFT, gives e_{u'} for every user, and one analysis-bank call over
+    the N_t kernels gives every column i = (dn + alpha) M/2 + L_f - 1:
+    (f conv e)[i] = conj(AFB(conj(flip(e)))[L_e - 1 - i]) (see the module
+    docstring).
     """
     M, L_f = pf.M, pf.L_f
     half = M // 2
     out = []
     for scheme in schemes:
         K, a_s = _kernel(scheme, pf, m, u)
-        e = fftconvolve(H.taps, K[:, None, ::-1], axes=2).sum(axis=0)
+        e = _convolve(H.taps, K[:, None, ::-1], sum_axis=0)
         L_e = e.shape[1]
         dns = np.arange(-((L_f - 1) // half), (L_e - 1) // half + 1) - a_s
         C = np.conj(_afb(np.conj(e[:, ::-1]), pf,

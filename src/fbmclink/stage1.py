@@ -17,9 +17,8 @@ error names the first such bin and its omega.
 import warnings
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .channel import bin_response
+from .channel import _convolve, bin_response
 from .errors import ConfigError, SingularChannelError
 
 _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singular
@@ -116,7 +115,7 @@ def apply_highrate(y, eq):
         y = y[None]
     if y.shape[0] != eq.taps.shape[1]:
         raise ValueError(f"{y.shape[0]} antenna streams for N_r={eq.taps.shape[1]}")
-    return fftconvolve(eq.taps, y[None, :, :], axes=2).sum(axis=1)
+    return _convolve(eq.taps, y[None, :, :], sum_axis=1)
 
 
 def single_tap(csi, criterion="zf", sigma_z2=0.0, P_s=1.0):

@@ -15,9 +15,19 @@ phase ramp,
     c_m = e^{-j 2 pi m ((N_f-1) D1 - centre) / M},  w_m = e^{j 2 pi m D1 / M},
 
 so its Toeplitz regression matrix is F_m = c_m D_w F_0 D_w^{-1} with the
-unit-modulus diagonal D_w = diag(w_m^k). One real pseudo-inverse of F_0
-therefore serves every subcarrier, and the right-hand sides of all (m, u, r)
-come from one analysis-bank call.
+unit-modulus diagonal D_w = diag(w_m^k), and one real pseudo-inverse of F_0
+serves every subcarrier. The target row k, at sample offset
+o_k = (k+1) D1 - L_f, is e[k] = sum_t g[t] f_m^*[t - o_k]. Writing out f_m^*
+shows that c_m and D_w^{-1} cancel against its phase,
+
+    conj(c_m) D_w^{-1} e = g @ A_m,
+    A_m[t, k] = p[t + L_f - (k+1) D1] e^{-j 2 pi (m t mod M) / M},
+
+with p zero outside [0, L_f). Only the final D_w ramp remains, so every
+(m, u, r) fit is g @ B_m, B_m = A_m pinv(F_0)^T D_w. A_m is the real window
+P[t, k] = p[t + L_f - (k+1) D1] under a row phase, so the (L_g, L'_g) matrix
+B_m is the real P pinv(F_0)^T with that row phase and the column ramp D_w,
+and the stage-1 taps meet all listed subcarriers in one matrix product.
 
 method1_bandpass / method2_periodize are the two reference constructions of
 g-bar; the least-squares fit is what build_lowrate_receiver uses.
@@ -107,27 +117,34 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     in `subcarriers`; returns shape (len(subcarriers), ..., Lg_prime).
 
     Row k of the fit is low-rate lag k - (N_f-1), N_f = L_f/D1: the target
-    e[k] = (g conv f_m^*[-.])[D1-1 + k D1] is the analysis bank of g at offset
-    (k+1) D1 - L_f, and the solution of F_m x = e is
-    x = D_w pinv(F_0) conj(c_m) D_w^{-1} e (see the module docstring).
+    e[k] = (g conv f_m^*[-.])[D1-1 + k D1], and the solution of F_m x = e is
+    x = D_w pinv(F_0) conj(c_m) D_w^{-1} e = D_w pinv(F_0) (g @ A_m) (see the
+    module docstring). All of it is one product g @ B_m per subcarrier, with
+    B_m = A_m pinv(F_0)^T D_w built from the real P pinv(F_0)^T.
     """
     if Lg_prime < 1:
         raise ConfigError(f"Lg_prime must be >= 1, got {Lg_prime}")
     if pf.L_f % D1 != 0:
         raise ConfigError(f"D1={D1} does not divide L_f={pf.L_f}")
-    M, N_f = pf.M, pf.L_f // D1
+    g = np.asarray(g)
+    M, L_f, L = pf.M, pf.L_f, g.shape[-1]
+    N_f = L_f // D1
     rows = N_f + Lg_prime - 1
     p = pf.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
     F0 = toeplitz(np.concatenate([p, np.zeros(Lg_prime - 1)]),
                   np.zeros(Lg_prime))
-    k = np.arange(rows)
-    E = _afb(g, pf, (k + 1) * D1 - pf.L_f)[..., subcarriers, :]
-    # w_m^k and c_m with their arguments reduced exactly (2 centre = L_f - 1)
+    # P[t, k] = p[t + L_f - (k+1) D1], zero off the prototype's support
+    t = np.arange(L)
+    idx = t[:, None] + L_f - (np.arange(rows) + 1) * D1
+    P = np.where((idx >= 0) & (idx < L_f), pf.coeffs[np.clip(idx, 0, L_f - 1)],
+                 0.0)
+    # row phase of A_m and the D_w ramp, arguments reduced exactly
     m = np.asarray(subcarriers)[:, None]
-    ramp = np.exp(2j * np.pi * (m * k * D1 % M) / M)
-    c = np.exp(-1j * np.pi * (m * (2 * (N_f - 1) * D1 - pf.L_f + 1) % (2 * M)) / M)
-    x = (E * np.conj(c * ramp)) @ np.linalg.pinv(F0).T
-    x *= ramp[:, :Lg_prime]
+    phase = np.exp(-2j * np.pi * (m * t % M) / M)
+    ramp = np.exp(2j * np.pi * (m * np.arange(Lg_prime) * D1 % M) / M)
+    B = phase[:, :, None] * (P @ np.linalg.pinv(F0).T) * ramp[:, None, :]
+    x = g.reshape(-1, L) @ np.moveaxis(B, 0, 1).reshape(L, -1)
+    x = x.reshape(g.shape[:-1] + (len(m), Lg_prime))
     return np.moveaxis(x, -2, 0)
 
 
@@ -177,8 +194,9 @@ def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
     """Full two-stage design: Stage-1 filter, then the per-(m,r,u) LS fits.
 
     `subcarriers` restricts the bank to a subset of m values (default: all M).
-    All N_t*N_r stage-1 taps go through one analysis-bank call, and since
-    F_m = c_m D_w F_0 D_w^{-1}, one factorization of F_0 fits every subcarrier.
+    All N_t*N_r stage-1 taps go through one matrix product with the listed
+    subcarriers' B_m, and since F_m = c_m D_w F_0 D_w^{-1}, one factorization
+    of F_0 fits every subcarrier.
     """
     eq = design_highrate(csi, L_g=L_g, alpha=alpha, criterion=criterion,
                          sigma_z2=sigma_z2, P_s=P_s)

@@ -1,12 +1,18 @@
 """Power-delay profiles, channel draws, AWGN, and frequency-domain CSI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fbmclink.channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                               ChannelRealization, draw_channel, apply_channel,
                               add_awgn, bin_response, freq_csi,
-                              estimate_csi_mmse)
+                              estimate_csi_mmse, _STANDARD_PDPS, _convolve,
+                              _place_anchors)
 
 RATE = 7.68e6
 
@@ -56,6 +62,35 @@ def test_load_pdp_custom_file(tmp_path):
     assert abs(prof.taps.sum() - 1.0) < 1e-12
     peak = np.argsort(prof.taps)[-2:]
     assert set(peak) == {4, 8}  # kernel half-width shifts both paths by 4
+
+
+def _place_anchors_oracle(delays_ns, powers_db, sample_rate):
+    """The anchor placement one path and one grid point at a time."""
+    t = np.asarray(delays_ns, dtype=float) * 1e-9 * sample_rate
+    p_lin = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
+    q = np.zeros(int(np.floor(t.max())) + 9)
+    for ti, pi in zip(t, p_lin):
+        base = int(np.floor(ti))
+        for k in range(base - 4, base + 5):
+            x = k - ti
+            if abs(x) >= 5.0:
+                continue
+            w = 0.5 * (1.0 + np.cos(np.pi * x / 5.0))
+            q[k + 4] += pi * (np.sinc(x) * w) ** 2
+    return q
+
+
+@pytest.mark.parametrize("rate", [1.92e6, 7.68e6, 30.72e6])
+def test_place_anchors_matches_the_scalar_loop(rate, tmp_path):
+    # close anchors share grid points: the order of the sums must match too
+    f = tmp_path / "close.pdp"
+    f.write_text("0 0\n20.5 -1\n40 -3\n45 -2.5\n520.8333 -6\n")
+    anchors = dict(_STANDARD_PDPS)
+    anchors[str(f)] = ((0, 20.5, 40, 45, 520.8333), (0, -1, -3, -2.5, -6))
+    for name, (delays, powers) in anchors.items():
+        want = _place_anchors_oracle(delays, powers, rate)
+        assert np.all(_place_anchors(delays, powers, rate) == want), name
+        assert np.all(load_pdp(name, rate).taps == want / want.sum()), name
 
 
 def test_load_pdp_file_errors(tmp_path):
@@ -129,6 +164,49 @@ def test_draw_channel_statistics(uni4):
     # lags are mutually independent
     cross = np.mean(h[:, 0] * np.conj(h[:, 1]))
     assert abs(cross) < 0.02
+
+
+# ---------------------------------------------------------------- convolution
+
+def _convolve_oracle(a, b):
+    a, b = np.broadcast_arrays(a[..., None, :], b[..., :, None])
+    lead = a.shape[:-2]
+    out = np.zeros(lead + (a.shape[-1] + b.shape[-2] - 1,), dtype=complex)
+    for i in np.ndindex(lead):
+        out[i] = np.convolve(a[i][0], b[i][:, 0])
+    return out
+
+
+@pytest.mark.parametrize("a_shape, b_shape, sum_axis, want_shape", [
+    ((3, 1, 17), (4, 6), None, (3, 4, 22)),
+    ((3, 1, 17), (4, 6), 0, (4, 22)),
+    ((3, 1, 17), (4, 6), 1, (3, 22)),
+    ((3, 1, 17), (4, 6), -2, (3, 22)),
+    ((17,), (4, 6), None, (4, 22)),
+])
+def test_convolve_matches_np_convolve(a_shape, b_shape, sum_axis, want_shape):
+    rng = make_rng(31)
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
+    want = _convolve_oracle(a, b)
+    if sum_axis is not None:
+        want = want.sum(axis=sum_axis)
+    got = _convolve(a, b, sum_axis=sum_axis)
+    assert got.shape == want.shape == want_shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fbmclink; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- application

@@ -1,9 +1,12 @@
 """Two-step decimation, reference band constructions, LS fits, polyphase."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+from fbmclink import stage2
 from fbmclink.channel import (ChannelRealization, draw_channel, freq_csi,
                               make_rng)
 from fbmclink.errors import ConfigError
@@ -203,8 +206,20 @@ def _oracle_fit(g, pf, m, D1, Lgp):
     return np.linalg.lstsq(F, e, rcond=None)[0]
 
 
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
 def _assert_rel_close(got, want, rel=1e-10):
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _bumped(x):
+    """x with its largest entry moved by 1e-9 of its size."""
+    x = np.array(x)
+    i = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+    x[i] += 1e-9 * abs(x[i])
+    return x
 
 
 @pytest.mark.parametrize("M, D1", [(16, 8), (16, 2), (64, 32), (64, 8)])
@@ -232,6 +247,46 @@ def test_fit_matches_brute_force_oracle(M, D1, Lgp, eva):
         for m in edges + [3]:
             _assert_rel_close(ls_fit(g, pf, m, plan, Lgp),
                               _oracle_fit(g, pf, m, D1, Lgp))
+
+
+def test_one_subcarrier_bank_is_a_row_of_the_all_m_bank(eva, monkeypatch):
+    # the fit reads the stage-1 taps by one matrix product, not through the
+    # analysis bank
+    def no_afb(*args, **kwargs):
+        raise AssertionError("the fit called _afb")
+    monkeypatch.setattr(stage2, "_afb", no_afb)
+    M = 64
+    pf = design_prototype(4, M)
+    plan = DecimationPlan(M, 16)
+    csi = freq_csi(draw_channel([eva, eva], 3, 8), M)
+    full = build_lowrate_receiver(csi, pf, plan, Lg_prime=5)
+    for m in (0, M // 2, M - 1):
+        one = build_lowrate_receiver(csi, pf, plan, Lg_prime=5,
+                                     subcarriers=[m])
+        assert one.gbar.shape == (1, 2, 3, 5)
+        _assert_rel_close(one.gbar[0], full.taps_for(m), rel=1e-12)
+        assert _rel_err(_bumped(one.gbar[0]), full.taps_for(m)) > 1e-12
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("L_g", [8, 32, 29])
+def test_fit_of_any_stage1_length_matches_oracle(kappa, L_g, eva):
+    # M=16: L_g = M/2 (below the sampling count, so it warns), 2M, and a
+    # length that is not a multiple of M
+    M, D1, Lgp = 16, 4, 5
+    pf = design_prototype(kappa, M)
+    plan = DecimationPlan(M, D1)
+    csi = freq_csi(draw_channel([eva, eva], 3, 30 + kappa), M)
+    warns = (pytest.warns(UserWarning, match="minimum sampling count")
+             if L_g < M else contextlib.nullcontext())
+    with warns:
+        taps = design_highrate(csi, L_g=L_g).taps
+        bank = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp, L_g=L_g)
+    for m in (0, 5, M - 1):
+        want = np.array([[_oracle_fit(taps[u, r], pf, m, D1, Lgp)
+                          for r in range(3)] for u in range(2)])
+        _assert_rel_close(bank.taps_for(m), want)
+        assert _rel_err(_bumped(bank.taps_for(m)), want) > 1e-10
 
 
 def test_bank_rejects_bad_lg_prime(eva, pf16):
