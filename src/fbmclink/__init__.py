@@ -8,22 +8,19 @@ metrics (Monte Carlo measurement), cli/config (presets and run files).
 
 from .errors import ConfigError, NumericalError, SingularChannelError
 from .fbmc import (PrototypeFilter, design_prototype, phase_factor, OqamGrid,
-                   qam_to_oqam, oqam_to_qam, modulate, demodulate,
-                   transmux_response)
+                   qam_to_oqam, oqam_to_qam, modulate, demodulate)
 from .channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                       ChannelRealization, draw_channel, apply_channel,
                       add_awgn, FreqCsi, freq_csi, estimate_csi_mmse)
 from .stage1 import (HighRateEqualizer, SingleTapEqualizer, alpha_bound,
                      design_highrate, apply_highrate, single_tap)
-from .stage2 import (DecimationPlan, decimate, method1_bandpass,
-                     method2_periodize, ls_fit, polyphase_split,
-                     LowRateEqualizerBank, build_lowrate_receiver,
-                     equalize_lowrate, recover_symbols)
+from .stage2 import (DecimationPlan, LowRateEqualizerBank,
+                     build_lowrate_receiver, equalize_lowrate, recover_symbols)
 from .theory import (tau, ErrorStats, error_stats, InterferenceTable,
                      interference_table, average_power, noise_power,
                      sir_upper_bound, theoretical_sinr)
-from .metrics import (SchemeSpec, CoeffSet, measure_coeffs, SinrEstimate,
-                      empirical_sinr, SinrReport, SweepResult, sweep, run_mse)
+from .metrics import (SchemeSpec, CoeffSet, SinrEstimate, empirical_sinr,
+                      SinrReport, SweepResult, sweep, run_mse)
 from .config import (SimConfig, parse_config, render_config, fingerprint,
                      channel_assignment, P_SYM)
 from .cli import run_preset, emit_plot_script, main

@@ -30,14 +30,12 @@ def _preset_items(name, scale):
     if name == "fig3":
         base.update(M=64 if desk else 256, N_t=1, N_r=8 if desk else 16,
                     trials=300 if desk else 1000, gamma_db=30.0,
-                    channels=("EVA",) if desk else ("EVA", "ETU", "PedA", "PedB"),
-                    schemes=("two_stage",))
+                    channels=("EVA",) if desk else ("EVA", "ETU", "PedA", "PedB"))
     elif name == "fig4":
         base.update(M=64 if desk else 256, N_t=1, N_r=16,
                     trials=400 if desk else 2000,
                     channels=("EVA", "PedA") if desk
-                    else ("EVA", "ETU", "PedA", "PedB"),
-                    schemes=("highrate",))
+                    else ("EVA", "ETU", "PedA", "PedB"))
     elif name == "fig6":
         base.update(M=64 if desk else 256, N_t=4 if desk else 8, N_r=16,
                     trials=200 if desk else 1000, gamma_db=10.0)
@@ -53,8 +51,7 @@ def _preset_items(name, scale):
             base.update(channels=("PedA", "PedA"))
     elif name == "mse":
         base.update(M=64 if desk else 256, N_t=2 if desk else 8, N_r=16,
-                    trials=100 if desk else 500, N_d=96, L_p=8,
-                    schemes=("two_stage",))
+                    trials=100 if desk else 500, N_d=96, L_p=8)
     return base
 
 

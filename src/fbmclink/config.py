@@ -15,7 +15,6 @@ from .stage2 import DecimationPlan
 
 # canonical channel-profile spellings, keyed by lowercase
 _CHANNEL_NAMES = {"eva": "EVA", "etu": "ETU", "peda": "PedA", "pedb": "PedB"}
-_SCHEME_KINDS = ("single_tap", "two_stage", "highrate")
 
 # Real-symbol power of a unit-average-power QAM constellation after the
 # real/imaginary split.
@@ -43,7 +42,6 @@ class SimConfig:
     N_d: int = 96
     L_p: int = 8
     sample_rate: float = 7.68e6
-    schemes: tuple = ("single_tap", "two_stage")
     channels: tuple = ()  # () resolves to the default assignment
 
     def __post_init__(self):
@@ -57,7 +55,6 @@ class SimConfig:
             self.D1 = self.M // 4
         if self.subcarrier < 0:
             self.subcarrier = self.M // 2
-        self.schemes = tuple(self.schemes)
         for c in self.channels:
             # the text form splits on ',', '#' and line breaks and strips names
             if (not isinstance(c, str) or c.splitlines() != [c]
@@ -86,13 +83,6 @@ class SimConfig:
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ConfigError(
                 f"sample_rate must be positive and finite, got {self.sample_rate}")
-        for s in self.schemes:
-            if s not in _SCHEME_KINDS:
-                raise ConfigError(f"unknown scheme {s!r}; known: {_SCHEME_KINDS}")
-
-    @property
-    def P_s(self):
-        return P_SYM
 
     def noise_var(self, gamma_db=None):
         """sigma_z^2 for an SNR of gamma_db, referenced to the unit per-user

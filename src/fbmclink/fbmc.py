@@ -149,6 +149,11 @@ def _tx_phases(M, N_d, pf):
 def modulate(grid, pf):
     """Synthesis filter bank: OQAM grid -> per-user sample streams.
 
+    The adjoint of `_afb` at offsets n*M/2: one IFFT over every (user,
+    instant) column, the kappa-fold periodic extension under the pulse, then
+    an overlap-add of the 2*kappa blocks of M/2 samples that each instant
+    spans.
+
     Parameters
     ----------
     grid : OqamGrid
@@ -158,23 +163,22 @@ def modulate(grid, pf):
     -------
     ndarray, complex, shape (N_t, (N_d-1)*M/2 + L_f)
     """
-    M, L_f = pf.M, pf.L_f
+    M = pf.M
     if grid.symbols.shape[1] != M:
         raise ValueError(
             f"grid has M={grid.symbols.shape[1]} but prototype has M={M}")
     N_t, _, N_d = grid.symbols.shape
-    half = M // 2
-    frame_len = (N_d - 1) * half + L_f
-    phases = _tx_phases(M, N_d, pf)
-    out = np.zeros((N_t, frame_len), dtype=complex)
-    for u in range(N_t):
-        c = grid.symbols[u] * phases
-        # one IFFT per symbol instant, periodically extended under the pulse
-        b = M * np.fft.ifft(c, axis=0)
-        seg = np.tile(b, (pf.kappa, 1)) * pf.coeffs[:, None]
-        for n in range(N_d):
-            out[u, n * half:n * half + L_f] += seg[:, n]
-    return out
+    half, n_blk = M // 2, 2 * pf.kappa
+    c = np.swapaxes(grid.symbols * _tx_phases(M, N_d, pf), 1, 2)
+    b = (M * np.fft.ifft(c, axis=-1)).reshape(N_t, N_d, 2, half)
+    p = pf.coeffs.reshape(n_blk, half)
+    out = np.zeros((N_t, N_d - 1 + n_blk, half), dtype=complex)
+    # pulse block j (the periodic IFFT's half j mod 2) of instant n lands on
+    # output block n + j; running j downward sums every output block's
+    # instants in increasing n
+    for j in range(n_blk - 1, -1, -1):
+        out[:, j:j + N_d] += b[:, :, j % 2] * p[j]
+    return out.reshape(N_t, -1)
 
 
 def _afb(y, pf, offsets):
@@ -203,7 +207,7 @@ def _afb(y, pf, offsets):
 
 
 def demodulate(stream, pf, n_out=None):
-    """Analysis filter bank: sample stream -> complex grid d_{m,n}.
+    """Analysis filter bank: sample streams -> complex grids d_{m,n}.
 
     The matched-filter outputs are taken at lags n*M/2 (n = 0, 1, ...), the
     alignment under which a loopback burst puts symbol n of the grid at
@@ -211,33 +215,21 @@ def demodulate(stream, pf, n_out=None):
 
     Parameters
     ----------
-    stream : ndarray, complex, 1-D
+    stream : ndarray, complex, shape (..., n_samples)
+        Leading axes (antennas, users) are independent streams, as in `_afb`.
     pf : PrototypeFilter
     n_out : int, optional
         Number of instants to produce; default: as many full windows as fit.
 
     Returns
     -------
-    ndarray, complex, shape (M, n_out)
+    ndarray, complex, shape (..., M, n_out)
     """
     y = np.asarray(stream)
-    if y.ndim != 1:
-        raise ValueError("demodulate expects a single antenna stream")
     M, L_f = pf.M, pf.L_f
-    if y.size < L_f:
-        raise ValueError(f"stream too short: {y.size} < L_f={L_f}")
+    if y.shape[-1] < L_f:
+        raise ValueError(f"stream too short: {y.shape[-1]} < L_f={L_f}")
     if n_out is None:
-        n_out = (y.size - L_f) // (M // 2) + 1
+        n_out = (y.shape[-1] - L_f) // (M // 2) + 1
     offsets = np.arange(n_out) * (M // 2)
     return _afb(y, pf, offsets)
-
-
-def transmux_response(pf, m, m_prime):
-    """Transmultiplexer response F_{m m'}[l] = (f_{m'} conv f_m^*[-.])[l].
-
-    Returns the full sequence of length 2*L_f-1; entry i corresponds to lag
-    l = i - (L_f-1). F_{mm}[0] equals 1 by normalization.
-    """
-    f_mp = pf.subcarrier_filter(m_prime)
-    f_m = pf.subcarrier_filter(m)
-    return np.convolve(f_mp, np.conj(f_m[::-1]))

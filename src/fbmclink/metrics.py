@@ -24,6 +24,13 @@ all m'), so the cost does not grow as N_r M L_f. This is exact (same numbers
 a full transmit/receive chain produces, without edge effects), so SIR/SINR
 estimates need no symbol averaging. The demodulated-noise power per trial is
 (sigma_z^2 / 2) sum_r ||K^r||^2.
+
+`run_mse` runs the sample streams instead. Sweeps and MSE runs build their
+receivers with `_build_scheme`, and `_receive` is the one receive path that
+turns the received streams into real symbol estimates: single-tap
+demodulates all antennas in one call and combines the bins, high-rate
+filters at the full rate and demodulates all users in one call, and the
+two-stage bank runs `equalize_lowrate`.
 """
 
 import logging
@@ -34,7 +41,7 @@ import numpy as np
 
 from .channel import (_convolve, draw_channel, apply_channel, add_awgn,
                       freq_csi, estimate_csi_mmse, trial_rng, load_pdp)
-from .config import P_SYM, SimConfig, channel_assignment, fingerprint
+from .config import P_SYM, channel_assignment, fingerprint
 from .errors import ConfigError
 from .fbmc import _afb, design_prototype, qam_to_oqam, modulate, demodulate
 from .stage1 import (HighRateEqualizer, SingleTapEqualizer, design_highrate,
@@ -45,6 +52,9 @@ from .stage2 import (DecimationPlan, LowRateEqualizerBank,
 log = logging.getLogger(__name__)
 
 
+_KINDS = ("single_tap", "two_stage", "highrate")
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """One receiver scheme to measure; 0 fields fall back to the config."""
@@ -53,33 +63,26 @@ class SchemeSpec:
     D1: int = 0
     Lg_prime: int = 0
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(
+                f"unknown scheme kind {self.kind!r}; known: {_KINDS}")
+
     def label(self):
         if self.kind == "two_stage":
             return f"two_stage_D1_{self.D1}_Lgp_{self.Lg_prime}"
         return self.kind
 
 
-def _specs(cfg, schemes=None):
-    if schemes is None:
-        schemes = cfg.schemes
-    out = []
-    for s in schemes:
-        if isinstance(s, SchemeSpec):
-            spec = s
-        elif s in ("single_tap", "highrate"):
-            spec = SchemeSpec(s)
-        elif s == "two_stage":
-            spec = SchemeSpec(s)
-        else:
-            raise ConfigError(f"unknown scheme {s!r}")
-        if spec.kind == "two_stage":
-            spec = replace(spec, D1=spec.D1 or cfg.D1,
-                           Lg_prime=spec.Lg_prime or cfg.Lg_prime)
-        out.append(spec)
-    return out
+def _specs(cfg, schemes):
+    """The specs with a two-stage scheme's 0 fields taken from the config."""
+    return [replace(s, D1=s.D1 or cfg.D1, Lg_prime=s.Lg_prime or cfg.Lg_prime)
+            if s.kind == "two_stage" else s for s in schemes]
 
 
-def _build_scheme(spec, csi, pf, cfg, sigma_z2, m):
+def _build_scheme(spec, csi, pf, cfg, sigma_z2, subcarriers):
+    """The receiver of one spec; a two-stage bank covers `subcarriers`
+    (None: all M)."""
     if spec.kind == "single_tap":
         return single_tap(csi, cfg.criterion, sigma_z2, P_SYM)
     if spec.kind == "highrate":
@@ -88,7 +91,22 @@ def _build_scheme(spec, csi, pf, cfg, sigma_z2, m):
     plan = DecimationPlan(cfg.M, spec.D1)
     return build_lowrate_receiver(csi, pf, plan, cfg.criterion, cfg.alpha,
                                   spec.Lg_prime, sigma_z2, P_SYM,
-                                  L_g=cfg.L_g, subcarriers=[m])
+                                  L_g=cfg.L_g, subcarriers=subcarriers)
+
+
+def _receive(scheme, y, pf, N_d):
+    """Real (N_t, M, N_d) symbol estimates of a built receiver on the
+    received streams y (N_r, n_samples)."""
+    if isinstance(scheme, LowRateEqualizerBank):
+        return recover_symbols(equalize_lowrate(y, scheme, pf), scheme.alpha,
+                               N_d)
+    if isinstance(scheme, SingleTapEqualizer):
+        D = demodulate(y, pf, N_d)
+        return recover_symbols(np.einsum("mur,rmn->umn", scheme.W, D), 0, N_d)
+    if isinstance(scheme, HighRateEqualizer):
+        D = demodulate(apply_highrate(y, scheme), pf, N_d + scheme.alpha)
+        return recover_symbols(D, scheme.alpha, N_d)
+    raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
 
 
 def _kernel(scheme, pf, m, u):
@@ -162,15 +180,6 @@ def _measure_many(H, schemes, pf, m, u):
         out.append(CoeffSet(R=(C * ph).real, dn=dns, m=m, u=u, alpha=a_s,
                             noise_gain=float(np.sum(np.abs(K) ** 2))))
     return out
-
-
-def measure_coeffs(H, scheme, pf, m, u):
-    """Interference coefficients of one receiver scheme on one realization.
-
-    H is a ChannelRealization; scheme is a SingleTapEqualizer,
-    HighRateEqualizer or LowRateEqualizerBank covering subcarrier m.
-    """
-    return _measure_many(H, [scheme], pf, m, u)[0]
 
 
 def _jackknife_ratio_db(num, den):
@@ -256,7 +265,7 @@ def _collect(cfg, specs, csi_mode, threads):
         csi = freq_csi(H, cfg.M)
         if csi_mode == "estimated":
             csi = estimate_csi_mmse(csi, P_p, sigma_d, rng)
-        built = [_build_scheme(sp, csi, pf, cfg, sigma_d, m) for sp in specs]
+        built = [_build_scheme(sp, csi, pf, cfg, sigma_d, [m]) for sp in specs]
         return _measure_many(H, built, pf, m, u)
 
     if threads > 1:
@@ -294,9 +303,10 @@ class SweepResult:
 _AXES = ("N_r", "gamma_db", "Lg_prime")
 
 
-def sweep(config, axis, points, schemes=None, csi_mode="perfect", threads=1):
+def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     """Monte Carlo sweep along one axis.
 
+    schemes: the SchemeSpecs to measure, each on the same trials.
     axis: 'N_r' | 'gamma_db' | 'Lg_prime'; points must be nonempty and
     strictly increasing. Lg_prime points must be >= 1; N_r points need not be
     powers of two; gamma_db points may be negative. Within a trial index the
@@ -383,7 +393,7 @@ def run_mse(config, scheme, csi_mode="perfect", seed=None):
             f"2*kappa={2 * cfg.kappa} at each edge")
     profiles = [load_pdp(nm, cfg.sample_rate) for nm in channel_assignment(cfg)]
     pf = design_prototype(cfg.kappa, cfg.M)
-    M, N_d, alpha = cfg.M, cfg.N_d, cfg.alpha
+    M, N_d = cfg.M, cfg.N_d
     sigma_z2 = cfg.noise_var()
     P_p = 2.0 * P_SYM * cfg.L_p
     master = cfg.master_seed if seed is None else seed
@@ -398,23 +408,8 @@ def run_mse(config, scheme, csi_mode="perfect", seed=None):
         csi = freq_csi(H, M)
         if csi_mode == "estimated":
             csi = estimate_csi_mmse(csi, P_p, sigma_z2, rng)
-        if spec.kind == "two_stage":
-            plan = DecimationPlan(M, spec.D1)
-            bank = build_lowrate_receiver(csi, pf, plan, cfg.criterion, alpha,
-                                          spec.Lg_prime, sigma_z2, P_SYM,
-                                          L_g=cfg.L_g)
-            shat = recover_symbols(equalize_lowrate(y, bank, pf), alpha, N_d)
-        elif spec.kind == "single_tap":
-            st = single_tap(csi, cfg.criterion, sigma_z2, P_SYM)
-            D = np.stack([demodulate(y[r], pf, N_d) for r in range(cfg.N_r)])
-            shat = recover_symbols(np.einsum("mur,rmn->umn", st.W, D), 0, N_d)
-        else:
-            eq = design_highrate(csi, cfg.L_g, alpha, cfg.criterion,
-                                 sigma_z2, P_SYM)
-            xhat = apply_highrate(y, eq)
-            D = np.stack([demodulate(xhat[v], pf, N_d + alpha)
-                          for v in range(cfg.N_t)])
-            shat = recover_symbols(D, alpha, N_d)
+        rx = _build_scheme(spec, csi, pf, cfg, sigma_z2, None)
+        shat = _receive(rx, y, pf, N_d)
         diff = shat[..., keep] - grid.symbols[..., keep]
         errs[t] = np.mean(diff ** 2) / P_SYM
     return float(errs.mean())

@@ -28,9 +28,6 @@ with p zero outside [0, L_f). Only the final D_w ramp remains, so every
 P[t, k] = p[t + L_f - (k+1) D1] under a row phase, so the (L_g, L'_g) matrix
 B_m is the real P pinv(F_0)^T with that row phase and the column ramp D_w,
 and the stage-1 taps meet all listed subcarriers in one matrix product.
-
-method1_bandpass / method2_periodize are the two reference constructions of
-g-bar; the least-squares fit is what build_lowrate_receiver uses.
 """
 
 import numpy as np
@@ -43,73 +40,21 @@ from .stage1 import design_highrate
 
 
 class DecimationPlan:
-    """Two-step decimation factors: D1 = M/2^eta, D1*D2 = M/2."""
+    """Two-step decimation factors: D1 = M/2^eta, D2 = M/(2 D1)."""
 
-    def __init__(self, M, D1, D2=None):
+    def __init__(self, M, D1):
         M, D1 = int(M), int(D1)
         if D1 < 1 or M % D1 != 0 or (M // D1) & (M // D1 - 1) != 0 or D1 > M // 2:
             raise ConfigError(
                 f"D1={D1} invalid: need D1 = M/2^eta with eta in 1..log2(M), M={M}")
-        if D2 is None:
-            D2 = (M // 2) // D1
-        if D1 * D2 != M // 2:
-            raise ConfigError(f"D1*D2 = {D1 * D2} != M/2 = {M // 2}")
-        self.M, self.D1, self.D2 = M, D1, int(D2)
+        self.M, self.D1, self.D2 = M, D1, (M // 2) // D1
 
     def __repr__(self):
         return f"DecimationPlan(M={self.M}, D1={self.D1}, D2={self.D2})"
 
     def __eq__(self, other):
         return (isinstance(other, DecimationPlan)
-                and (self.M, self.D1, self.D2) == (other.M, other.D1, other.D2))
-
-
-def decimate(x, D, phase=0):
-    """Keep every D-th sample starting at `phase`."""
-    if D < 1:
-        raise ValueError("D must be >= 1")
-    if not 0 <= phase < D:
-        raise ValueError(f"phase must be in [0, {D}), got {phase}")
-    return np.asarray(x)[phase::D]
-
-
-def method1_bandpass(g, m, M, bp_len=None):
-    """Reference Method 1: band-pass projection of g onto subcarrier m's band.
-
-    Convolves g with a truncated, raised-cosine-windowed kernel
-    (2/M) sinc(2l/M) e^{j 2 pi m l / M}. Returns the full convolution of length
-    len(g) + bp_len - 1; the kernel centre sits at offset (bp_len-1)/2, so
-    output[i + (bp_len-1)/2] aligns with g[i].
-    """
-    if bp_len is None:
-        bp_len = 16 * M + 1
-    if bp_len % 2 == 0:
-        raise ValueError("bp_len must be odd")
-    c = (bp_len - 1) // 2
-    x = np.arange(bp_len) - c
-    win = 0.5 * (1.0 + np.cos(np.pi * x / (c + 1)))
-    kern = (2.0 / M) * np.sinc(2.0 * x / M) * np.exp(2j * np.pi * m * x / M) * win
-    return np.convolve(np.asarray(g, dtype=complex), kern)
-
-
-def method2_periodize(g, m, M):
-    """Reference Method 2: replicate the in-band spectrum with period 4 pi / M.
-
-    The DFT bins in [2 pi (m-1)/M, 2 pi (m+1)/M) are copied onto the whole
-    circle with step 4 pi / M. Input is zero-padded to a multiple of M so the
-    band boundaries land on bins; output has the padded length.
-    """
-    g = np.asarray(g, dtype=complex)
-    N = ((g.size + M - 1) // M) * M
-    G = np.fft.fft(g, n=N)
-    bpm = N // M                     # bins per subcarrier spacing
-    out = np.zeros(N, dtype=complex)
-    start = (m - 1) * bpm
-    src = (start + np.arange(2 * bpm)) % N
-    for p in range(M // 2):
-        dst = (start + np.arange(2 * bpm) + p * 2 * bpm) % N
-        out[dst] = G[src]
-    return np.fft.ifft(out)
+                and (self.M, self.D1) == (other.M, other.D1))
 
 
 def _fit(g, pf, subcarriers, D1, Lg_prime):
@@ -148,29 +93,11 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     return np.moveaxis(x, -2, 0)
 
 
-def ls_fit(g, pf, m, plan, Lg_prime):
-    """Least-squares low-rate equalizer for one (subcarrier, scalar g) pair.
-
-    Minimizes sum_n |E_(a)[n] - E_(c)[n]|^2 where E_(a) = (g conv f_m^*[-.])
-    decimated by D1 and E_(c) = (f_m^*[-.])_{down D1} conv g-bar, both indexed
-    causally from low-rate lag -(L_f/D1 - 1). It is the bank's fit on one
-    stream: F_m = c_m D_w F_0 D_w^{-1}, one pseudo-inverse of F_0 for all m.
-    """
-    return _fit(g, pf, [m], plan.D1, Lg_prime)[0]
-
-
-def polyphase_split(gbar, D2):
-    """Branch decomposition G_l[n] = g-bar[..., D2 n + l], l = 0..D2-1."""
-    gbar = np.asarray(gbar)
-    return [gbar[..., l::D2] for l in range(D2)]
-
-
 class LowRateEqualizerBank:
-    """Per-(m, r, u) low-rate equalizers with their polyphase branches.
+    """Per-(m, r, u) low-rate equalizers.
 
     gbar has shape (n_subcarriers, N_t, N_r, L'_g); `subcarriers` lists the m
-    value of each leading index (all M of them by default). branches[l] is
-    gbar[..., l::D2].
+    value of each leading index (all M of them by default).
     """
 
     def __init__(self, gbar, subcarriers, plan, alpha, criterion):
@@ -179,7 +106,6 @@ class LowRateEqualizerBank:
         self.plan = plan
         self.alpha = int(alpha)
         self.criterion = criterion
-        self.branches = polyphase_split(self.gbar, plan.D2)
 
     @property
     def Lg_prime(self):

@@ -144,15 +144,6 @@ class ErrorStats:
         self.eps, self.eps_check, self.mu = eps, eps_check, mu
 
     @property
-    def psi_cov(self):
-        """Real covariance of the stacked [Re psi; Im psi]."""
-        xi, xic = self.eps, self.eps_check
-        return 0.5 * np.block([
-            [(xi + xic).real, (xic - xi).imag],
-            [(xi + xic).imag, (xi - xic).real],
-        ])
-
-    @property
     def n(self):
         return self.eps.shape[0]
 
@@ -287,13 +278,6 @@ class InterferenceTable:
         self.L_f = pf.L_f
         self.F = _transmux(pf, self.m, np.arange(1 - self.L_f, self.L_f))
 
-    def peak(self, m_prime, dn):
-        """Re part of F_{mm',nn'}[alpha M/2] (independent of alpha)."""
-        i = dn * (self.M // 2) + self.L_f - 1
-        if not 0 <= i < self.F.shape[1]:
-            return 0.0
-        return (self.F[m_prime, i] * _J[(m_prime - self.m - dn) % 4]).real
-
     def window(self, dn, L_h):
         """V[l, m'] = F_{mm'}[(dn+alpha) M/2 - l] j^{m'-m-dn} for every m',
         l = 0..M+L_h-2 (zero outside the table), shape (M+L_h-1, M)."""
@@ -306,13 +290,8 @@ class InterferenceTable:
         V *= _J[(np.arange(self.M) - self.m - dn) % 4]
         return V
 
-    def stacked(self, m_prime, dn, L_h):
-        """F-check vector [Re; -Im] of F_{mm',nn'}[l], l = 0..M+L_h-2."""
-        v = self.window(dn, L_h)[:, m_prime]
-        return np.concatenate([v.real, -v.imag])
-
     def dn_range(self, L_h):
-        """All dn with a nonzero stacked vector for error length M+L_h-1."""
+        """All dn with a nonzero window for error length M+L_h-1."""
         dns = np.arange(-self.max_dn, self.max_dn + 1)
         lag_hi = (dns + self.alpha) * (self.M // 2)
         ok = (lag_hi > -self.L_f) & (lag_hi - (self.M + L_h - 2) < self.L_f)

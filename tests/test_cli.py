@@ -97,6 +97,15 @@ def test_fig4_channel_longer_than_m_exits_2_before_the_sweep(
     assert not (out / "fig4.csv").exists()
 
 
+def test_schemes_is_not_a_config_key(tmp_path, capsys):
+    # every preset runs its own receiver schemes
+    code, out = _run(tmp_path, "fig7", _TINY_FIG7 + "schemes = highrate\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "unknown config key" in err
+    assert not (out / "fig7.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     # two PedA users on the orthogonal kappa=2 bank: the leading-order
     # multi-user interference cancels to a negative round-off total

@@ -44,8 +44,6 @@ def _configs(draw):
         L_p=draw(st.integers(1, 64)),
         sample_rate=draw(st.floats(min_value=0, exclude_min=True,
                                    allow_infinity=False)),
-        schemes=tuple(draw(st.lists(st.sampled_from(
-            ["single_tap", "two_stage", "highrate"]), max_size=4))),
         channels=tuple(draw(st.lists(_channel_name(), max_size=5))))
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fbmclink import (OqamGrid, demodulate, design_prototype, modulate,
-                      oqam_to_qam, phase_factor, qam_to_oqam,
-                      transmux_response)
+                      oqam_to_qam, phase_factor, qam_to_oqam)
 from fbmclink.fbmc import _afb, _tx_phases
+
+from oracles import transmux_response
 
 
 # ---------------------------------------------------------------- prototype
@@ -174,6 +175,31 @@ def test_modulate_frame_length_and_linearity(pf32):
     assert np.abs(ya + yb - yab).max() < 1e-12
 
 
+def _modulate_loop(grid, pf):
+    """Synthesis bank one user and one instant at a time."""
+    M, L_f, half = pf.M, pf.L_f, pf.M // 2
+    N_t, _, N_d = grid.symbols.shape
+    phases = _tx_phases(M, N_d, pf)
+    out = np.zeros((N_t, (N_d - 1) * half + L_f), dtype=complex)
+    for u in range(N_t):
+        b = M * np.fft.ifft(grid.symbols[u] * phases, axis=0)
+        seg = np.tile(b, (pf.kappa, 1)) * pf.coeffs[:, None]
+        for n in range(N_d):
+            out[u, n * half:n * half + L_f] += seg[:, n]
+    return out
+
+
+@pytest.mark.parametrize("N_t", [1, 3])
+@pytest.mark.parametrize("M", [4, 16, 64])
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+def test_modulate_matches_the_loop_oracle(kappa, M, N_t):
+    # same sums in the same order, so the same float64
+    pf = design_prototype(kappa, M)
+    s = np.random.default_rng(10 * M + kappa).normal(size=(N_t, M, 10))
+    grid = OqamGrid(s, 0.5)
+    assert np.array_equal(modulate(grid, pf), _modulate_loop(grid, pf))
+
+
 def test_modulate_checks_grid_size(pf32):
     with pytest.raises(ValueError, match="grid has M=16 but prototype has M=32"):
         modulate(OqamGrid(np.zeros((16, 3)), 0.5), pf32)
@@ -187,9 +213,11 @@ def test_demodulate_zero_stream(pf32):
     assert np.abs(D).max() == 0.0
 
 
-def test_demodulate_rejects_matrix_and_short_stream(pf32):
-    with pytest.raises(ValueError, match="single antenna stream"):
-        demodulate(np.zeros((2, 400), dtype=complex), pf32)
+def test_demodulate_stacks_streams_and_rejects_short_stream(pf32):
+    y = np.random.default_rng(13).normal(size=(2, 400)) + 0j
+    assert np.array_equal(demodulate(y, pf32),
+                          np.stack([demodulate(y[0], pf32),
+                                    demodulate(y[1], pf32)]))
     with pytest.raises(ValueError, match="stream too short"):
         demodulate(np.zeros(pf32.L_f - 1, dtype=complex), pf32)
 

@@ -1,5 +1,6 @@
 """Coefficient measurement against a brute-force oracle and against the full
-transmit/channel/receive chain; sweeps independent of thread count."""
+transmit/channel/receive chain that run_mse runs; sweeps independent of
+thread count; run_mse's input checks and seeding."""
 
 from dataclasses import replace
 
@@ -9,13 +10,12 @@ from scipy.signal import fftconvolve
 
 from fbmclink.channel import apply_channel, draw_channel, freq_csi, make_rng
 from fbmclink.config import SimConfig
-from fbmclink.fbmc import OqamGrid, demodulate, design_prototype, modulate
-from fbmclink.metrics import (_collect, _kernel, _measure_many, _specs,
-                              measure_coeffs, sweep)
-from fbmclink.stage1 import (alpha_bound, apply_highrate, design_highrate,
-                             single_tap)
-from fbmclink.stage2 import (DecimationPlan, build_lowrate_receiver,
-                             equalize_lowrate, recover_symbols)
+from fbmclink.errors import ConfigError
+from fbmclink.fbmc import OqamGrid, design_prototype, modulate
+from fbmclink.metrics import (SchemeSpec, _collect, _kernel, _measure_many,
+                              _receive, _specs, run_mse, sweep)
+from fbmclink.stage1 import alpha_bound, design_highrate, single_tap
+from fbmclink.stage2 import DecimationPlan, build_lowrate_receiver
 
 
 def _oracle_measure(H, scheme, pf, m, u):
@@ -86,21 +86,6 @@ def test_measure_matches_brute_force_oracle(M, kappa, kind, alpha, eva, peda):
 
 # -------------------------------------------------------------- full chain
 
-def _chain_output(kind, y, csi, pf, alpha, N_d):
-    """Each scheme's receiver on the received streams: (N_t, M, N_d) real
-    symbol estimates."""
-    scheme = _scheme(kind, csi, pf, alpha, None)
-    if kind == "single_tap":
-        D = np.stack([demodulate(y_r, pf, N_d) for y_r in y])
-        return scheme, recover_symbols(
-            np.einsum("mur,rmn->umn", scheme.W, D), 0, N_d)
-    if kind == "highrate":
-        xhat = apply_highrate(y, scheme)
-        D = np.stack([demodulate(x, pf, N_d + alpha) for x in xhat])
-        return scheme, recover_symbols(D, alpha, N_d)
-    return scheme, recover_symbols(equalize_lowrate(y, scheme, pf), alpha, N_d)
-
-
 @pytest.mark.parametrize("kind", ["single_tap", "highrate", "two_stage"])
 def test_coefficients_reproduce_the_chain(kind, eva, peda, pf16):
     # noiseless burst: on every interior instant the receiver output is
@@ -110,10 +95,11 @@ def test_coefficients_reproduce_the_chain(kind, eva, peda, pf16):
     H = draw_channel([eva, peda], 6, rng)
     s = rng.standard_normal((H.N_t, M, N_d))
     y = apply_channel(modulate(OqamGrid(s, 0.5), pf16), H)
-    scheme, shat = _chain_output(kind, y, freq_csi(H, M), pf16, alpha, N_d)
+    scheme = _scheme(kind, freq_csi(H, M), pf16, alpha, None)
+    shat = _receive(scheme, y, pf16, N_d)
     for m in range(M):
         for u in range(H.N_t):
-            c = measure_coeffs(H, scheme, pf16, m, u)
+            c, = _measure_many(H, [scheme], pf16, m, u)
             n = np.arange(c.dn.max(), N_d + c.dn.min())
             assert n.size >= 8
             pred = np.einsum("vmj,vmjn->n", c.R,
@@ -124,25 +110,56 @@ def test_coefficients_reproduce_the_chain(kind, eva, peda, pf16):
 
 # ----------------------------------------------------------- determinism
 
+_SCHEMES = [SchemeSpec("single_tap"), SchemeSpec("two_stage"),
+            SchemeSpec("highrate")]
+
+
 def _small_cfg():
     return SimConfig(M=16, N_t=2, N_r=4, trials=5, master_seed=11,
-                     criterion="mmse", gamma_db=15.0,
-                     schemes=("single_tap", "two_stage", "highrate"))
+                     criterion="mmse", gamma_db=15.0)
 
 
 def test_sweep_does_not_depend_on_thread_count():
     cfg = _small_cfg()
-    one = sweep(cfg, "N_r", [4, 6], csi_mode="estimated", threads=1)
-    two = sweep(cfg, "N_r", [4, 6], csi_mode="estimated", threads=2)
+    one = sweep(cfg, "N_r", [4, 6], _SCHEMES, csi_mode="estimated", threads=1)
+    two = sweep(cfg, "N_r", [4, 6], _SCHEMES, csi_mode="estimated", threads=2)
     assert one.reports == two.reports
 
 
 def test_trial_coefficients_do_not_depend_on_trial_count():
     cfg = _small_cfg()
-    specs = _specs(cfg)
+    specs = _specs(cfg, _SCHEMES)
     few, _ = _collect(replace(cfg, trials=2), specs, "estimated", 1)
     many, _ = _collect(cfg, specs, "estimated", 2)
     for sp in specs:
         for a, b in zip(few[sp], many[sp][:2]):
             assert np.array_equal(a.R, b.R) and np.array_equal(a.dn, b.dn)
             assert a.noise_gain == b.noise_gain
+
+
+# ---------------------------------------------------------------- run_mse
+
+def test_unknown_scheme_kind_is_a_config_error():
+    cfg = _small_cfg()
+    with pytest.raises(ConfigError, match="'highrat'"):
+        run_mse(cfg, SchemeSpec("highrat"))
+    with pytest.raises(ConfigError, match="'singletap'"):
+        sweep(cfg, "N_r", [4], [SchemeSpec("singletap")])
+
+
+def test_run_mse_rejects_bad_input():
+    cfg = replace(_small_cfg(), trials=1)
+    with pytest.raises(ConfigError, match="csi_mode"):
+        run_mse(cfg, SchemeSpec("single_tap"), csi_mode="ideal")
+    with pytest.raises(ConfigError, match="N_d=16"):
+        run_mse(replace(cfg, N_d=4 * cfg.kappa), SchemeSpec("single_tap"))
+    run_mse(replace(cfg, N_d=4 * cfg.kappa + 2), SchemeSpec("single_tap"))
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES, ids=lambda sp: sp.kind)
+def test_run_mse_seed_is_the_master_seed(scheme):
+    cfg = replace(_small_cfg(), trials=2, N_d=24)
+    got = run_mse(cfg, scheme, csi_mode="estimated", seed=5)
+    assert got == run_mse(replace(cfg, master_seed=5), scheme,
+                          csi_mode="estimated")
+    assert got != run_mse(cfg, scheme, csi_mode="estimated")

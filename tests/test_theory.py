@@ -10,11 +10,13 @@ from scipy.special import roots_hermite
 from fbmclink.channel import (PdpProfile, draw_channel, freq_csi, load_pdp,
                               make_rng, trial_rng)
 from fbmclink.errors import ConfigError, NumericalError
-from fbmclink.fbmc import demodulate, design_prototype, transmux_response
+from fbmclink.fbmc import demodulate, design_prototype
 from fbmclink.stage1 import apply_highrate, design_highrate
 from fbmclink.theory import (_gauss_gamma, _ratio_moments, average_power,
                              error_stats, interference_table, noise_power,
                              sir_upper_bound, tau, theoretical_sinr)
+
+from oracles import transmux_response
 
 RATE = 7.68e6
 
@@ -192,11 +194,21 @@ def test_leading_scale_factors():
     np.testing.assert_allclose(en * 12, e8 * 8, atol=1e-15)
 
 
+def _psi_cov(stats):
+    """Real covariance of the stacked [Re psi; Im psi]."""
+    xi, xic = stats.eps, stats.eps_check
+    return 0.5 * np.block([
+        [(xi + xic).real, (xic - xi).imag],
+        [(xi + xic).imag, (xi - xic).real],
+    ])
+
+
 def test_psi_cov_positive_semidefinite(uni4, peda):
     for st in (error_stats([uni4], 16, 8, 1, (0, 0), exact=True),
                error_stats([peda], 32, 8, 1, (0, 0), exact=True)):
-        ev = np.linalg.eigvalsh(st.psi_cov)
-        assert np.allclose(st.psi_cov, st.psi_cov.T, atol=1e-15)
+        cov = _psi_cov(st)
+        ev = np.linalg.eigvalsh(cov)
+        assert np.allclose(cov, cov.T, atol=1e-15)
         # nonnegative up to the ~1e-18 kernel-evaluation noise floor
         assert ev.min() >= -(1e-12 * ev.max() + 1e-17)
 
@@ -307,9 +319,10 @@ def test_noise_power_against_simulation(eva, pf32):
 
 def test_interference_table_geometry(pf64, peda):
     tab = interference_table(pf64, 64, 1, m=32)
-    assert tab.peak(32, 0) == pytest.approx(1.0, abs=1e-12)
-    v = tab.stacked(33, 1, peda.L_h)
-    assert v.shape == (2 * (64 + peda.L_h - 1),)
+    # the own-lattice peak F_{mm}[0], read at lag alpha M/2 of the window
+    assert tab.window(0, peda.L_h)[32, 32].real == pytest.approx(1.0,
+                                                                 abs=1e-12)
+    assert tab.window(1, peda.L_h).shape == (64 + peda.L_h - 1, 64)
     dns = tab.dn_range(peda.L_h)
     assert 0 in dns and max(dns) >= 2 * pf64.kappa
 
@@ -601,7 +614,7 @@ def _average_power_oracle(stats, F, M, m, alpha, dns, P_s):
             peaks.append((F[mp, i0] * ph).real if 0 <= i0 < F.shape[1]
                          else 0.0)
     vecs = np.array(vecs)
-    quad = np.einsum("ij,jk,ik->i", vecs, stats.psi_cov, vecs)
+    quad = np.einsum("ij,jk,ik->i", vecs, _psi_cov(stats), vecs)
     amp = np.zeros(len(vecs))
     if own:
         amp = vecs @ np.concatenate([stats.mu.real, stats.mu.imag])
