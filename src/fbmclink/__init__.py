@@ -8,7 +8,7 @@ metrics (Monte Carlo measurement), cli/config (presets and run files).
 
 from .errors import ConfigError, NumericalError, SingularChannelError
 from .fbmc import (PrototypeFilter, design_prototype, phase_factor, OqamGrid,
-                   qam_to_oqam, oqam_to_qam, modulate, demodulate)
+                   qam_to_oqam, modulate, demodulate)
 from .channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                       ChannelRealization, draw_channel, apply_channel,
                       add_awgn, FreqCsi, freq_csi, estimate_csi_mmse)

@@ -130,12 +130,6 @@ def qam_to_oqam(qam, P_s):
     return OqamGrid(s, P_s)
 
 
-def oqam_to_qam(grid):
-    """Inverse of qam_to_oqam (exact round trip)."""
-    s = grid.symbols if isinstance(grid, OqamGrid) else np.asarray(grid)
-    return s[..., 0::2] + 1j * s[..., 1::2]
-
-
 def _tx_phases(M, N_d, pf):
     """Per-(m,n) transmit phase j^{m+n} e^{-j 2 pi m centre / M}; the centre
     phase argument pi m (L_f - 1) / M is reduced exactly modulo 2 pi."""

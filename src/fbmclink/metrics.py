@@ -76,6 +76,8 @@ class SchemeSpec:
 
 def _specs(cfg, schemes):
     """The specs with a two-stage scheme's 0 fields taken from the config."""
+    if not all(isinstance(s, SchemeSpec) for s in schemes):
+        raise ConfigError(f"schemes must be SchemeSpec objects: {schemes!r}")
     return [replace(s, D1=s.D1 or cfg.D1, Lg_prime=s.Lg_prime or cfg.Lg_prime)
             if s.kind == "two_stage" else s for s in schemes]
 

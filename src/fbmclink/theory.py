@@ -42,7 +42,15 @@ over (X, G, w_r, w_i), with the G axis folded into one matrix-vector product
 kernels.  For N_t > 1 the combiner rows of the multi-user ZF are treated like
 single-user ones at leading order with the inverse-Wishart normalization
 1/(N_r - N_t), the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the diagonal.
+
+Held between calls: the read-only transmultiplexer table of one subcarrier
+per live PrototypeFilter (`_TABLES`, weakly keyed; 8.4 MB at M=256), read by
+every SNR point of a sweep.  Error statistics depend on PDP contents and N_r
+that callers may change in place, so they are rebuilt per call, and their
+`_ratio_moments` calls (and noise_power's) hit `_MOMENT_CACHE` instead.
 """
+
+import weakref
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -52,6 +60,7 @@ from .errors import ConfigError, NumericalError
 from .fbmc import _J_POW, _afb
 
 _MOMENT_CACHE = {}
+_TABLES = weakref.WeakKeyDictionary()   # PrototypeFilter -> (m, F), see above
 _J = np.array(_J_POW)
 
 
@@ -86,10 +95,8 @@ def _ratio_moments(bvals, N_r, nx=48, ng=48, nh=24):
     bvals = np.atleast_1d(np.asarray(bvals, dtype=float))
     ub, inv = np.unique(np.round(bvals, 14), return_inverse=True)
     key = (N_r, nx, ng, nh, ub.tobytes())
-    hit = _MOMENT_CACHE.get(key)
-    if hit is not None:
-        g = hit[inv]
-        return g[:, 0], g[:, 1], g[:, 2]
+    if key in _MOMENT_CACHE:
+        return tuple(_MOMENT_CACHE[key][inv].T)
     xg, xw = _gauss_gamma(nx, N_r - 1)
     gg, gw = _gauss_gamma(ng, N_r - 2)
     hr, hw = roots_hermite(nh)
@@ -115,32 +122,29 @@ def _ratio_moments(bvals, N_r, nx=48, ng=48, nh=24):
     if len(_MOMENT_CACHE) > 64:
         _MOMENT_CACHE.clear()
     _MOMENT_CACHE[key] = out
-    g = out[inv]
-    return g[:, 0], g[:, 1], g[:, 2]
+    return tuple(out[inv].T)
 
 
 def tau(profile, M):
     """Subcarrier correlation matrix tau[m,m'] = sum_l q[l] e^{j2pi(m-m')l/M}."""
-    q = profile.taps
-    t = np.conj(np.fft.fft(q, M))           # t[d] = sum_l q[l] e^{+j 2 pi d l / M}
-    d = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    return t[d]
+    t = np.conj(np.fft.fft(profile.taps, M))    # sum_l q[l] e^{+j2pi dl/M}
+    return t[(np.arange(M)[:, None] - np.arange(M)) % M]
 
 
 def _support(n, M, A):
-    """Row-major index pairs (l, l') of the eps and eps_check bands."""
-    ll = np.arange(n)
-    return (np.nonzero((ll[:, None] - ll) % M == 0),
-            np.nonzero((ll[:, None] + ll - 2 * A) % M == 0))
+    """Row-major pairs (l, l') of the eps band l' in {l, l +- M} and the
+    eps_check band l' in (2A - l) mod M + {0, M}, within [0, n < 2M)."""
+    ll = np.arange(n)[:, None]
+    return [(np.broadcast_to(ll, c.shape)[(c >= 0) & (c < n)],
+             c[(c >= 0) & (c < n)])
+            for c in (ll + [-M, 0, M], (2 * A - ll) % M + [0, M])]
 
 
 class ErrorStats:
     """Second-order statistics of the equalization error for one user pair."""
 
-    def __init__(self, pair, M, N_r, alpha, L_h, tau_u, eps, eps_check, mu):
-        self.pair = pair
-        self.M, self.N_r, self.alpha, self.L_h = M, N_r, alpha, L_h
-        self.tau = tau_u
+    def __init__(self, pair, alpha, L_h, eps, eps_check, mu):
+        self.pair, self.alpha, self.L_h = pair, alpha, L_h
         self.eps, self.eps_check, self.mu = eps, eps_check, mu
 
     @property
@@ -169,29 +173,26 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
                    sum_d U_d(l') V_d(l) e^{-j2pi d(l'-A)/M}   (u = u' only),
       U_d(l') = conj(S_d(l')) - Q(l') t[d],  V_d(l) = S_d(l) - Q(l) conj(t[d]).
 
-    Each covariance is evaluated as one block over its support pairs.  The
-    default kernel is this leading-order closed form, exact to O(1/N_r)
-    with an explicit 1/N_r factor (n_eff substitutes a different
-    normalization, e.g. N_r - N_t for multi-stream combiners).  exact=True
-    (own pair, single stream) replaces the kernels t[d]/N_r and 1/N_r by the
-    exact Wishart ratio-moment expressions, which pick up the O(1/N_r^2)
-    residue that dominates once the leading sums cancel.
+    Each covariance is one block over its support pairs.  The default kernel
+    is this leading-order closed form, exact to O(1/N_r) with an explicit
+    1/N_r factor (n_eff substitutes another normalization, e.g. N_r - N_t).
+    exact=True (own pair, single stream) replaces the kernels t[d]/N_r and
+    1/N_r by the exact Wishart ratio-moment expressions, which pick up the
+    O(1/N_r^2) residue that dominates once the leading sums cancel.
 
     Lags with a full range R(l) (l in [L_h-1, M-1]) have b = 0, so the
     Case-1 exactness of the bin-sampled ZF design holds structurally, as do
     the aliasing identities psi[l] = -psi[l +- M].
     """
     u, up = pair
-    q = np.asarray(profiles[up].taps, dtype=float)
-    q = q / q.sum()
+    q = np.asarray(profiles[up].taps, dtype=float) / np.sum(profiles[up].taps)
     L_h = q.size
     if not L_h - 1 < M:
         raise ConfigError(f"need L_h-1 < M, got L_h={L_h}, M={M}")
     if exact and u != up:
         raise ValueError("exact statistics cover the own-user pair only")
-    tau_u = tau(profiles[u], M)
-    tau_u = tau_u / tau_u[0, 0].real
-    t = tau_u[:, 0]                          # t[d] = sum_l q_u[l] e^{+j2pi d l/M}
+    t = np.conj(np.fft.fft(profiles[u].taps, M))  # sum_l q_u[l] e^{+j2pi dl/M}
+    t = t / t[0].real                        # column 0 of the normalized tau
     A = alpha * M // 2
     n = M + L_h - 1
     ll = np.arange(n)
@@ -250,12 +251,12 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
                 U[clp] * V[cl] * np.conj(ph[clp]), axis=1)
     if own:
         # deterministic part: E{H_eq[l]} = Q(l) at lags = A (mod M); the lag-A
-        # entry is the wanted peak, the aliases are residual rays (nonzero
-        # only when the PDP spills past M/2 + 1 taps).
+        # entry is the wanted peak, the aliases are residual rays (nonzero only
+        # when the PDP spills past M/2 + 1 taps).
         peaks = (ll - A) % M == 0
         mu[peaks] = Q[peaks]
         mu[A] -= 1.0
-    return ErrorStats(pair, M, N_r, alpha, L_h, tau_u, eps, eps_check, mu)
+    return ErrorStats(pair, alpha, L_h, eps, eps_check, mu)
 
 
 def _transmux(pf, m, lags):
@@ -268,7 +269,8 @@ class InterferenceTable:
     """Transmultiplexer responses seen by one receive subcarrier m.
 
     F[m'] is the full sequence F_{m m'}[l], entry i at lag i-(L_f-1); the
-    phase e^{j(theta'-theta)} = j^{m'-m-dn} is applied when vectors are built.
+    phase e^{j(theta'-theta)} = j^{m'-m-dn} is applied when powers are
+    formed.  F is the read-only table held in `_TABLES` for (pf, m).
     """
 
     def __init__(self, pf, M, alpha, max_dn=None, m=None):
@@ -276,19 +278,11 @@ class InterferenceTable:
         self.m = M // 2 if m is None else m
         self.max_dn = 2 * pf.kappa + 3 if max_dn is None else max_dn
         self.L_f = pf.L_f
-        self.F = _transmux(pf, self.m, np.arange(1 - self.L_f, self.L_f))
-
-    def window(self, dn, L_h):
-        """V[l, m'] = F_{mm'}[(dn+alpha) M/2 - l] j^{m'-m-dn} for every m',
-        l = 0..M+L_h-2 (zero outside the table), shape (M+L_h-1, M)."""
-        n, width = self.M + L_h - 1, self.F.shape[1]
-        i0 = (dn + self.alpha) * (self.M // 2) + self.L_f - 1    # at l = 0
-        l0, l1 = max(0, i0 - width + 1), min(n, i0 + 1)
-        V = np.zeros((n, self.M), dtype=complex)
-        if l0 < l1:
-            V[l0:l1] = self.F[:, i0 - l1 + 1:i0 - l0 + 1][:, ::-1].T
-        V *= _J[(np.arange(self.M) - self.m - dn) % 4]
-        return V
+        m_held, self.F = _TABLES.get(pf, (None, None))
+        if m_held != self.m:
+            self.F = _transmux(pf, self.m, np.arange(1 - self.L_f, self.L_f))
+            self.F.flags.writeable = False
+            _TABLES[pf] = (self.m, self.F)
 
     def dn_range(self, L_h):
         """All dn with a nonzero window for error length M+L_h-1."""
@@ -298,8 +292,14 @@ class InterferenceTable:
         return dns[ok].tolist()
 
 
-def interference_table(pf, M, alpha, max_dn=None, m=None):
-    return InterferenceTable(pf, M, alpha, max_dn=max_dn, m=m)
+interference_table = InterferenceTable
+
+
+def _rows(Ft, i):
+    """Rows i of a lag-major table, zero where i falls outside it."""
+    X = np.take(Ft, i, axis=0, mode="clip")
+    X[(i < 0) | (i >= len(Ft))] = 0.0
+    return X
 
 
 def average_power(stats, table, P_s):
@@ -310,19 +310,26 @@ def average_power(stats, table, P_s):
     `stats`. The deterministic amplitude combines the filter-bank peak (own
     user only) with the mean equalization-error rays.  The variance
     (1/2) Re{v^T eps v^* + v^T eps_check v} is summed over the band support
-    of the two covariances only, for all m' of one dn at a time.
+    of the covariances, for all m' of one dn at a time, from table rows: the
+    phase of v cancels in eps, squares to +-1 in eps_check.
     """
     own = stats.pair[0] == stats.pair[1]
     dns = table.dn_range(stats.L_h)
     A = stats.alpha * table.M // 2
     (el, elp), (cl, clp) = _support(stats.n, table.M, A)
     e, c = stats.eps[el, elp], stats.eps_check[cl, clp]
+    peaks = np.flatnonzero(stats.mu)
+    Ft = table.F.T                              # (lag, m'), lag-major
+    jm = np.arange(table.M) - table.m
     powers = np.empty((table.M, len(dns)))
     for j, dn in enumerate(dns):
-        V = table.window(dn, stats.L_h)
-        quad = 0.5 * (e @ (V[el] * np.conj(V[elp]))
-                      + c @ (V[cl] * V[clp])).real
-        amp = (stats.mu @ V).real + V[A].real if own else 0.0
+        i0 = (dn + stats.alpha) * (table.M // 2) + table.L_f - 1   # row at l=0
+        Xa, Xb = _rows(Ft, i0 - el), _rows(Ft, i0 - elp)
+        Xa *= np.conjugate(Xb, out=Xb)
+        quad = 0.5 * (e @ Xa + (c @ (_rows(Ft, i0 - cl) * _rows(Ft, i0 - clp)))
+                      * _J[2 * (jm - dn) % 4]).real
+        amp = ((stats.mu[peaks] @ _rows(Ft, i0 - peaks) + _rows(Ft, i0 - A))
+               * _J[(jm - dn) % 4]).real if own else 0.0
         powers[:, j] = quad + amp * amp
     return powers * P_s, dns
 
@@ -344,10 +351,10 @@ def noise_power(profile, pf, M, N_r, alpha, sigma_z2, m, N_t=1):
     if N_r - N_t < 1:
         raise ConfigError(f"need N_r > N_t for ZF noise statistics, "
                           f"got N_r={N_r}, N_t={N_t}")
-    tmat = tau(profile, M)
-    c0 = tmat[0, 0].real
+    t = np.conj(np.fft.fft(profile.taps, M))     # column 0 of tau
+    c0 = t[0].real
     if N_t == 1:    # J1 at rho = 1; the whole vector reuses error_stats' key
-        k0 = _ratio_moments(np.abs(tmat[:, 0] / c0), N_r)[0][0]
+        k0 = _ratio_moments(np.abs(t / c0), N_r)[0][0]
     else:
         k0 = 1.0 / (N_r - N_t)
     return float(sigma_z2 * k0 * np.dot(pf.coeffs, pf.coeffs) / (2 * c0))
@@ -360,19 +367,11 @@ def _roundoff_floor(n_terms, L_f):
     unit-energy subcarrier filters, so its rounding error is at most about
     L_f * eps (the dot-product bound n * eps * ||a|| ||b||).  A sum of
     n_terms squared coefficients that vanish in exact arithmetic therefore
-    stays below n_terms * (L_f * eps)^2.  For the PHYDYAS banks, in units of
-    eps^2 (kappa=2 energy measured over m in {0, M/2, M-1}):
-
-      M     kappa=2 energy   kappa=2 bound   kappa=4 bound   kappa=4 energy
-      4     2.2 .. 7.1       1.7e3           1.5e4           3.3e24
-      16    50 .. 4.6e2      1.1e5           9.8e5           6.1e24
-      64    2.2e2 .. 9.4e2   7.3e6           6.3e7           6.1e24
-      256   3.3e3 .. 2.0e4   4.7e8           4.0e9           6.1e24
-      1024  6.4e4 .. 3.5e5   3.0e10          2.6e11          6.1e24
-
-    so the bound is >= 2.4e2 times the kappa=2 round-off (tightest at M=4)
-    and >= 2e13 times below the genuine kappa=3/4 interference (kappa=3:
-    7.0e25 .. 9.2e26 against bounds of 6.2e3 .. 1.1e11).
+    stays below n_terms * (L_f * eps)^2.  For the PHYDYAS banks at M = 4 ..
+    1024 (m in {0, M/2, M-1}) the kappa=2 energy measures 2.2 .. 3.5e5 eps^2
+    and the bound is >= 2.4e2 times it (tightest at M=4, 7.1 against 1.7e3),
+    while the genuine kappa=3/4 interference (>= 3.3e24 eps^2) stays >= 2e13
+    times above the bound.
     """
     return n_terms * (L_f * np.finfo(float).eps) ** 2
 
@@ -386,10 +385,13 @@ def sir_upper_bound(pf, M, alpha, m):
     round-off bound n_terms * (L_f * eps)^2 of `_roundoff_floor` (n_terms
     summed coefficients), the bank is orthogonal to within float64 precision
     and the bound is +inf; this is the case for kappa=2, whose PHYDYAS pulse
-    reconstructs exactly.  The coefficients come from one `_transmux` pass.
+    reconstructs exactly.  The coefficients are columns of the table held for
+    (pf, m), or else one `_transmux` pass over their lags (same bits).
     """
     dns = np.arange(1 - 2 * pf.kappa, 2 * pf.kappa)    # |dn| M/2 < L_f
-    F = _transmux(pf, m, dns * (M // 2))
+    m_held, F = _TABLES.get(pf, (None, None))
+    F = F[:, dns * (M // 2) + pf.L_f - 1] if m_held == m \
+        else _transmux(pf, m, dns * (M // 2))
     c = (F * _J[(np.arange(M)[:, None] - m - dns) % 4]).real
     c[m, dns == 0] = 0.0
     den = np.sum(c * c)
@@ -410,26 +412,28 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0,
     `sir_upper_bound` (scaled by the desired power), as on the kappa=2 bank,
     it is zero, and with no noise the SINR is +inf.  A negative total (the
     leading-order multi-user terms can cancel below round-off) raises
-    NumericalError.
+    NumericalError.  The table is the one held for (pf, m); the statistics
+    are rebuilt on each call, once per distinct (own pair, source PDP).
     """
     table = interference_table(pf, M, alpha, max_dn=max_dn, m=m)
     N_t = len(profiles)
-    desired = None
-    interference = 0.0
-    exact_eq = True
+    interference, exact_eq, seen = 0.0, True, {}
     for up in range(N_t):
-        stats = error_stats(profiles, M, N_r, alpha, (u, up),
-                            exact=(N_t == 1),
-                            n_eff=None if N_t == 1 else N_r - N_t)
-        exact_eq &= not (stats.eps.any() or stats.eps_check.any()
-                         or stats.mu.any())
-        powers, dns = average_power(stats, table, P_s)
-        if up == u:
-            j0 = dns.index(0)
-            desired = powers[m, j0]
-            powers[m, j0] = 0.0     # sum around the desired entry
-            n_bank = powers.size - 1
-        interference += powers.sum()
+        key = (up == u, np.asarray(profiles[up].taps, dtype=float).tobytes())
+        if key not in seen:
+            stats = error_stats(profiles, M, N_r, alpha, (u, up),
+                                exact=(N_t == 1),
+                                n_eff=None if N_t == 1 else N_r - N_t)
+            powers, dns = average_power(stats, table, P_s)
+            if up == u:
+                j0 = dns.index(0)
+                desired = powers[m, j0]
+                powers[m, j0] = 0.0     # sum around the desired entry
+                n_bank = powers.size - 1
+            seen[key] = (stats.eps.any() or stats.eps_check.any()
+                         or stats.mu.any(), powers.sum())
+        exact_eq &= not seen[key][0]
+        interference += seen[key][1]
     if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:
         interference = 0.0
     total = interference + noise_power(profiles[u], pf, M, N_r, alpha,

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fbmclink import (OqamGrid, demodulate, design_prototype, modulate,
-                      oqam_to_qam, phase_factor, qam_to_oqam)
+                      phase_factor, qam_to_oqam)
 from fbmclink.fbmc import _afb, _tx_phases
 
-from oracles import transmux_response
+from oracles import oqam_to_qam, transmux_response
 
 
 # ---------------------------------------------------------------- prototype

@@ -147,6 +147,16 @@ def test_unknown_scheme_kind_is_a_config_error():
         sweep(cfg, "N_r", [4], [SchemeSpec("singletap")])
 
 
+def test_string_scheme_in_sweep_is_a_config_error():
+    with pytest.raises(ConfigError, match="SchemeSpec"):
+        sweep(_small_cfg(), "N_r", [4], ["single_tap"])
+
+
+def test_string_scheme_in_run_mse_is_a_config_error():
+    with pytest.raises(ConfigError, match="SchemeSpec"):
+        run_mse(_small_cfg(), "two_stage")
+
+
 def test_run_mse_rejects_bad_input():
     cfg = replace(_small_cfg(), trials=1)
     with pytest.raises(ConfigError, match="csi_mode"):

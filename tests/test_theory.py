@@ -1,6 +1,8 @@
 """Closed-form error statistics, interference powers, noise power, SINR."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from fbmclink.channel import (PdpProfile, draw_channel, freq_csi, load_pdp,
 from fbmclink.errors import ConfigError, NumericalError
 from fbmclink.fbmc import demodulate, design_prototype
 from fbmclink.stage1 import apply_highrate, design_highrate
-from fbmclink.theory import (_gauss_gamma, _ratio_moments, average_power,
+from fbmclink import theory
+from fbmclink.config import SimConfig, channel_assignment
+from fbmclink.theory import (_gauss_gamma, _ratio_moments, _roundoff_floor,
+                             _support, _transmux, average_power,
                              error_stats, interference_table, noise_power,
                              sir_upper_bound, tau, theoretical_sinr)
 
-from oracles import transmux_response
+from oracles import transmux_response, window
 
 RATE = 7.68e6
 
@@ -320,11 +325,143 @@ def test_noise_power_against_simulation(eva, pf32):
 def test_interference_table_geometry(pf64, peda):
     tab = interference_table(pf64, 64, 1, m=32)
     # the own-lattice peak F_{mm}[0], read at lag alpha M/2 of the window
-    assert tab.window(0, peda.L_h)[32, 32].real == pytest.approx(1.0,
-                                                                 abs=1e-12)
-    assert tab.window(1, peda.L_h).shape == (64 + peda.L_h - 1, 64)
+    assert window(tab, 0, peda.L_h)[32, 32].real == pytest.approx(1.0,
+                                                                  abs=1e-12)
+    assert window(tab, 1, peda.L_h).shape == (64 + peda.L_h - 1, 64)
     dns = tab.dn_range(peda.L_h)
     assert 0 in dns and max(dns) >= 2 * pf64.kappa
+
+
+@pytest.mark.parametrize("M", [4, 8, 16, 64, 256])
+def test_support_matches_mask_oracle(M):
+    for alpha in (0, 1, 2):
+        A = alpha * M // 2
+        for L_h in sorted({1, 2, M // 2, M}):
+            n = M + L_h - 1
+            ll = np.arange(n)
+            want = (np.nonzero((ll[:, None] - ll) % M == 0),
+                    np.nonzero((ll[:, None] + ll - 2 * A) % M == 0))
+            for got_band, want_band in zip(_support(n, M, A), want):
+                for g, w in zip(got_band, want_band):
+                    np.testing.assert_array_equal(g, w)
+
+
+def _counting_afb(monkeypatch):
+    calls = []
+    real = theory._afb
+
+    def afb(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(theory, "_afb", afb)
+    return calls
+
+
+_SNRS = (1.0, 0.1, 0.01, 1e-3, 0.0)
+
+
+def test_sweep_and_bound_build_one_table_per_prototype(monkeypatch, peda):
+    calls = _counting_afb(monkeypatch)
+    pf = design_prototype(4, 32)
+    for s2 in _SNRS:
+        theoretical_sinr([peda], pf, 32, 8, 1, 16, 0, s2, P_s=0.5)
+    sir_upper_bound(pf, 32, 1, 16)
+    assert len(calls) == 1
+    # an equal but distinct prototype object gets its own table
+    theoretical_sinr([peda], design_prototype(4, 32), 32, 8, 1, 16, 0, 0.1,
+                     P_s=0.5)
+    assert len(calls) == 2
+    F = interference_table(pf, 32, 1, m=16).F
+    assert not F.flags.writeable
+    with pytest.raises(ValueError):
+        F[0, 0] = 0.0
+    # one subcarrier per prototype: asking for another one replaces it
+    interference_table(pf, 32, 1, m=3)
+    assert len(calls) == 3 and theory._TABLES[pf][0] == 3
+
+
+def test_held_table_is_freed_with_its_prototype():
+    pf = design_prototype(4, 16)
+    held = weakref.ref(interference_table(pf, 16, 1, m=8).F)
+    assert held() is not None
+    del pf
+    gc.collect()
+    assert held() is None
+
+
+def test_sweep_equals_fresh_prototypes(peda, eva):
+    pf = design_prototype(4, 32)
+    for prof in (peda, eva):
+        held = [theoretical_sinr([prof], pf, 32, 8, 1, 16, 0, s2, P_s=0.5)
+                for s2 in _SNRS]
+        fresh = [theoretical_sinr([prof], design_prototype(4, 32), 32, 8, 1,
+                                  16, 0, s2, P_s=0.5) for s2 in _SNRS]
+        assert held == fresh
+
+
+@pytest.mark.parametrize("M", [16, 64, 256])
+def test_bound_reads_the_held_table_bit_for_bit(M):
+    for kappa in (2, 3, 4):
+        dns = np.arange(1 - 2 * kappa, 2 * kappa)
+        for m in (0, M // 2, M - 1):
+            pf = design_prototype(kappa, M)
+            alone = sir_upper_bound(pf, M, 1, m)        # nothing held yet
+            F = interference_table(pf, M, 1, m=m).F
+            np.testing.assert_array_equal(
+                F[:, dns * (M // 2) + pf.L_f - 1],
+                _transmux(pf, m, dns * (M // 2)))
+            assert sir_upper_bound(pf, M, 1, m) == alone
+
+
+def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
+    """theoretical_sinr with error_stats and average_power run for every
+    user pair, one after another."""
+    table = interference_table(pf, M, alpha, m=m)
+    N_t = len(profiles)
+    interference, exact_eq = 0.0, True
+    for up in range(N_t):
+        stats = error_stats(profiles, M, N_r, alpha, (u, up),
+                            exact=(N_t == 1),
+                            n_eff=None if N_t == 1 else N_r - N_t)
+        exact_eq &= not (stats.eps.any() or stats.eps_check.any()
+                         or stats.mu.any())
+        powers, dns = average_power(stats, table, P_s)
+        if up == u:
+            j0 = dns.index(0)
+            desired = powers[m, j0]
+            powers[m, j0] = 0.0
+            n_bank = powers.size - 1
+        interference += powers.sum()
+    if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:
+        interference = 0.0
+    total = interference + noise_power(profiles[u], pf, M, N_r, alpha,
+                                       sigma_z2, m, N_t=N_t)
+    return 10.0 * np.log10(desired / total)
+
+
+def test_multiuser_sinr_evaluates_each_source_pdp_once(monkeypatch):
+    names = channel_assignment(SimConfig(M=64, N_t=8, N_r=32))
+    assert len(set(names)) == 4
+    first = {nm: load_pdp(nm, RATE) for nm in set(names)}
+    shared = [first[nm] for nm in names]
+    distinct = [load_pdp(nm, RATE) for nm in names]
+    pf = design_prototype(4, 64)
+    calls = []
+    real = theory.error_stats
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return real(*args, **kwargs)
+    for u in (0, 3, 6):
+        want = _sinr_per_user_oracle(shared, pf, 64, 32, 1, 32, u, 0.01, 0.5)
+        monkeypatch.setattr(theory, "error_stats", counted)
+        for profiles in (shared, distinct):
+            calls.clear()
+            assert theoretical_sinr(profiles, pf, 64, 32, 1, 32, u, 0.01,
+                                    P_s=0.5) == want
+            # the own pair, its twin's PDP as a cross pair, and three others
+            assert len(calls) == 5 and (u, u) in calls
+        monkeypatch.undo()
 
 
 def test_interference_confined_to_adjacent_ring(pf64, peda):
