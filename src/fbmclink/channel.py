@@ -183,18 +183,38 @@ def draw_channel(profiles, N_r, seed):
 
 def _convolve(a, b, sum_axis=None):
     """Linear convolution of a and b along the last axis, broadcasting the
-    leading axes, by one FFT of each and one inverse FFT.
+    leading axes, by FFTs, in overlap-add blocks once the result is long.
 
-    With `sum_axis`, that axis of the broadcast product is summed in the
-    frequency domain, before the inverse FFT. The result is complex, of length
-    a.shape[-1] + b.shape[-1] - 1.
+    For n the (complex) result's length and L_s the shorter length, let B =
+    next_fast_len(max(8 L_s, 1024)). Below n = 2B, where blocks cost more,
+    this is one FFT of each operand at next_fast_len(n) and one inverse FFT;
+    otherwise the shorter operand is transformed once at B, and the L_s - 1
+    sample tails of the inverse FFTs of the longer one's B - L_s + 1 sample
+    blocks are overlap-added. `sum_axis` (if given) of the broadcast product
+    is summed in the frequency domain, before the inverse FFT.
     """
-    n = np.shape(a)[-1] + np.shape(b)[-1] - 1
-    n_fft = next_fast_len(n)
-    prod = fft(a, n_fft) * fft(b, n_fft)
+    short, long = sorted((np.shape(a)[-1], np.shape(b)[-1]))
+    n = short + long - 1
+    n_fft = next_fast_len(max(8 * short, 1024))
+    if n < 2 * n_fft:
+        n_fft = next_fast_len(n)
+        prod = fft(a, n_fft) * fft(b, n_fft)
+        if sum_axis is not None:
+            prod = prod.sum(axis=sum_axis)
+        return ifft(prod)[..., :n]
+    a, b = (a, b) if np.shape(a)[-1] == long else (b, a)
+    step = n_fft - short + 1
+    n_blk = -(-long // step)
+    a = np.pad(a, [(0, 0)] * (np.ndim(a) - 1) + [(0, n_blk * step - long)])
+    a = a.reshape(a.shape[:-1] + (n_blk, step))      # block axis before time
+    prod = fft(a, n_fft) * fft(b, n_fft)[..., None, :]
     if sum_axis is not None:
-        prod = prod.sum(axis=sum_axis)
-    return ifft(prod)[..., :n]
+        prod = prod.sum(axis=sum_axis - (sum_axis < 0))
+    blocks = ifft(prod)
+    out = np.zeros(blocks.shape[:-2] + (n_blk + 1, step), dtype=blocks.dtype)
+    out[..., :-1, :] = blocks[..., :step]
+    out[..., 1:, :short - 1] += blocks[..., step:]
+    return out.reshape(out.shape[:-2] + (-1,))[..., :n]
 
 
 def apply_channel(x, H):

@@ -28,9 +28,10 @@ estimates need no symbol averaging. The demodulated-noise power per trial is
 `run_mse` runs the sample streams instead. Sweeps and MSE runs build their
 receivers with `_build_scheme`, and `_receive` is the one receive path that
 turns the received streams into real symbol estimates: single-tap
-demodulates all antennas in one call and combines the bins, high-rate
-filters at the full rate and demodulates all users in one call, and the
-two-stage bank runs `equalize_lowrate`.
+demodulates all antennas in one call and combines the bins in one batched
+product, high-rate filters at the full rate (overlap-add `_convolve`) and
+demodulates all users in one call, and the two-stage bank runs
+`equalize_lowrate`, one batched product per low-rate tap.
 """
 
 import logging
@@ -103,8 +104,8 @@ def _receive(scheme, y, pf, N_d):
         return recover_symbols(equalize_lowrate(y, scheme, pf), scheme.alpha,
                                N_d)
     if isinstance(scheme, SingleTapEqualizer):
-        D = demodulate(y, pf, N_d)
-        return recover_symbols(np.einsum("mur,rmn->umn", scheme.W, D), 0, N_d)
+        D = np.moveaxis(demodulate(y, pf, N_d), 0, 1)       # (M, N_r, N_d)
+        return recover_symbols(np.moveaxis(scheme.W @ D, 0, 1), 0, N_d)
     if isinstance(scheme, HighRateEqualizer):
         D = demodulate(apply_highrate(y, scheme), pf, N_d + scheme.alpha)
         return recover_symbols(D, scheme.alpha, N_d)

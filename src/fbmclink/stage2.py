@@ -5,7 +5,8 @@ The production path is the two-step decimation: the analysis filter output is
 decimated by D1, a short equalizer g-bar (least-squares fit, length L'_g) runs
 at the intermediate rate, and a final D2-fold decimation brings the stream to
 the symbol rate (D1*D2 = M/2). g-bar is realized as D2 polyphase branches so
-every multiplication happens at the lowest possible rate.
+every multiplication happens at the lowest possible rate; with the D1-rate
+bank outputs taken phase-major, each g-bar tap is one batched product.
 
 The least-squares fit is one path for every subcarrier. The D1-decimated
 analysis filter of subcarrier m is the real m = 0 filter times a unit-modulus
@@ -31,7 +32,6 @@ and the stage-1 taps meet all listed subcarriers in one matrix product.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
 
 from .errors import ConfigError
@@ -135,6 +135,10 @@ def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
 def equalize_lowrate(y, bank, pf):
     """Run the low-rate receiver: AFB at rate 1/D1, polyphase branches, sum.
 
+    The bank outputs come phase-major (D2 phases by blocks of D2 low-rate
+    indices), so tap j reads one contiguous (n_sub, N_r, n_instants) slice,
+    met by gbar[..., j] in one batched product.
+
     Parameters
     ----------
     y : ndarray (N_r, n_samples) or (n_samples,)
@@ -157,14 +161,19 @@ def equalize_lowrate(y, bank, pf):
         raise ValueError(f"{y.shape[0]} antenna streams for N_r={N_r}")
     if y.shape[1] < pf.L_f:
         raise ValueError("stream too short for one analysis window")
-    nu_max = (y.shape[1] - 1) // (M // 2)
+    n_inst = (y.shape[1] - 1) // (M // 2) + 1
     v_lo = -(N_f - 1) - (Lgp - 1)        # lowest low-rate index ever touched
-    n1 = np.arange(v_lo, nu_max * D2 + 1)
-    V = _afb(y, pf, n1 * D1)[:, bank.subcarriers, :]   # (N_r, n_sub, len(n1))
-    # Tap j = l + i D2 (tap i of branch l) meets low-rate index nu D2 - j, so
-    # the D2 branch outputs summed at instant nu are one window of V per nu.
-    win = sliding_window_view(V, Lgp, axis=-1)[:, :, N_f - 1::D2, ::-1]
-    return np.einsum("rsnj,surj->usn", win, bank.gbar)
+    # low-rate indices v_lo + k, phase-major: phase k mod D2, block k // D2
+    n_blk = n_inst + (N_f + Lgp - 2) // D2
+    k = np.arange(D2)[:, None] + np.arange(n_blk) * D2
+    V = _afb(y, pf, (v_lo + k.ravel()) * D1).reshape(N_r, M, D2, n_blk)
+    V = np.moveaxis(V, 1, 0)[bank.subcarriers]     # (n_sub, N_r, D2, n_blk)
+    # tap j meets low-rate index nu D2 - j, which is k = i + nu D2
+    out = 0
+    for j in range(Lgp):
+        i = N_f - 1 + Lgp - 1 - j
+        out += bank.gbar[..., j] @ V[:, :, i % D2, i // D2:i // D2 + n_inst]
+    return np.moveaxis(out, 1, 0)
 
 
 def recover_symbols(dgrid, alpha, N_d):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import fft, ifft, next_fast_len
 
 from fbmclink.channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                               ChannelRealization, draw_channel, apply_channel,
@@ -194,6 +195,71 @@ def test_convolve_matches_np_convolve(a_shape, b_shape, sum_axis, want_shape):
     got = _convolve(a, b, sum_axis=sum_axis)
     assert got.shape == want.shape == want_shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("short", [1, 13, 47, 256])
+@pytest.mark.parametrize("long_kind", ["B-1", "B", "B+1", "n=2B-1", "n=2B",
+                                       "5 blocks"])
+def test_convolve_overlap_add_matches_oracle(short, long_kind):
+    # long operands around one block of B, around the switch to blocks at a
+    # result length n of 2B, and about five blocks
+    B = next_fast_len(max(8 * short, 1024))
+    L = {"B-1": B - 1, "B": B, "B+1": B + 1, "n=2B-1": 2 * B - short,
+         "n=2B": 2 * B - short + 1, "5 blocks": 5 * (B - short + 1) - 3
+         }[long_kind]
+    rng = make_rng(short + L)
+    x = rng.standard_normal((3, 1, L)) + 1j * rng.standard_normal((3, 1, L))
+    h = rng.standard_normal((4, short)) + 1j * rng.standard_normal((4, short))
+    for a, b in ((x, h), (h, x)):
+        full = _convolve_oracle(a, b)
+        for sum_axis in (None, 0, 1, -2):
+            want = full if sum_axis is None else full.sum(axis=sum_axis)
+            got = _convolve(a, b, sum_axis=sum_axis)
+            _assert_rel_close(got, want)
+            got[..., got.shape[-1] // 2] += 1e-9 * np.abs(want).max()
+            with pytest.raises(AssertionError):
+                _assert_rel_close(got, want)
+
+
+def _one_fft_convolve(a, b, sum_axis=None):
+    """The single-block form: one FFT of each operand at next_fast_len(n)."""
+    n = np.shape(a)[-1] + np.shape(b)[-1] - 1
+    n_fft = next_fast_len(n)
+    prod = fft(a, n_fft) * fft(b, n_fft)
+    if sum_axis is not None:
+        prod = prod.sum(axis=sum_axis)
+    return ifft(prod)[..., :n]
+
+
+# the call shapes of the desk fig6 sweep (M=64, N_t=4, EVA-length taps):
+# _measure_many's channel-times-kernel convolutions and _kernel's
+# analysis-filter-times-equalizer convolutions; then those of the full-scale
+# fig3/fig4/fig6/fig7 sweeps (M=256, L_f=1024), whose channel-times-kernel
+# results of 1070-1331 samples are just over one block of 1024
+_FIG6_SHAPES = [((N_r, 4, 47), (N_r, 1, L), 0)
+                for N_r in (8, 16, 32, 64) for L in (256, 288, 320)] + \
+               [((256,), (N_r, L), None)
+                for N_r in (8, 16, 32, 64) for L in (33, 65)] + \
+               [((N_r, 8, 47), (N_r, 1, L), 0)
+                for N_r in (16, 64) for L in (1024, 1152, 1279, 1280)] + \
+               [((16, 1, 28), (16, 1, L), 0) for L in (1279, 1280)] + \
+               [((1024,), (N_r, L), None)
+                for N_r in (16, 64) for L in (129, 256, 257)]
+
+
+@pytest.mark.parametrize("a_shape, b_shape, sum_axis", _FIG6_SHAPES)
+def test_convolve_fig6_shapes_take_the_single_block_path(a_shape, b_shape,
+                                                         sum_axis):
+    rng = make_rng(len(b_shape) + b_shape[-1])
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
+    assert np.array_equal(_convolve(a, b, sum_axis=sum_axis),
+                          _one_fft_convolve(a, b, sum_axis=sum_axis))
 
 
 def test_package_import_leaves_scipy_signal_unloaded():

@@ -2,7 +2,11 @@
 transmit/channel/receive chain that run_mse runs; sweeps independent of
 thread count; run_mse's input checks and seeding."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,26 +90,42 @@ def test_measure_matches_brute_force_oracle(M, kappa, kind, alpha, eva, peda):
 
 # -------------------------------------------------------------- full chain
 
-@pytest.mark.parametrize("kind", ["single_tap", "highrate", "two_stage"])
-def test_coefficients_reproduce_the_chain(kind, eva, peda, pf16):
+def _check_chain(kind, H, rng, pf, N_d, subcarriers):
     # noiseless burst: on every interior instant the receiver output is
     # sum_{u', m', dn} R[u', m', dn] s[u', m', n - dn]
-    M, N_d, alpha = 16, 48, 1
-    rng = make_rng(7)
-    H = draw_channel([eva, peda], 6, rng)
+    M, alpha = pf.M, 1
     s = rng.standard_normal((H.N_t, M, N_d))
-    y = apply_channel(modulate(OqamGrid(s, 0.5), pf16), H)
-    scheme = _scheme(kind, freq_csi(H, M), pf16, alpha, None)
-    shat = _receive(scheme, y, pf16, N_d)
-    for m in range(M):
+    y = apply_channel(modulate(OqamGrid(s, 0.5), pf), H)
+    scheme = _scheme(kind, freq_csi(H, M), pf, alpha, None)
+    shat = _receive(scheme, y, pf, N_d)
+    for m in subcarriers:
         for u in range(H.N_t):
-            c, = _measure_many(H, [scheme], pf16, m, u)
+            c, = _measure_many(H, [scheme], pf, m, u)
             n = np.arange(c.dn.max(), N_d + c.dn.min())
             assert n.size >= 8
             pred = np.einsum("vmj,vmjn->n", c.R,
                              s[:, :, n[None, :] - c.dn[:, None]])
             got = shat[u, m, n]
             assert np.abs(got - pred).max() <= 1e-12 * np.abs(got).max()
+    return y
+
+
+@pytest.mark.parametrize("kind", ["single_tap", "highrate", "two_stage"])
+def test_coefficients_reproduce_the_chain(kind, eva, peda, pf16):
+    rng = make_rng(7)
+    H = draw_channel([eva, peda], 6, rng)
+    _check_chain(kind, H, rng, pf16, 48, range(16))
+
+
+@pytest.mark.parametrize("kind", ["single_tap", "highrate", "two_stage"])
+def test_coefficients_reproduce_a_multi_block_chain(kind, eva, peda, pf64):
+    # a burst of over 2048 samples, so the channel and the high-rate filter
+    # (results of at least twice the 1024-sample block) run as several
+    # overlap-add blocks
+    rng = make_rng(9)
+    H = draw_channel([eva, peda], 4, rng)
+    y = _check_chain(kind, H, rng, pf64, 64, (0, 32, 63))
+    assert y.shape[1] >= 2048
 
 
 # ----------------------------------------------------------- determinism
@@ -173,3 +193,26 @@ def test_run_mse_seed_is_the_master_seed(scheme):
     assert got == run_mse(replace(cfg, master_seed=5), scheme,
                           csi_mode="estimated")
     assert got != run_mse(cfg, scheme, csi_mode="estimated")
+
+
+def test_run_mse_does_not_depend_on_blas_threads():
+    # the batched products give the same bits on one and two BLAS threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from fbmclink.config import SimConfig\n"
+        "from fbmclink.metrics import SchemeSpec, run_mse\n"
+        "cfg = SimConfig(M=16, N_t=2, N_r=4, trials=2, master_seed=11,\n"
+        "                criterion='mmse', gamma_db=15.0, N_d=24)\n"
+        "for kind in ('single_tap', 'two_stage', 'highrate'):\n"
+        "    print(run_mse(cfg, SchemeSpec(kind), csi_mode='estimated').hex())\n")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.split())
+    assert len(outs[0]) == 3
+    assert outs[0] == outs[1]

@@ -5,6 +5,7 @@ split are oracles defined here; the receiver itself uses `stage2._fit`.
 """
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,89 @@ def test_equalize_lowrate_sums_antennas(pf16, eva):
                                          bank.subcarriers, plan, 1, "zf"),
         pf16) for r in range(4)]
     np.testing.assert_allclose(out, sum(parts), rtol=0, atol=1e-12)
+
+
+def _lowrate_oracle(y, bank, pf):
+    """Brute force per (m, r): the full analysis-filter convolution decimated
+    by D1 (low-rate index k from -(N_f-1)), then the D2 polyphase branches of
+    g-bar, branch l on the stream delayed by l and decimated by D2, summed
+    over branches and antennas."""
+    D1, D2 = bank.plan.D1, bank.plan.D2
+    N_f = pf.L_f // D1
+    n_inst = (y.shape[1] - 1) // (pf.M // 2) + 1
+    P = -(-(N_f - 1) // D2) + 1          # front pad to the origin -P D2
+    out = np.zeros((bank.gbar.shape[1], len(bank.subcarriers), n_inst),
+                   dtype=complex)
+    for s, m in enumerate(bank.subcarriers):
+        f = np.conj(pf.subcarrier_filter(m)[::-1])
+        for r in range(y.shape[0]):
+            v = decimate(np.convolve(y[r], f), D1, phase=(pf.L_f - 1) % D1)
+            v = np.concatenate([np.zeros(P * D2 - (N_f - 1)), v])
+            for u in range(bank.gbar.shape[1]):
+                w = np.zeros(P + n_inst, dtype=complex)
+                for l, G_l in enumerate(polyphase_split(bank.gbar[s, u, r], D2)):
+                    if G_l.size == 0:        # L'_g < D2 leaves empty branches
+                        continue
+                    x_l = decimate(np.concatenate([np.zeros(l), v]), D2)
+                    y_l = np.convolve(x_l, G_l)[:P + n_inst]
+                    w[:y_l.size] += y_l
+                out[u, s] += w[P:]
+    return out
+
+
+@pytest.mark.parametrize("M, D1", [(16, 8), (16, 4), (16, 2), (64, 32),
+                                   (64, 16), (64, 8)])
+@pytest.mark.parametrize("Lgp", [1, 2, 5, 9])
+def test_equalize_lowrate_matches_polyphase_oracle(M, D1, Lgp, eva):
+    pf = design_prototype(4, M)
+    plan = DecimationPlan(M, D1)
+    csi = freq_csi(draw_channel([eva, eva], 3, M + D1), M)
+    full = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp)
+    subset = [M - 1, 0, M // 2 + 1]
+    rows = LowRateEqualizerBank(full.gbar[subset], subset, plan, 1, "zf")
+    rng = make_rng(Lgp)
+    for L in (pf.L_f + 3, 5 * M + M // 4 + 1):
+        y = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+        got = equalize_lowrate(y, full, pf)
+        want = _lowrate_oracle(y, full, pf)
+        assert got.shape == want.shape
+        _assert_rel_close(got, want, rel=1e-12)
+        with pytest.raises(AssertionError):
+            _assert_rel_close(_bumped(got), want, rel=1e-12)
+        # a bank of rows of the all-M g-bar gives the same rows, bit for bit
+        sub = equalize_lowrate(y, rows, pf)
+        _assert_rel_close(sub, _lowrate_oracle(y, rows, pf), rel=1e-12)
+        assert np.array_equal(sub, got[:, subset])
+
+
+@pytest.mark.parametrize("M, D1", [(16, 8), (16, 4), (16, 2), (64, 32),
+                                   (64, 16), (64, 8)])
+@pytest.mark.parametrize("Lgp", [1, 2, 5, 9])
+def test_equalize_lowrate_peak_memory(M, D1, Lgp, eva, monkeypatch):
+    # no (N_r, n_sub, n_instants, L'_g) window copy: once the analysis bank
+    # returns, the receiver allocates at most one copy of the bank output
+    # (the subcarrier selection), the result and one tap product
+    pf = design_prototype(4, M)
+    csi = freq_csi(draw_channel([eva, eva, eva], 3, 3), M)
+    bank = build_lowrate_receiver(csi, pf, DecimationPlan(M, D1), Lg_prime=Lgp)
+    y = make_rng(5).standard_normal((3, 40 * M + 7)) + 0j
+    real_afb, seen = stage2._afb, {}
+
+    def afb(*args):
+        out = real_afb(*args)
+        seen["current"] = tracemalloc.get_traced_memory()[0]
+        seen["bytes"] = out.nbytes
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(stage2, "_afb", afb)
+    tracemalloc.start()
+    try:
+        out = equalize_lowrate(y, bank, pf)
+        extra = tracemalloc.get_traced_memory()[1] - seen["current"]
+    finally:
+        tracemalloc.stop()
+    assert extra <= seen["bytes"] + 2 * out.nbytes
 
 
 def test_equalize_lowrate_errors(pf16, eva):
