@@ -264,10 +264,9 @@ class FreqCsi:
     either way.
     """
 
-    def __init__(self, H_tilde, time_taps, flag="perfect"):
+    def __init__(self, H_tilde, time_taps):
         self.H_tilde = np.asarray(H_tilde, dtype=complex)
         self.time_taps = np.asarray(time_taps, dtype=complex)
-        self.flag = flag
 
     @property
     def M(self):
@@ -284,7 +283,7 @@ class FreqCsi:
 
 def freq_csi(H, M):
     """Perfect CSI: H_tilde_m = sum_l H[l] e^{-j 2 pi m l / M} for m = 0..M-1."""
-    return FreqCsi(bin_response(H.taps, M), H.taps, flag="perfect")
+    return FreqCsi(bin_response(H.taps, M), H.taps)
 
 
 def estimate_csi_mmse(csi, P_p, sigma_z2, seed):
@@ -301,4 +300,4 @@ def estimate_csi_mmse(csi, P_p, sigma_z2, seed):
     H_hat = (P_p * csi.H_tilde + Z) / (P_p + sigma_z2)
     # bin-exact time-domain representation (length M)
     time_taps = np.fft.ifft(np.moveaxis(H_hat, 0, 2), axis=2)
-    return FreqCsi(H_hat, time_taps, flag="estimated")
+    return FreqCsi(H_hat, time_taps)

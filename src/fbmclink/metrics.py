@@ -2,28 +2,25 @@
 empirical SIR/SINR with jackknife standard errors, symbol-level MSE runs, and
 parameter sweeps.
 
-The coefficient path avoids running sample streams. For each receiver scheme
-the composite per-antenna receive kernel K^r (equalizer and analysis filter
-combined, at the full rate) is formed once, and the antennas are summed first
-into one effective kernel per transmitting user,
+The coefficient path runs no sample streams. At the full rate, a scheme's
+equalizer of user u at subcarrier m is L taps g^r per antenna at stride D1:
+one tap W[m, u] (single-tap, alpha = 0), the L_g high-rate taps (D1 = 1) or
+the two-stage g-bar of subcarrier m. One batched FFT convolution
+(channel._convolve) sums the antennas into each user's equalized channel
+c_{u'} = sum_r g^r * h^{r,u'}, and the real symbol s_{m',n'} of user u'
+reaches the phase-compensated output with the coefficient (F the table that
+`theory` holds for (pf, m), entry i at lag i - (L_f - 1); indices from 0)
 
-    e_{u'} = sum_r h^{r,u'} * flip(K^r).
+    R[u', m', dn] = Re{ j^{(m'-m-dn) mod 4} sum_l F[m', i0 - l] c_{u'}[l] },
+    i0 = (dn + alpha) M/2 + L_f - 1,      dn = n - n',
 
-That is one batched FFT convolution (channel._convolve) over (r, u'), with the
-antenna sum taken in the frequency domain, so only N_t inverse FFTs run.
+the closed form's Re{v^T psi} with c in place of psi. It is exact (a full
+transmit/receive chain gives the same numbers, without edge effects), so
+SIR/SINR estimates need no symbol averaging. The noise power per trial is
+sigma_z^2 / 2 times sum_r ||conj f_m * flip g^r||^2, a quadratic form in the
+table's row m (the autocorrelation of f_m):
 
-The coefficient with which the real symbol s_{m',n'} of user u' reaches the
-phase-compensated output is then (array indices from 0)
-
-    R[u', m', dn] = Re{ j^{(m'-m-dn) mod 4} (f_{m'} * e_{u'})
-                        [(dn + alpha) M/2 + L_f - 1] },      dn = n - n'.
-
-Only these lattice samples are needed, and they are an analysis bank of the
-conjugated, reversed e_{u'} (fbmc._afb: one fold by M and one FFT per lag for
-all m'), so the cost does not grow as N_r M L_f. This is exact (same numbers
-a full transmit/receive chain produces, without edge effects), so SIR/SINR
-estimates need no symbol averaging. The demodulated-noise power per trial is
-(sigma_z^2 / 2) sum_r ||K^r||^2.
+    sum_r sum_{a,b} conj(g^r[a]) F[m, L_f - 1 + (a - b) D1] g^r[b].
 
 `run_mse` runs the sample streams instead. Sweeps and MSE runs build their
 receivers with `_build_scheme`, and `_receive` is the one receive path that
@@ -44,11 +41,12 @@ from .channel import (_convolve, draw_channel, apply_channel, add_awgn,
                       freq_csi, estimate_csi_mmse, trial_rng, load_pdp)
 from .config import P_SYM, channel_assignment, fingerprint
 from .errors import ConfigError
-from .fbmc import _afb, design_prototype, qam_to_oqam, modulate, demodulate
+from .fbmc import design_prototype, qam_to_oqam, modulate, demodulate
 from .stage1 import (HighRateEqualizer, SingleTapEqualizer, design_highrate,
                      single_tap, apply_highrate)
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,
                      build_lowrate_receiver, equalize_lowrate, recover_symbols)
+from .theory import _J, _rows, _table
 
 log = logging.getLogger(__name__)
 
@@ -112,28 +110,23 @@ def _receive(scheme, y, pf, N_d):
     raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
 
 
-def _kernel(scheme, pf, m, u):
-    """Composite receive kernel per antenna: (K (N_r, len), alpha).
-
-    The output sample for receive instant nu is sum_{r,s} y^r[s] K^r[s - nu M/2]
-    with K^r[x] stored at array index x + L - 1, L the full-rate equalizer length
-    (1 for the single-tap scheme).
-    """
-    fmc = np.conj(pf.subcarrier_filter(m))
+def _taps(scheme, m, u):
+    """User u's equalizer at subcarrier m as full-rate taps: (g (N_r, L), D1,
+    alpha), tap k at sample k D1."""
     if isinstance(scheme, SingleTapEqualizer):
-        K = scheme.W[m, u][:, None] * fmc[None, :]
-        return K, 0
+        return scheme.W[m, u][:, None], 1, 0
     if isinstance(scheme, HighRateEqualizer):
-        g = scheme.taps[u]                       # (N_r, L_g)
-    elif isinstance(scheme, LowRateEqualizerBank):
-        # g-bar runs at rate 1/D1: its full-rate kernel is g-bar upsampled by D1
-        gbar, D1 = scheme.taps_for(m)[u], scheme.plan.D1
-        g = np.zeros((gbar.shape[0], (gbar.shape[1] - 1) * D1 + 1), dtype=complex)
-        g[:, ::D1] = gbar
-    else:
-        raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
-    K = _convolve(fmc, g[:, ::-1])
-    return K, scheme.alpha
+        return scheme.taps[u], 1, scheme.alpha
+    if isinstance(scheme, LowRateEqualizerBank):
+        return scheme.taps_for(m)[u], scheme.plan.D1, scheme.alpha
+    raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
+
+
+def _equalized_channel(H, g, D1):
+    """c_{u'} = sum_r g^r * h^{r,u'} for taps g (N_r, L) at stride D1."""
+    up = np.zeros((g.shape[0], 1, (g.shape[1] - 1) * D1 + 1), dtype=complex)
+    up[:, 0, ::D1] = g
+    return _convolve(up, H.taps, sum_axis=0)
 
 
 @dataclass
@@ -145,7 +138,7 @@ class CoeffSet:
     m: int
     u: int
     alpha: int
-    noise_gain: float       # sum_r ||K^r||^2
+    noise_gain: float       # sum_r ||conj f_m * flip g^r||^2
     P_s: float = P_SYM
 
     def desired_power(self):
@@ -160,28 +153,27 @@ class CoeffSet:
 
 
 def _measure_many(H, schemes, pf, m, u):
-    """Measure several scheme objects on one realization; returns a list of
-    CoeffSet.
-
-    Per scheme, one batched convolution, summed over antennas before its
-    inverse FFT, gives e_{u'} for every user, and one analysis-bank call over
-    the N_t kernels gives every column i = (dn + alpha) M/2 + L_f - 1:
-    (f conv e)[i] = conj(AFB(conj(flip(e)))[L_e - 1 - i]) (see the module
-    docstring).
-    """
-    M, L_f = pf.M, pf.L_f
-    half = M // 2
+    """CoeffSets of several scheme objects on one realization: per scheme,
+    c_{u'} of every user, then one product with the table rows i0 - l per dn
+    of every lattice offset that F_{mm'} * c_{u'} reaches."""
+    M, L_f, half = pf.M, pf.L_f, pf.M // 2
+    F = _table(pf, m)
+    Ft, jm = F.T, np.arange(M) - m
     out = []
     for scheme in schemes:
-        K, a_s = _kernel(scheme, pf, m, u)
-        e = _convolve(H.taps, K[:, None, ::-1], sum_axis=0)
-        L_e = e.shape[1]
-        dns = np.arange(-((L_f - 1) // half), (L_e - 1) // half + 1) - a_s
-        C = np.conj(_afb(np.conj(e[:, ::-1]), pf,
-                         L_e - L_f - (dns + a_s) * half))
-        ph = 1j ** ((np.arange(M)[:, None] - m - dns[None, :]) % 4)
-        out.append(CoeffSet(R=(C * ph).real, dn=dns, m=m, u=u, alpha=a_s,
-                            noise_gain=float(np.sum(np.abs(K) ** 2))))
+        g, D1, a_s = _taps(scheme, m, u)
+        c = _equalized_channel(H, g, D1)
+        l = np.arange(c.shape[1])
+        dns = np.arange(-((L_f - 1) // half),
+                        (L_f + l.size - 2) // half + 1) - a_s
+        R = np.empty((H.N_t, M, dns.size))
+        for j, dn in enumerate(dns):
+            i0 = (dn + a_s) * half + L_f - 1
+            R[:, :, j] = (c @ _rows(Ft, i0 - l) * _J[(jm - dn) % 4]).real
+        pos = np.arange(g.shape[1]) * D1
+        T = _rows(F[m], L_f - 1 + pos[:, None] - pos)   # noise-gain form
+        out.append(CoeffSet(R=R, dn=dns, m=m, u=u, alpha=a_s,
+                            noise_gain=float(np.vdot(g, g @ T.T).real)))
     return out
 
 
@@ -242,7 +234,6 @@ class SinrReport:
     seed: int
     config_fingerprint: str
     csi: str = "perfect"
-    mse: float = None
     flagged: str = ""
 
 
@@ -254,11 +245,11 @@ def _flag_note(cfg, profiles):
     return ""
 
 
-def _collect(cfg, specs, csi_mode, threads):
+def _collect(cfg, specs, csi_mode, threads, pf):
     """Per-trial coefficient sets for every spec: {spec: [CoeffSet] * trials}."""
     profiles = [load_pdp(nm, cfg.sample_rate) for nm in channel_assignment(cfg)]
-    pf = design_prototype(cfg.kappa, cfg.M)
     m, u = cfg.subcarrier, cfg.user
+    _table(pf, m)           # held before the trials, which then only read it
     sigma_d = cfg.noise_var()
     P_p = 2.0 * P_SYM * cfg.L_p
 
@@ -330,6 +321,7 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     specs = _specs(config, schemes)
     labels = tuple(sp.label() for sp in specs)
     reports = {}
+    pf = design_prototype(config.kappa, config.M)   # no axis changes it
 
     if axis == "Lg_prime":
         # widen to one spec per (two-stage scheme, point); everything else is
@@ -339,7 +331,7 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
             variants[pt] = [replace(sp, Lg_prime=int(pt))
                             if sp.kind == "two_stage" else sp for sp in specs]
         unique = list(dict.fromkeys(sp for v in variants.values() for sp in v))
-        data, flagged = _collect(config, unique, csi_mode, threads)
+        data, flagged = _collect(config, unique, csi_mode, threads, pf)
         for pt in points:
             for sp, lab in zip(variants[pt], labels):
                 rep = _report(config, sp, data[sp], config.gamma_db,
@@ -348,7 +340,7 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     elif axis == "gamma_db":
         if config.criterion == "zf" and csi_mode == "perfect":
             # ZF coefficients do not depend on the noise level: measure once
-            data, flagged = _collect(config, specs, csi_mode, threads)
+            data, flagged = _collect(config, specs, csi_mode, threads, pf)
             for pt in points:
                 for sp, lab in zip(specs, labels):
                     reports[(pt, lab)] = _report(config, sp, data[sp],
@@ -356,14 +348,14 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
         else:
             for pt in points:
                 cfg_pt = replace(config, gamma_db=float(pt))
-                data, flagged = _collect(cfg_pt, specs, csi_mode, threads)
+                data, flagged = _collect(cfg_pt, specs, csi_mode, threads, pf)
                 for sp, lab in zip(specs, labels):
                     reports[(pt, lab)] = _report(cfg_pt, sp, data[sp],
                                                  float(pt), csi_mode, flagged)
     else:
         for pt in points:
             cfg_pt = replace(config, N_r=int(pt))
-            data, flagged = _collect(cfg_pt, specs, csi_mode, threads)
+            data, flagged = _collect(cfg_pt, specs, csi_mode, threads, pf)
             for sp, lab in zip(specs, labels):
                 reports[(pt, lab)] = _report(cfg_pt, sp, data[sp],
                                              cfg_pt.gamma_db, csi_mode, flagged)

@@ -45,9 +45,10 @@ single-user ones at leading order with the inverse-Wishart normalization
 
 Held between calls: the read-only transmultiplexer table of one subcarrier
 per live PrototypeFilter (`_TABLES`, weakly keyed; 8.4 MB at M=256), read by
-every SNR point of a sweep.  Error statistics depend on PDP contents and N_r
-that callers may change in place, so they are rebuilt per call, and their
-`_ratio_moments` calls (and noise_power's) hit `_MOMENT_CACHE` instead.
+every SNR point of a sweep and every Monte Carlo trial of `metrics`.  Error
+statistics depend on PDP contents and N_r that callers may change in place,
+so they are rebuilt per call, and their `_ratio_moments` calls (and
+noise_power's) hit `_MOMENT_CACHE` instead.
 """
 
 import weakref
@@ -265,6 +266,16 @@ def _transmux(pf, m, lags):
     return np.conj(_afb(pf.subcarrier_filter(m), pf, -np.asarray(lags)))
 
 
+def _table(pf, m):
+    """The read-only table F_{mm'} held for (pf, m), built on a miss."""
+    m_held, F = _TABLES.get(pf, (None, None))
+    if m_held != m:
+        F = _transmux(pf, m, np.arange(1 - pf.L_f, pf.L_f))
+        F.flags.writeable = False
+        _TABLES[pf] = (m, F)
+    return F
+
+
 class InterferenceTable:
     """Transmultiplexer responses seen by one receive subcarrier m.
 
@@ -277,12 +288,7 @@ class InterferenceTable:
         self.pf, self.M, self.alpha = pf, M, alpha
         self.m = M // 2 if m is None else m
         self.max_dn = 2 * pf.kappa + 3 if max_dn is None else max_dn
-        self.L_f = pf.L_f
-        m_held, self.F = _TABLES.get(pf, (None, None))
-        if m_held != self.m:
-            self.F = _transmux(pf, self.m, np.arange(1 - self.L_f, self.L_f))
-            self.F.flags.writeable = False
-            _TABLES[pf] = (self.m, self.F)
+        self.L_f, self.F = pf.L_f, _table(pf, self.m)
 
     def dn_range(self, L_h):
         """All dn with a nonzero window for error length M+L_h-1."""
@@ -292,6 +298,7 @@ class InterferenceTable:
         return dns[ok].tolist()
 
 
+# bench/layers.py wraps this name, and theoretical_sinr calls through it
 interference_table = InterferenceTable
 
 

@@ -236,11 +236,12 @@ def _one_fft_convolve(a, b, sum_axis=None):
     return ifft(prod)[..., :n]
 
 
-# the call shapes of the desk fig6 sweep (M=64, N_t=4, EVA-length taps):
-# _measure_many's channel-times-kernel convolutions and _kernel's
-# analysis-filter-times-equalizer convolutions; then those of the full-scale
-# fig3/fig4/fig6/fig7 sweeps (M=256, L_f=1024), whose channel-times-kernel
-# results of 1070-1331 samples are just over one block of 1024
+# recorded sweep shapes, desk fig6 (M=64, N_t=4, ETU-length taps) and then
+# the full-scale fig3/fig4/fig6/fig7 sweeps (M=256, L_f=1024): channel times
+# composite receive kernel conj f_m * flip g^r (results of 1070-1331 samples
+# at full scale, just over one block of 1024) and analysis filter times
+# equalizer; then the equalized-channel shapes g^r * h^{r,u'} (g upsampled
+# by D1) of the coefficient measurement, up to N_r = 1024
 _FIG6_SHAPES = [((N_r, 4, 47), (N_r, 1, L), 0)
                 for N_r in (8, 16, 32, 64) for L in (256, 288, 320)] + \
                [((256,), (N_r, L), None)
@@ -249,7 +250,11 @@ _FIG6_SHAPES = [((N_r, 4, 47), (N_r, 1, L), 0)
                 for N_r in (16, 64) for L in (1024, 1152, 1279, 1280)] + \
                [((16, 1, 28), (16, 1, L), 0) for L in (1279, 1280)] + \
                [((1024,), (N_r, L), None)
-                for N_r in (16, 64) for L in (129, 256, 257)]
+                for N_r in (16, 64) for L in (129, 256, 257)] + \
+               [((N_r, 1, L), (N_r, 4, 47), 0)
+                for N_r in (8, 16, 32, 64) for L in (1, 33, 65)] + \
+               [((N_r, 1, L), (N_r, 8, 47), 0)
+                for N_r in (16, 64, 1024) for L in (1, 129, 256, 257)]
 
 
 @pytest.mark.parametrize("a_shape, b_shape, sum_axis", _FIG6_SHAPES)
@@ -329,7 +334,6 @@ def test_freq_csi_matches_dft(eva, uni4):
     M = 32
     H = draw_channel([eva, uni4], 2, 3)
     csi = freq_csi(H, M)
-    assert csi.flag == "perfect"
     assert (csi.M, csi.N_r, csi.N_t) == (M, 2, 2)
     l = np.arange(H.L_h)
     for m in (0, 1, 17, 31):
@@ -364,7 +368,6 @@ def test_bin_response_is_the_dtft_on_the_grid(eva, n):
 def test_estimate_csi_noiseless(eva):
     csi = freq_csi(draw_channel(eva, 4, 8), 64)
     est = estimate_csi_mmse(csi, 16.0, 0.0, 1)
-    assert est.flag == "estimated"
     np.testing.assert_allclose(est.H_tilde, csi.H_tilde, atol=1e-12)
     # the time representation always reproduces the bins exactly
     back = np.moveaxis(np.fft.fft(est.time_taps, axis=2), 2, 0)

@@ -1,6 +1,7 @@
 """Coefficient measurement against a brute-force oracle and against the full
-transmit/channel/receive chain that run_mse runs; sweeps independent of
-thread count; run_mse's input checks and seeding."""
+transmit/channel/receive chain that run_mse runs; the equalized channel's
+ZF identity; sweeps independent of thread count and sharing one table;
+run_mse's input checks and seeding."""
 
 import os
 import subprocess
@@ -12,14 +13,35 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from fbmclink import theory
 from fbmclink.channel import apply_channel, draw_channel, freq_csi, make_rng
 from fbmclink.config import SimConfig
 from fbmclink.errors import ConfigError
 from fbmclink.fbmc import OqamGrid, design_prototype, modulate
-from fbmclink.metrics import (SchemeSpec, _collect, _kernel, _measure_many,
-                              _receive, _specs, run_mse, sweep)
-from fbmclink.stage1 import alpha_bound, design_highrate, single_tap
-from fbmclink.stage2 import DecimationPlan, build_lowrate_receiver
+from fbmclink.metrics import (SchemeSpec, _collect, _equalized_channel,
+                              _measure_many, _receive, _specs, _taps, run_mse,
+                              sweep)
+from fbmclink.stage1 import (SingleTapEqualizer, alpha_bound, design_highrate,
+                             single_tap)
+from fbmclink.stage2 import (DecimationPlan, LowRateEqualizerBank,
+                             build_lowrate_receiver)
+
+
+def _oracle_kernel(scheme, pf, m, u):
+    """Composite receive kernel per antenna, K^r = conj f_m conv flip g^r at
+    the full rate (a two-stage g-bar upsampled by D1): (K (N_r, len), alpha).
+    """
+    fmc = np.conj(pf.subcarrier_filter(m))
+    if isinstance(scheme, SingleTapEqualizer):
+        return scheme.W[m, u][:, None] * fmc[None, :], 0
+    if isinstance(scheme, LowRateEqualizerBank):
+        gbar, D1 = scheme.taps_for(m)[u], scheme.plan.D1
+        g = np.zeros((gbar.shape[0], (gbar.shape[1] - 1) * D1 + 1),
+                     dtype=complex)
+        g[:, ::D1] = gbar
+    else:
+        g = scheme.taps[u]
+    return np.array([np.convolve(fmc, gr[::-1]) for gr in g]), scheme.alpha
 
 
 def _oracle_measure(H, scheme, pf, m, u):
@@ -28,7 +50,7 @@ def _oracle_measure(H, scheme, pf, m, u):
     lattice columns (dn + alpha) M/2 + L_f - 1. Returns (R, dn, noise_gain).
     """
     M, L_f = pf.M, pf.L_f
-    K, a = _kernel(scheme, pf, m, u)
+    K, a = _oracle_kernel(scheme, pf, m, u)
     t = np.arange(L_f)
     Fmat = pf.coeffs[None, :] * np.exp(
         2j * np.pi * np.arange(M)[:, None] * (t[None, :] - pf.centre) / M)
@@ -86,6 +108,28 @@ def test_measure_matches_brute_force_oracle(M, kappa, kind, alpha, eva, peda):
             _assert_matches(got, want)
             with pytest.raises(AssertionError):
                 _assert_matches(replace(got, R=got.R * (1 + 1e-9)), want)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("N_t", [1, 2, 4])
+def test_equalized_channel_of_zf_is_the_delay_modulo_m(N_t, alpha, eva, peda,
+                                                        uni4):
+    # perfect CSI, ZF, L_g = M: the taps invert the channel on the M bins, so
+    # c_{u,u'} folded modulo M is delta_{uu'} delta[(l - alpha M/2) mod M]
+    M = 16
+    H = draw_channel([eva, peda, uni4, eva][:N_t], 3 * N_t, 10 * N_t + alpha)
+    assert alpha <= alpha_bound(H.L_h, M, M)
+    scheme = design_highrate(freq_csi(H, M), L_g=M, alpha=alpha)
+    for u in range(N_t):
+        g, D1, a = _taps(scheme, M // 2, u)
+        assert (D1, a) == (1, alpha)
+        c = _equalized_channel(H, g, D1)
+        assert c.shape == (N_t, M + H.L_h - 1)
+        folded = np.zeros((N_t, M), dtype=complex)
+        np.add.at(folded, (slice(None), np.arange(c.shape[1]) % M), c)
+        want = np.zeros((N_t, M))
+        want[u, (alpha * M // 2) % M] = 1.0
+        assert np.abs(folded - want).max() <= 1e-12
 
 
 # -------------------------------------------------------------- full chain
@@ -149,12 +193,24 @@ def test_sweep_does_not_depend_on_thread_count():
 def test_trial_coefficients_do_not_depend_on_trial_count():
     cfg = _small_cfg()
     specs = _specs(cfg, _SCHEMES)
-    few, _ = _collect(replace(cfg, trials=2), specs, "estimated", 1)
-    many, _ = _collect(cfg, specs, "estimated", 2)
+    pf = design_prototype(cfg.kappa, cfg.M)
+    few, _ = _collect(replace(cfg, trials=2), specs, "estimated", 1, pf)
+    many, _ = _collect(cfg, specs, "estimated", 2, pf)
     for sp in specs:
         for a, b in zip(few[sp], many[sp][:2]):
             assert np.array_equal(a.R, b.R) and np.array_equal(a.dn, b.dn)
             assert a.noise_gain == b.noise_gain
+
+
+def test_sweep_builds_one_transmultiplexer_table(monkeypatch):
+    # one prototype per sweep, so every point and trial reads one table
+    calls = []
+    build = theory._transmux
+    monkeypatch.setattr(theory, "_transmux",
+                        lambda *args: calls.append(args[1]) or build(*args))
+    cfg = replace(_small_cfg(), trials=2)
+    sweep(cfg, "N_r", [4, 5, 6], _SCHEMES)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- run_mse
