@@ -3,7 +3,10 @@
 import os
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+# numpy loads numpy.fft and numpy.random on first use; importing them here
+# keeps those loads in start-up, out of the first simulation call
+from numpy.fft import fft, ifft
+from numpy.random import Generator, Philox
 
 # Standard profiles as (delay ns, average power dB) anchor lists (3GPP TS 36.101
 # annex B for EVA/ETU, ITU-R M.1225 for the pedestrian profiles).
@@ -121,15 +124,15 @@ def load_pdp(name, sample_rate):
 
 def make_rng(seed):
     """Counter-based generator (Philox) from an integer seed, or pass through."""
-    if isinstance(seed, np.random.Generator):
+    if isinstance(seed, Generator):
         return seed
-    return np.random.Generator(np.random.Philox(key=int(seed) % (1 << 128)))
+    return Generator(Philox(key=int(seed) % (1 << 128)))
 
 
 def trial_rng(master_seed, trial):
     """Independent per-trial stream keyed by (master seed, trial index)."""
     key = ((int(master_seed) % (1 << 64)) << 64) | (int(trial) % (1 << 64))
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 class ChannelRealization:
@@ -181,13 +184,26 @@ def draw_channel(profiles, N_r, seed):
     return ChannelRealization(taps, profiles)
 
 
+def _fast_len(n):
+    """Smallest 11-smooth integer >= n."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _convolve(a, b, sum_axis=None):
     """Linear convolution of a and b along the last axis, broadcasting the
     leading axes, by FFTs, in overlap-add blocks once the result is long.
 
     For n the (complex) result's length and L_s the shorter length, let B =
-    next_fast_len(max(8 L_s, 1024)). Below n = 2B, where blocks cost more,
-    this is one FFT of each operand at next_fast_len(n) and one inverse FFT;
+    _fast_len(max(8 L_s, 1024)), the next 11-smooth length 2^a 3^b 5^c 7^d
+    11^e (pocketfft's fast sizes). Below n = 2B, where blocks cost more,
+    this is one FFT of each operand at _fast_len(n) and one inverse FFT;
     otherwise the shorter operand is transformed once at B, and the L_s - 1
     sample tails of the inverse FFTs of the longer one's B - L_s + 1 sample
     blocks are overlap-added. `sum_axis` (if given) of the broadcast product
@@ -195,9 +211,9 @@ def _convolve(a, b, sum_axis=None):
     """
     short, long = sorted((np.shape(a)[-1], np.shape(b)[-1]))
     n = short + long - 1
-    n_fft = next_fast_len(max(8 * short, 1024))
+    n_fft = _fast_len(max(8 * short, 1024))
     if n < 2 * n_fft:
-        n_fft = next_fast_len(n)
+        n_fft = _fast_len(n)
         prod = fft(a, n_fft) * fft(b, n_fft)
         if sum_axis is not None:
             prod = prod.sum(axis=sum_axis)

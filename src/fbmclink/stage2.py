@@ -32,7 +32,6 @@ and the stage-1 taps meet all listed subcarriers in one matrix product.
 """
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import ConfigError
 from .fbmc import _J_POW, _afb
@@ -76,8 +75,9 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     N_f = L_f // D1
     rows = N_f + Lg_prime - 1
     p = pf.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
-    F0 = toeplitz(np.concatenate([p, np.zeros(Lg_prime - 1)]),
-                  np.zeros(Lg_prime))
+    # Toeplitz F0[i, k] = p[i - k], zero off the window's support
+    d = np.arange(rows)[:, None] - np.arange(Lg_prime)
+    F0 = np.where((d >= 0) & (d < N_f), p[np.clip(d, 0, N_f - 1)], 0.0)
     # P[t, k] = p[t + L_f - (k+1) D1], zero off the prototype's support
     t = np.arange(L)
     idx = t[:, None] + L_f - (np.arange(rows) + 1) * D1

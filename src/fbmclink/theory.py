@@ -39,9 +39,11 @@ K2 = E{Z^2/(XY)}, g3 = E{|Z|^2/(XY)}.  The three scalar ratio moments depend
 only on (|rho|, N_r) and are evaluated by Gauss-Laguerre/Hermite quadrature
 over (X, G, w_r, w_i), with the G axis folded into one matrix-vector product
 (`_ratio_moments`); their large-N_r limits reproduce the leading-order
-kernels.  For N_t > 1 the combiner rows of the multi-user ZF are treated like
-single-user ones at leading order with the inverse-Wishart normalization
-1/(N_r - N_t), the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the diagonal.
+kernels.  The Gamma rules are Golub-Welsch, numpy.linalg.eigh of the dense
+Jacobi matrix (`_gauss_gamma`); the Hermite rule is numpy's hermgauss.  For
+N_t > 1 the combiner rows of the multi-user ZF are treated like single-user
+ones at leading order with the inverse-Wishart normalization 1/(N_r - N_t),
+the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the diagonal.
 
 Held between calls: the read-only transmultiplexer table of one subcarrier
 per live PrototypeFilter (`_TABLES`, weakly keyed; 8.4 MB at M=256), read by
@@ -54,8 +56,7 @@ noise_power's) hit `_MOMENT_CACHE` instead.
 import weakref
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_hermite
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import ConfigError, NumericalError
 from .fbmc import _J_POW, _afb
@@ -74,7 +75,8 @@ def _gauss_gamma(n, a):
     parameters far beyond where the textbook weight formula overflows.
     """
     i = np.arange(n)
-    x, v = eigh_tridiagonal(2 * i + 1 + a, np.sqrt(i[1:] * (i[1:] + a)))
+    off = np.diag(np.sqrt(i[1:] * (i[1:] + a)), 1)
+    x, v = np.linalg.eigh(np.diag(2.0 * i + 1 + a) + off + off.T)
     w = v[0] ** 2
     return x, w / w.sum()
 
@@ -100,7 +102,7 @@ def _ratio_moments(bvals, N_r, nx=48, ng=48, nh=24):
         return tuple(_MOMENT_CACHE[key][inv].T)
     xg, xw = _gauss_gamma(nx, N_r - 1)
     gg, gw = _gauss_gamma(ng, N_r - 2)
-    hr, hw = roots_hermite(nh)
+    hr, hw = hermgauss(nh)
     hw = hw / hw.sum()
     half = hr >= 0
     wi2 = hr[half] ** 2

@@ -1,10 +1,5 @@
 """Power-delay profiles, channel draws, AWGN, and frequency-domain CSI."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft, next_fast_len
@@ -13,7 +8,7 @@ from fbmclink.channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                               ChannelRealization, draw_channel, apply_channel,
                               add_awgn, bin_response, freq_csi,
                               estimate_csi_mmse, _STANDARD_PDPS, _convolve,
-                              _place_anchors)
+                              _fast_len, _place_anchors)
 
 RATE = 7.68e6
 
@@ -267,17 +262,11 @@ def test_convolve_fig6_shapes_take_the_single_block_path(a_shape, b_shape,
                           _one_fft_convolve(a, b, sum_axis=sum_axis))
 
 
-def test_package_import_leaves_scipy_signal_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fbmclink; print('scipy.signal' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_fast_len_is_scipy_next_fast_len():
+    # the complex-transform rule: smallest 2^a 3^b 5^c 7^d 11^e >= n
+    ns = list(range(1, 20001)) + [n + d for n in (10 ** 5, 10 ** 6)
+                                  for d in range(-3, 4)]
+    assert [_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
 
 
 # ---------------------------------------------------------------- application

@@ -306,6 +306,24 @@ def test_fit_matches_brute_force_oracle(M, D1, Lgp, eva):
                               _oracle_fit(g, pf, m, D1, Lgp))
 
 
+@pytest.mark.parametrize("D1, N_f", [(8, 8), (4, 16), (2, 32)])
+@pytest.mark.parametrize("Lgp", [1, 5, 9])
+def test_fit_regression_matrix_is_scipy_toeplitz(D1, N_f, Lgp, pf16,
+                                                 monkeypatch):
+    # the F0 that `_fit` pseudo-inverts, exactly scipy's Toeplitz matrix of
+    # the D1-decimated window
+    seen = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(stage2.np.linalg, "pinv",
+                        lambda a: seen.append(a) or pinv(a))
+    _fit(np.ones(7), pf16, [0], D1, Lgp)
+    p = pf16.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
+    want = toeplitz(np.concatenate([p, np.zeros(Lgp - 1)]), np.zeros(Lgp))
+    assert len(seen) == 1
+    assert seen[0].dtype == want.dtype
+    assert np.array_equal(seen[0], want)
+
+
 def test_one_subcarrier_bank_is_a_row_of_the_all_m_bank(eva, monkeypatch):
     # the fit reads the stage-1 taps by one matrix product, not through the
     # analysis bank

@@ -267,6 +267,18 @@ def test_gauss_gamma_matches_reference():
     np.testing.assert_allclose(w1, w2 / w2.sum(), atol=1e-13)
 
 
+@pytest.mark.parametrize("nh", [5, 24, 48])
+def test_hermite_rule_matches_reference(nh):
+    # the rule `_ratio_moments` folds at hr >= 0: symmetric, with an exact
+    # zero node at odd orders
+    x1, w1 = theory.hermgauss(nh)
+    x2, w2 = roots_hermite(nh)
+    np.testing.assert_allclose(x1, x2, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w1, w2, rtol=0, atol=1e-14)
+    assert np.array_equal(x1, -x1[::-1])
+    assert np.count_nonzero(x1 == 0.0) == nh % 2
+
+
 # ------------------------------------------------------ physical validation
 
 def test_exact_stats_match_channel_simulation(eva):
