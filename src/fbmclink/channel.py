@@ -196,6 +196,36 @@ def _fast_len(n):
         n += 1
 
 
+def _bin_sum(fa, fb, sum_axis):
+    """Sum over the leading axis `sum_axis` of the broadcast product fa * fb,
+    for spectra fa (..., n_blk, n_fft) and fb (..., 1, n_fft), as one
+    batched matmul over the frequency bins: fb's leading axes where fa has
+    length 1 become matrix rows, the blocks are the columns, and the other
+    leading axes batch with the bins. Returns (..., n_blk, n_fft) without
+    `sum_axis`, a view with the bins last."""
+    nd = max(fa.ndim, fb.ndim) - 2
+    fa = fa.reshape((1,) * (nd + 2 - fa.ndim) + fa.shape)
+    fb = fb.reshape((1,) * (nd + 2 - fb.ndim) + fb.shape)
+    s = sum_axis % (nd + 1)     # counted on the one-block product (..., n)
+    # a side that is constant along the sum is summed alone first
+    if fa.shape[s] == 1:
+        fb = fb.sum(axis=s, keepdims=True)
+    elif fb.shape[s] == 1:
+        fa = fa.sum(axis=s, keepdims=True)
+    rows = [i for i in range(nd) if i != s and fa.shape[i] == 1]
+    rest = [i for i in range(nd) if i != s and fa.shape[i] > 1]
+    # bins and the other axes batch; fa's rows are all of length 1
+    A, B = (x.transpose([nd + 1, *rest, *rows, s, nd]) for x in (fa, fb))
+    k = len(rest) + 1
+    Y = (B.reshape(B.shape[:k] + (-1, B.shape[-2]))
+         @ A.reshape(A.shape[:k] + A.shape[-2:]))   # (bins, *rest, rows, blk)
+    lead = rest + rows
+    Y = Y.reshape(Y.shape[:k] + tuple(fb.shape[i] for i in rows)
+                  + Y.shape[-1:])
+    return Y.transpose([1 + lead.index(i) for i in sorted(lead)]
+                       + [Y.ndim - 1, 0])
+
+
 def _convolve(a, b, sum_axis=None):
     """Linear convolution of a and b along the last axis, broadcasting the
     leading axes, by FFTs, in overlap-add blocks once the result is long.
@@ -207,7 +237,9 @@ def _convolve(a, b, sum_axis=None):
     otherwise the shorter operand is transformed once at B, and the L_s - 1
     sample tails of the inverse FFTs of the longer one's B - L_s + 1 sample
     blocks are overlap-added. `sum_axis` (if given) of the broadcast product
-    is summed in the frequency domain, before the inverse FFT.
+    is summed in the frequency domain, before the inverse FFT: in one block
+    by summing the product, in blocks per frequency bin by one batched
+    matmul (`_bin_sum`), so the blocks never hold the product whole.
     """
     short, long = sorted((np.shape(a)[-1], np.shape(b)[-1]))
     n = short + long - 1
@@ -223,10 +255,8 @@ def _convolve(a, b, sum_axis=None):
     n_blk = -(-long // step)
     a = np.pad(a, [(0, 0)] * (np.ndim(a) - 1) + [(0, n_blk * step - long)])
     a = a.reshape(a.shape[:-1] + (n_blk, step))      # block axis before time
-    prod = fft(a, n_fft) * fft(b, n_fft)[..., None, :]
-    if sum_axis is not None:
-        prod = prod.sum(axis=sum_axis - (sum_axis < 0))
-    blocks = ifft(prod)
+    fa, fb = fft(a, n_fft), fft(b, n_fft)[..., None, :]
+    blocks = ifft(fa * fb if sum_axis is None else _bin_sum(fa, fb, sum_axis))
     out = np.zeros(blocks.shape[:-2] + (n_blk + 1, step), dtype=blocks.dtype)
     out[..., :-1, :] = blocks[..., :step]
     out[..., 1:, :short - 1] += blocks[..., step:]

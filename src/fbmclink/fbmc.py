@@ -13,6 +13,8 @@ Conventions used throughout the package:
 A burst of N_d symbol instants occupies (N_d-1)*M/2 + L_f samples.
 """
 
+import math
+
 import numpy as np
 
 # Frequency-sampling sideband coefficients of the PHYDYAS pulse for
@@ -24,6 +26,11 @@ _PHYDYAS = {
 }
 
 _J_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
+
+# bytes of folded analysis windows per chunk of `_afb` offsets: the fold, one
+# prototype block, the fold's FFT and at most a padded span of samples are
+# live at once besides the output, whatever the offset count
+_CHUNK_BYTES = 1 << 20
 
 
 class PrototypeFilter:
@@ -180,23 +187,42 @@ def _afb(y, pf, offsets):
 
     Returns D[..., m, k] = sum_t y[..., offsets[k] + t] f_m^*[t], shape
     (..., M, len(offsets)); offsets may be negative, the streams are zero
-    outside their support. The kappa prototype blocks are folded one at a
-    time, so no whole L_f window per offset is held.
+    outside their support. The offsets go in chunks of about _CHUNK_BYTES of
+    folded windows. Each chunk reads only the span of samples its offsets
+    cover (a view of y, or a zero-padded copy where the span leaves the
+    support), gathers the kappa length-M prototype blocks of its windows
+    from a sliding-window view of that span, folds them, and FFTs and phases
+    the fold into its rows of the one preallocated output. Besides the
+    output, only chunk-sized buffers are live, whatever the offset count.
     """
     y = np.asarray(y)
-    M, L_f = pf.M, pf.L_f
+    M, L_f, n = pf.M, pf.L_f, y.shape[-1]
+    lead = y.shape[:-1]
     offsets = np.asarray(offsets, dtype=int)
-    pad_front = max(0, -int(offsets.min()))
-    pad_back = max(0, int(offsets.max()) + L_f - y.shape[-1])
-    ypad = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(pad_front, pad_back)])
-    idx = (offsets[:, None] + pad_front) + np.arange(M)
     p = pf.coeffs.reshape(pf.kappa, M)
-    folded = np.take(ypad, idx, axis=-1) * p[0]
-    for q in range(1, pf.kappa):
-        folded += np.take(ypad, idx + q * M, axis=-1) * p[q]
-    D = np.fft.fft(folded, axis=-1)
     # e^{j 2 pi m centre / M}, argument reduced exactly (2 centre = L_f - 1)
-    D *= np.exp(1j * np.pi * (np.arange(M) * (L_f - 1) % (2 * M)) / M)
+    phase = np.exp(1j * np.pi * (np.arange(M) * (L_f - 1) % (2 * M)) / M)
+    D = np.empty(lead + (offsets.size, M), dtype=complex)
+    rows = max(1, _CHUNK_BYTES // (16 * M * max(1, math.prod(lead))))
+    for k0 in range(0, offsets.size, rows):
+        o = offsets[k0:k0 + rows]
+        lo, hi = int(o.min()), int(o.max()) + L_f
+        if lo >= 0 and hi <= n:
+            span = y[..., lo:hi]
+        else:
+            span = np.zeros(lead + (hi - lo,), dtype=y.dtype)
+            a, b = max(lo, 0), min(hi, n)
+            if a < b:
+                span[..., a - lo:b - lo] = y[..., a:b]
+        win = np.lib.stride_tricks.sliding_window_view(span, M, axis=-1)
+        folded = win[..., o - lo, :]
+        folded *= p[0]
+        for q in range(1, pf.kappa):
+            part = win[..., o - lo + q * M, :]
+            part *= p[q]
+            folded += part
+        np.multiply(np.fft.fft(folded, axis=-1), phase,
+                    out=D[..., k0:k0 + o.size, :])
     return np.swapaxes(D, -1, -2)
 
 

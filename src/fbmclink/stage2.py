@@ -6,7 +6,8 @@ decimated by D1, a short equalizer g-bar (least-squares fit, length L'_g) runs
 at the intermediate rate, and a final D2-fold decimation brings the stream to
 the symbol rate (D1*D2 = M/2). g-bar is realized as D2 polyphase branches so
 every multiplication happens at the lowest possible rate; with the D1-rate
-bank outputs taken phase-major, each g-bar tap is one batched product.
+bank outputs taken phase-major, the g-bar taps that read one block of them
+form one batched product.
 
 The least-squares fit is one path for every subcarrier. The D1-decimated
 analysis filter of subcarrier m is the real m = 0 filter times a unit-modulus
@@ -36,6 +37,11 @@ import numpy as np
 from .errors import ConfigError
 from .fbmc import _J_POW, _afb
 from .stage1 import design_highrate
+
+# bytes of analysis-bank output per chunk of `equalize_lowrate`: each chunk
+# costs a few batched products per subcarrier, so chunks much smaller than
+# this spend more time in product set-up than they save in memory
+_BANK_BYTES = 1 << 21
 
 
 class DecimationPlan:
@@ -135,9 +141,16 @@ def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
 def equalize_lowrate(y, bank, pf):
     """Run the low-rate receiver: AFB at rate 1/D1, polyphase branches, sum.
 
-    The bank outputs come phase-major (D2 phases by blocks of D2 low-rate
-    indices), so tap j reads one contiguous (n_sub, N_r, n_instants) slice,
-    met by gbar[..., j] in one batched product.
+    Tap j of instant nu reads the bank output at low-rate index nu D2 - j
+    (sample offset (nu D2 - j) D1). With the bank outputs taken phase-major,
+    low-rate index c D2 + p at phase p of block c, tap j = a D2 - p reads
+    phase p of block nu - a, so the taps of one a read one contiguous
+    (n_sub, phases x N_r, instants) slice and meet their g-bar columns in
+    one batched product. The bank runs over chunks of blocks, sized from
+    `_BANK_BYTES` of bank output and written straight into a (n_sub, D2,
+    N_r, chunk) buffer; each chunk's blocks are added into every instant
+    that reads them, so no chunk is held past its own products and the
+    buffers stay the same size whatever the burst length.
 
     Parameters
     ----------
@@ -155,24 +168,35 @@ def equalize_lowrate(y, bank, pf):
     if y.ndim == 1:
         y = y[None]
     D1, D2, M = bank.plan.D1, bank.plan.D2, bank.plan.M
-    N_f = pf.L_f // D1
-    N_r, Lgp = bank.gbar.shape[2:]
+    n_sub, N_t, N_r, Lgp = bank.gbar.shape
     if y.shape[0] != N_r:
         raise ValueError(f"{y.shape[0]} antenna streams for N_r={N_r}")
     if y.shape[1] < pf.L_f:
         raise ValueError("stream too short for one analysis window")
     n_inst = (y.shape[1] - 1) // (M // 2) + 1
-    v_lo = -(N_f - 1) - (Lgp - 1)        # lowest low-rate index ever touched
-    # low-rate indices v_lo + k, phase-major: phase k mod D2, block k // D2
-    n_blk = n_inst + (N_f + Lgp - 2) // D2
-    k = np.arange(D2)[:, None] + np.arange(n_blk) * D2
-    V = _afb(y, pf, (v_lo + k.ravel()) * D1).reshape(N_r, M, D2, n_blk)
-    V = np.moveaxis(V, 1, 0)[bank.subcarriers]     # (n_sub, N_r, D2, n_blk)
-    # tap j meets low-rate index nu D2 - j, which is k = i + nu D2
-    out = 0
-    for j in range(Lgp):
-        i = N_f - 1 + Lgp - 1 - j
-        out += bank.gbar[..., j] @ V[:, :, i % D2, i // D2:i // D2 + n_inst]
+    # taps j = a D2 - p, phases p in [p0, p1), as (n_sub, N_t, phases x N_r)
+    a_max = (Lgp + D2 - 2) // D2
+    groups = []
+    for a in range(a_max + 1):
+        p0, p1 = max(0, a * D2 - Lgp + 1), min(a * D2, D2 - 1) + 1
+        G = np.concatenate([bank.gbar[..., a * D2 - p] for p in range(p0, p1)],
+                           axis=-1)
+        groups.append((a, p0, p1, G))
+    step = min(n_inst + a_max, max(1, _BANK_BYTES // (16 * N_r * M * D2)))
+    every = bank.subcarriers == list(range(M))      # no gather of rows
+    V = np.empty((n_sub, D2, N_r, step), dtype=complex)
+    out = np.zeros((n_sub, N_t, n_inst), dtype=complex)
+    for c0 in range(-a_max, n_inst, step):
+        c1 = min(c0 + step, n_inst)
+        k = np.arange(D2)[:, None] + np.arange(c0, c1) * D2
+        B = _afb(y, pf, k.ravel() * D1).reshape(N_r, M, D2, c1 - c0)
+        B = B.transpose(1, 2, 0, 3)
+        V[..., :c1 - c0] = B if every else B[bank.subcarriers]
+        for a, p0, p1, G in groups:
+            lo, hi = max(c0 + a, 0), min(c1 + a, n_inst)
+            if lo < hi:
+                X = V[:, p0:p1, :, lo - a - c0:hi - a - c0]
+                out[..., lo:hi] += G @ X.reshape(n_sub, -1, hi - lo)
     return np.moveaxis(out, 1, 0)
 
 

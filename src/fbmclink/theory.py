@@ -18,7 +18,9 @@ Both covariances are banded: the error is a sum over bins of terms
 e^{j2pi m(l-A)/M} (A = alpha M/2) with statistics that depend only on the bin
 difference, so eps lives on l'-l in {0, +-M} (l' = l mod M; n = M+L_h-1 < 2M)
 and eps_check on l + l' = 2A (mod M).  `error_stats` and `average_power` work
-on that support only (at M=256, EVA: 337 and 311 of 80,089 entries).
+on that support only (at M=256, EVA: 337 and 311 of 80,089 entries), and an
+`ErrorStats` holds only those band values; its dense `eps` and `eps_check`
+are built when read.
 
 The statistics come in two flavours.  The leading-order closed form uses the
 channel-hardening limit of the ZF combiner moments: with w_m the combiner row
@@ -144,15 +146,34 @@ def _support(n, M, A):
 
 
 class ErrorStats:
-    """Second-order statistics of the equalization error for one user pair."""
+    """Second-order statistics of the equalization error for one user pair.
 
-    def __init__(self, pair, alpha, L_h, eps, eps_check, mu):
-        self.pair, self.alpha, self.L_h = pair, alpha, L_h
-        self.eps, self.eps_check, self.mu = eps, eps_check, mu
+    Only the band values are held: `eps_band` on the eps support pairs and
+    `check_band` on the eps_check support pairs of `_support(n, M, A)`, in
+    its order, with the mean `mu` (length n = M + L_h - 1). The dense (n, n)
+    matrices `eps` and `eps_check` are built when read.
+    """
+
+    def __init__(self, pair, alpha, L_h, M, eps_band, check_band, mu):
+        self.pair, self.alpha, self.L_h, self.M = pair, alpha, L_h, M
+        self.eps_band, self.check_band, self.mu = eps_band, check_band, mu
 
     @property
     def n(self):
-        return self.eps.shape[0]
+        return self.mu.size
+
+    def _dense(self, band, which):
+        out = np.zeros((self.n, self.n), dtype=complex)
+        out[_support(self.n, self.M, self.alpha * self.M // 2)[which]] = band
+        return out
+
+    @property
+    def eps(self):
+        return self._dense(self.eps_band, 0)
+
+    @property
+    def eps_check(self):
+        return self._dense(self.check_band, 1)
 
 
 def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
@@ -225,7 +246,7 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
     inter = np.where((b >= a)[:, None], pre[b + 1] - pre[a], 0.0)
     C = (inter - Q[el, None] * S[elp] - Q[elp, None] * S[el]
          + (Q[el] * Q[elp])[:, None] * full)                # (pairs, M)
-    eps, eps_check = np.zeros((2, n, n), dtype=complex)
+    check_band = np.zeros(cl.size, dtype=complex)
     mu = np.zeros(n, dtype=complex)
     own = u == up
     if exact:
@@ -239,19 +260,19 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
         k_j1 = ph1 * g1
         gg = V[el] * np.conj(U[elp]) * inv_s2
         T = gg * k_eps2 + (C + t * gg) * k_j1
-        eps[el, elp] = np.sum(T * ph[elp], axis=1) / M
+        eps_band = np.sum(T * ph[elp], axis=1) / M
         if own:
-            eps_check[cl, clp] = np.sum(V[cl] * U[clp] * k_chk
-                                        * np.conj(ph[clp]), axis=1) / M
+            check_band = np.sum(V[cl] * U[clp] * k_chk * np.conj(ph[clp]),
+                                axis=1) / M
     else:
         if n_eff is not None and n_eff < 1:
             raise ConfigError(f"need a positive combiner normalization, "
                               f"got n_eff={n_eff}")
         scale = 1.0 / (M * (N_r if n_eff is None else n_eff))
-        eps[el, elp] = scale * np.sum(t * C * ph[elp], axis=1)
+        eps_band = scale * np.sum(t * C * ph[elp], axis=1)
         if own:
-            eps_check[cl, clp] = scale * np.sum(
-                U[clp] * V[cl] * np.conj(ph[clp]), axis=1)
+            check_band = scale * np.sum(U[clp] * V[cl] * np.conj(ph[clp]),
+                                        axis=1)
     if own:
         # deterministic part: E{H_eq[l]} = Q(l) at lags = A (mod M); the lag-A
         # entry is the wanted peak, the aliases are residual rays (nonzero only
@@ -259,7 +280,7 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
         peaks = (ll - A) % M == 0
         mu[peaks] = Q[peaks]
         mu[A] -= 1.0
-    return ErrorStats(pair, alpha, L_h, eps, eps_check, mu)
+    return ErrorStats(pair, alpha, L_h, M, eps_band, check_band, mu)
 
 
 def _transmux(pf, m, lags):
@@ -326,7 +347,7 @@ def average_power(stats, table, P_s):
     dns = table.dn_range(stats.L_h)
     A = stats.alpha * table.M // 2
     (el, elp), (cl, clp) = _support(stats.n, table.M, A)
-    e, c = stats.eps[el, elp], stats.eps_check[cl, clp]
+    e, c = stats.eps_band, stats.check_band
     peaks = np.flatnonzero(stats.mu)
     Ft = table.F.T                              # (lag, m'), lag-major
     jm = np.arange(table.M) - table.m
@@ -439,7 +460,7 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0,
                 desired = powers[m, j0]
                 powers[m, j0] = 0.0     # sum around the desired entry
                 n_bank = powers.size - 1
-            seen[key] = (stats.eps.any() or stats.eps_check.any()
+            seen[key] = (stats.eps_band.any() or stats.check_band.any()
                          or stats.mu.any(), powers.sum())
         exact_eq &= not seen[key][0]
         interference += seen[key][1]

@@ -5,6 +5,28 @@ import numpy as np
 from fbmclink.fbmc import OqamGrid
 
 
+def afb_reference(y, pf, offsets):
+    """The analysis bank as one fold of whole (offsets, M) index gathers: a
+    zero-padded copy of the streams, and each of the kappa prototype blocks
+    taken at every offset with `np.take` before the length-M FFT. Same
+    contract as `fbmc._afb`: D[..., m, k] = sum_t y[..., offsets[k] + t]
+    f_m^*[t], shape (..., M, len(offsets)), zero outside the support."""
+    y = np.asarray(y)
+    M, L_f = pf.M, pf.L_f
+    offsets = np.asarray(offsets, dtype=int)
+    pad_front = max(0, -int(offsets.min()))
+    pad_back = max(0, int(offsets.max()) + L_f - y.shape[-1])
+    ypad = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(pad_front, pad_back)])
+    idx = (offsets[:, None] + pad_front) + np.arange(M)
+    p = pf.coeffs.reshape(pf.kappa, M)
+    folded = np.take(ypad, idx, axis=-1) * p[0]
+    for q in range(1, pf.kappa):
+        folded += np.take(ypad, idx + q * M, axis=-1) * p[q]
+    D = np.fft.fft(folded, axis=-1)
+    D *= np.exp(1j * np.pi * (np.arange(M) * (L_f - 1) % (2 * M)) / M)
+    return np.swapaxes(D, -1, -2)
+
+
 def transmux_response(pf, m, m_prime):
     """Transmultiplexer response F_{m m'}[l] = (f_{m'} conv f_m^*[-.])[l] by
     direct convolution.

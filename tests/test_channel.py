@@ -1,5 +1,7 @@
 """Power-delay profiles, channel draws, AWGN, and frequency-domain CSI."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import fft, ifft, next_fast_len
@@ -260,6 +262,29 @@ def test_convolve_fig6_shapes_take_the_single_block_path(a_shape, b_shape,
     b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
     assert np.array_equal(_convolve(a, b, sum_axis=sum_axis),
                           _one_fft_convolve(a, b, sum_axis=sum_axis))
+
+
+def test_convolve_blocks_never_hold_the_user_product():
+    # apply_channel's block path sums the users per frequency bin, so its
+    # whole transient stays below one (N_r, N_t, n_blk, n_fft) product
+    N_r, N_t, L_h, L = 16, 16, 20, 4000
+    rng = make_rng(41)
+    taps = rng.standard_normal((N_r, N_t, L_h)) + 0j
+    x = rng.standard_normal((N_t, L)) + 0j
+    B = next_fast_len(max(8 * L_h, 1024))
+    n_blk = -(-L // (B - L_h + 1))
+    assert L + L_h - 1 >= 2 * B                  # the block path
+    H = ChannelRealization(taps, [None] * N_t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = apply_channel(x, H)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < N_r * N_t * n_blk * B * 16
+    want = _convolve_oracle(x[None, :, :], taps).sum(axis=1)
+    _assert_rel_close(y, want)
 
 
 def test_fast_len_is_scipy_next_fast_len():

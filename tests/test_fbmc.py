@@ -1,5 +1,7 @@
 """Filter-bank core: prototype design, OQAM mapping, synthesis/analysis banks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,10 @@ from fbmclink import (OqamGrid, demodulate, design_prototype, modulate,
                       phase_factor, qam_to_oqam)
 from fbmclink.fbmc import _afb, _tx_phases
 
-from oracles import oqam_to_qam, transmux_response
+from fbmclink import fbmc
+from fbmclink.channel import make_rng
+
+from oracles import afb_reference, oqam_to_qam, transmux_response
 
 
 # ---------------------------------------------------------------- prototype
@@ -252,6 +257,56 @@ def test_afb_batched_streams(pf16):
         assert_allclose(D[1, 2, m], want, rtol=0, atol=1e-12)
     assert_allclose(_afb(y[0, 1], pf16, np.arange(12) * 8),
                     demodulate(y[0, 1], pf16, n_out=12), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [16, 64, 256])
+def test_afb_matches_the_reference_fold_bit_for_bit(M):
+    # the chunked bank against the whole-array fold, on leading stream axes,
+    # for ascending (demodulate), descending (theory's -lags), negative and
+    # out-of-support offsets, and a sawtooth across several chunks
+    pf = design_prototype(4, M)
+    rng = make_rng(M)
+    n = 6 * M + 5
+    y = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    rows = fbmc._CHUNK_BYTES // (16 * M * 6)
+    lags = np.arange(1 - pf.L_f, pf.L_f)
+    cases = [
+        (y, np.arange(-(pf.L_f // 2), n, M // 4)),
+        (y[1, 2], -lags),
+        (y, np.arange(-pf.L_f - 3 * M, -M, 5)),
+        (y, np.array([-pf.L_f - 5, -3, 0, n - 1, n + 40])),
+        (y, np.resize(np.arange(-2 * M, n + M), 3 * rows + 7)),
+        (y.real, np.arange(-M, n, 3)),
+    ]
+    for streams, offsets in cases:
+        got = _afb(streams, pf, offsets)
+        assert got.shape == streams.shape[:-1] + (M, offsets.size)
+        assert np.array_equal(got, afb_reference(streams, pf, offsets))
+
+
+@pytest.mark.parametrize("M", [16, 64])
+@pytest.mark.parametrize("D2", [1, 2, 4])
+def test_afb_peak_memory_does_not_grow_with_the_offsets(M, D2):
+    # equalize_lowrate's offsets (D1 apart, from below zero to past the
+    # end of the streams): besides its output, the bank holds a chunk term
+    # that stays the same when the offset count doubles
+    pf = design_prototype(4, M)
+    D1 = M // (2 * D2)
+    rows = fbmc._CHUNK_BYTES // (16 * M * 3)
+    extra = []
+    for K in (2 * rows + 5, 4 * rows + 10):
+        y = make_rng(K).standard_normal((3, K * D1 + 7)) + 0j
+        offsets = (np.arange(K) - pf.L_f // D1 - 3) * D1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = _afb(y, pf, offsets)
+            extra.append(tracemalloc.get_traced_memory()[1] - before
+                         - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] <= extra[0] + 4096
+    assert extra[1] <= 5 * fbmc._CHUNK_BYTES
 
 
 def test_demodulate_noise_variance(pf32):

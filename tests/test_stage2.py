@@ -535,6 +535,31 @@ def test_equalize_lowrate_peak_memory(M, D1, Lgp, eva, monkeypatch):
     assert extra <= seen["bytes"] + 2 * out.nbytes
 
 
+@pytest.mark.parametrize("D1", [32, 16, 8])
+def test_equalize_lowrate_peak_memory_does_not_grow_with_the_burst(D1, eva):
+    # bursts of several bank chunks: doubling N_d grows the receiver's peak
+    # by no more than it grows the output (up to a few kB of interpreter
+    # objects), so the bank and the equalizer buffers stay the same size
+    M, N_r = 64, 3
+    pf = design_prototype(4, M)
+    plan = DecimationPlan(M, D1)
+    bank = build_lowrate_receiver(freq_csi(draw_channel([eva] * 3, N_r, 3), M),
+                                  pf, plan, Lg_prime=5)
+    step = stage2._BANK_BYTES // (16 * N_r * M * plan.D2)
+    peak, size = [], []
+    for N_d in (3 * step, 6 * step):
+        y = make_rng(N_d).standard_normal((N_r, N_d * M // 2)) + 0j
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = equalize_lowrate(y, bank, pf)
+            peak.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        size.append(out.nbytes)
+    assert peak[1] - peak[0] <= size[1] - size[0] + 16384
+
+
 def test_equalize_lowrate_errors(pf16, eva):
     csi = freq_csi(draw_channel(eva, 2, 1), 16)
     bank = build_lowrate_receiver(csi, pf16, DecimationPlan(16, 4))

@@ -21,7 +21,7 @@ from fbmclink.theory import (_gauss_gamma, _ratio_moments, _roundoff_floor,
                              error_stats, interference_table, noise_power,
                              sir_upper_bound, tau, theoretical_sinr)
 
-from oracles import transmux_response, window
+from oracles import afb_reference, transmux_response, window
 
 RATE = 7.68e6
 
@@ -423,6 +423,13 @@ def test_bound_reads_the_held_table_bit_for_bit(M):
                 F[:, dns * (M // 2) + pf.L_f - 1],
                 _transmux(pf, m, dns * (M // 2)))
             assert sir_upper_bound(pf, M, 1, m) == alone
+
+
+def test_table_is_the_reference_fold_bit_for_bit():
+    pf = design_prototype(4, 256)
+    lags = np.arange(1 - pf.L_f, pf.L_f)
+    want = np.conj(afb_reference(pf.subcarrier_filter(128), pf, -lags))
+    assert np.array_equal(interference_table(pf, 256, 1, m=128).F, want)
 
 
 def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
