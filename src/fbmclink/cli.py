@@ -71,10 +71,13 @@ def _write_csv(path, header, rows):
 
 
 def _run_fig3(cfg, scale, out_dir, threads):
-    points = list(range(1, 9))
     rows = []
     for ch in cfg.channels:
         for D1 in (cfg.M // 2, cfg.M // 4, cfg.M // 8):
+            # eight lengths from the first at which g-bar can place the
+            # alpha M/2 delay, alpha M/(2 D1) low-rate taps
+            first = cfg.alpha * cfg.M // (2 * D1) + 1
+            points = list(range(first, first + 8))
             c = replace(cfg, channels=(ch,), D1=D1)
             two = SchemeSpec("two_stage", D1=D1, Lg_prime=cfg.Lg_prime)
             res = sweep(c, "Lg_prime", points,

@@ -46,7 +46,7 @@ from .stage1 import (HighRateEqualizer, SingleTapEqualizer, design_highrate,
                      single_tap, apply_highrate)
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,
                      build_lowrate_receiver, equalize_lowrate, recover_symbols)
-from .theory import _J, _rows, _table
+from .theory import _J, _rows, _table, _windows
 
 log = logging.getLogger(__name__)
 
@@ -154,22 +154,26 @@ class CoeffSet:
 
 def _measure_many(H, schemes, pf, m, u):
     """CoeffSets of several scheme objects on one realization: per scheme,
-    c_{u'} of every user, then one product with the table rows i0 - l per dn
-    of every lattice offset that F_{mm'} * c_{u'} reaches."""
+    c_{u'} of every user, then per dn of every lattice offset that
+    F_{mm'} * c_{u'} reaches one product of the reversed c with the table
+    window of columns i0 - l (`theory._windows`)."""
     M, L_f, half = pf.M, pf.L_f, pf.M // 2
     F = _table(pf, m)
-    Ft, jm = F.T, np.arange(M) - m
+    jm = np.arange(M) - m
     out = []
     for scheme in schemes:
         g, D1, a_s = _taps(scheme, m, u)
         c = _equalized_channel(H, g, D1)
-        l = np.arange(c.shape[1])
+        L_c = c.shape[1]
+        cr = c[:, ::-1].copy()      # BLAS takes no negative strides
         dns = np.arange(-((L_f - 1) // half),
-                        (L_f + l.size - 2) // half + 1) - a_s
+                        (L_f + L_c - 2) // half + 1) - a_s
         R = np.empty((H.N_t, M, dns.size))
         for j, dn in enumerate(dns):
             i0 = (dn + a_s) * half + L_f - 1
-            R[:, :, j] = (c @ _rows(Ft, i0 - l) * _J[(jm - dn) % 4]).real
+            a, b, (W,) = _windows(F, 0, L_c - 1, i0)
+            R[:, :, j] = (cr[:, L_c - 1 - b:L_c - a] @ W.T
+                          * _J[(jm - dn) % 4]).real
         pos = np.arange(g.shape[1]) * D1
         T = _rows(F[m], L_f - 1 + pos[:, None] - pos)   # noise-gain form
         out.append(CoeffSet(R=R, dn=dns, m=m, u=u, alpha=a_s,

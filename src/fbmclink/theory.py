@@ -38,14 +38,22 @@ correlation rho,
 where gamma1 = E{h~_m'^* b}, gamma2 = E{h~_m^* b'}, ctil = c + rho gamma1
 gamma2^*/(1-|rho|^2), c = E{b b'^*} (all per antenna), J1 = E{Z/(XY)},
 K2 = E{Z^2/(XY)}, g3 = E{|Z|^2/(XY)}.  The three scalar ratio moments depend
-only on (|rho|, N_r) and are evaluated by Gauss-Laguerre/Hermite quadrature
-over (X, G, w_r, w_i), with the G axis folded into one matrix-vector product
-(`_ratio_moments`); their large-N_r limits reproduce the leading-order
-kernels.  The Gamma rules are Golub-Welsch, numpy.linalg.eigh of the dense
-Jacobi matrix (`_gauss_gamma`); the Hermite rule is numpy's hermgauss.  For
-N_t > 1 the combiner rows of the multi-user ZF are treated like single-user
-ones at leading order with the inverse-Wishart normalization 1/(N_r - N_t),
-the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the diagonal.
+only on (|rho|, N_r), and their large-N_r limits reproduce the leading-order
+kernels.  Given X and the in-line component w_r, Y reaches the remaining
+Gaussian w_i and the Gamma(N_r-1) remainder G only through
+T = w_i^2 + G ~ Gamma(N_r-1/2), and w_i^2/T ~ Beta(1/2, N_r-1) is
+independent of T, so the Beta axis folds into its mean 1/(2N_r-1):
+`_ratio_moments` is a 3-D Gauss quadrature over (X, w_r, T) of
+48 x 64 x 80 nodes, with the T axis one matrix-vector product per |rho|.
+At |rho| = 0, where g2 is exactly 0, it reads below 1e-12 at N_r = 8; at
+N_r >= 16 it agrees with the former 4-D (X, G, w_r, w_i) rule within
+4e-12, and at smaller N_r it is the closer of the two to a high-order
+evaluation.  The Gamma rules are Golub-Welsch, numpy.linalg.eigh of the
+dense Jacobi matrix (`_gauss_gamma`); the Hermite rule is numpy's
+hermgauss.  For N_t > 1 the combiner rows of the multi-user ZF are treated
+like single-user ones at leading order with the inverse-Wishart
+normalization 1/(N_r - N_t), the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the
+diagonal.
 
 Held between calls: the read-only transmultiplexer table of one subcarrier
 per live PrototypeFilter (`_TABLES`, weakly keyed; 8.4 MB at M=256), read by
@@ -83,47 +91,54 @@ def _gauss_gamma(n, a):
     return x, w / w.sum()
 
 
-def _ratio_moments(bvals, N_r, nx=48, ng=48, nh=24):
+def _ratio_moments(bvals, N_r, nx=48, nt=80, nh=64):
     """Wishart ratio moments (g1, g2, g3) for |correlation| values bvals.
 
     g1 = E{Z/(XY)} e^{-j phi}, g2 = E{Z^2/(XY)} e^{-2j phi},
     g3 = E{|Z|^2/(XY)} with X = ||x||^2, Y = ||y||^2, Z = x^H y for iid
     CN(0,1) N_r-vectors with per-antenna correlation b = |E{x^* y}| (the
-    phase separates out).  Quadrature: X ~ Gamma(N_r), y splits into a
-    CN(0,1) scalar w_r + j w_i along x and a Gamma(N_r-1) remainder G.  With
-    s^2 = 1 - b^2, a = b sqrt(X) + s w_r and c = a^2 + s^2 w_i^2, Y = c + s^2 G
-    and the integrands a/(sqrt(X) Y), (a^2 - s^2 w_i^2)/Y, c/Y are even in w_i
-    and reach G only through 1/Y.  Requires N_r >= 2.
+    phase separates out).  X ~ Gamma(N_r); y splits into a CN(0,1) scalar
+    w_r + j w_i along x and a Gamma(N_r-1) remainder G.  With s^2 = 1 - b^2
+    and a = b sqrt(X) + s w_r, Z/sqrt(X) = a + j s w_i and
+    Y = a^2 + s^2 T, T = w_i^2 + G ~ Gamma(N_r-1/2).  The terms odd in w_i
+    vanish, and w_i^2/T ~ Beta(1/2, N_r-1) is independent of T with mean
+    1/(2N_r-1), so with A2 = E{a^2/Y} (and 1 - A2 = E{s^2 T/Y})
+
+      g1 = E{a/(sqrt(X) Y)},  g2 = A2 - (1-A2)/(2N_r-1),
+      g3 = A2 + (1-A2)/(2N_r-1),
+
+    a 3-D Gauss quadrature over (X, w_r, T): Gamma rules of nx and nt nodes
+    and a Hermite rule of nh nodes, with T reached only through 1/Y.  At the
+    default nodes g2(b=0), exactly 0, reads below 1e-12 at N_r=8.  Requires
+    N_r >= 2.
     """
     if N_r < 2:
         raise ConfigError(f"ratio moments need N_r >= 2, got N_r={N_r}")
     bvals = np.atleast_1d(np.asarray(bvals, dtype=float))
     ub, inv = np.unique(np.round(bvals, 14), return_inverse=True)
-    key = (N_r, nx, ng, nh, ub.tobytes())
+    key = (N_r, nx, nt, nh, ub.tobytes())
     if key in _MOMENT_CACHE:
         return tuple(_MOMENT_CACHE[key][inv].T)
     xg, xw = _gauss_gamma(nx, N_r - 1)
-    gg, gw = _gauss_gamma(ng, N_r - 2)
+    tg, tw = _gauss_gamma(nt, N_r - 1.5)
     hr, hw = hermgauss(nh)
-    hw = hw / hw.sum()
-    half = hr >= 0
-    wi2 = hr[half] ** 2
-    sqX = np.sqrt(xg)[:, None, None]
-    wr = hr[None, :, None]
-    W = (xw[:, None, None] * hw[None, :, None]
-         * (np.where(hr[half] > 0, 2.0, 1.0) * hw[half])[None, None, :])
+    sqX = np.sqrt(xg)[:, None]
+    W = xw[:, None] * (hw / hw.sum())
+    beta = 1.0 / (2 * N_r - 1)                  # E{w_i^2 / T}
+    Y = np.empty((nt, nx, nh))
     out = np.empty((ub.size, 3))
     for i, b in enumerate(ub):
         if b >= 1.0 - 1e-12:
             out[i] = (1.0 / (N_r - 1), 1.0, 1.0)
             continue
         s2 = 1.0 - b * b
-        a = b * sqX + np.sqrt(s2) * wr
-        c = a * a + s2 * wi2
-        D = np.add.outer(s2 * gg, c)                        # Y at every G node
-        R = W * np.tensordot(gw, np.reciprocal(D, out=D), 1)  # W E_G{1/Y}
-        out[i] = (np.sum(a / sqX * R), np.sum((c - 2 * s2 * wi2) * R),
-                  np.sum(c * R))
+        a = b * sqX + np.sqrt(s2) * hr
+        a2 = a * a
+        np.add.outer(s2 * tg, a2, out=Y)
+        R = W * np.tensordot(tw, np.reciprocal(Y, out=Y), 1)   # W E_T{1/Y}
+        A2 = np.sum(a2 * R)
+        out[i] = (np.sum(a / sqX * R), A2 - (1.0 - A2) * beta,
+                  A2 + (1.0 - A2) * beta)
     if len(_MOMENT_CACHE) > 64:
         _MOMENT_CACHE.clear()
     _MOMENT_CACHE[key] = out
@@ -326,10 +341,36 @@ interference_table = InterferenceTable
 
 
 def _rows(Ft, i):
-    """Rows i of a lag-major table, zero where i falls outside it."""
+    """Rows i of a lag-major table, zero where i falls outside it: the
+    scattered reads (mean peaks, the noise-gain Toeplitz form).  Runs of
+    lags are read through `_windows`."""
     X = np.take(Ft, i, axis=0, mode="clip")
     X[(i < 0) | (i >= len(Ft))] = 0.0
     return X
+
+
+def _windows(F, lo, hi, *i0s):
+    """Table columns i0 - l for l in [lo, hi], one view per i0 in i0s.
+
+    Returns (a, b, views): [a, b] is the part of [lo, hi] at which every
+    column i0 - l lies in the table (a = b + 1 when none does), and each
+    view is the contiguous slice F[:, i0 - b : i0 - a + 1], whose column j
+    holds l = b - j.  Beyond the table F is zero, so sums over l need only
+    [a, b].
+    """
+    a = max(lo, max(i0s) - F.shape[1] + 1)
+    b = max(min(hi, min(i0s)), a - 1)
+    return a, b, [F[:, i0 - b:i0 - a + 1] for i0 in i0s]
+
+
+def _runs(key, l, band):
+    """Split a band in row-major order by key into runs of l: (lo, hi, key,
+    values for l = hi, hi-1, ..., lo) per key value."""
+    runs = []
+    for k in sorted(set(key.tolist())):
+        sel = key == k
+        runs.append((l[sel][0], l[sel][-1], k, band[sel][::-1].copy()))
+    return runs
 
 
 def average_power(stats, table, P_s):
@@ -340,24 +381,34 @@ def average_power(stats, table, P_s):
     `stats`. The deterministic amplitude combines the filter-bank peak (own
     user only) with the mean equalization-error rays.  The variance
     (1/2) Re{v^T eps v^* + v^T eps_check v} is summed over the band support
-    of the covariances, for all m' of one dn at a time, from table rows: the
-    phase of v cancels in eps, squares to +-1 in eps_check.
+    of the covariances, for all m' of one dn at a time: the phase of v
+    cancels in eps, squares to +-1 in eps_check.  Each eps offset l' - l in
+    {0, +-M} and each eps_check sum l + l' = S covers one run of l, so each
+    is one product of contiguous table windows (`_windows`); an eps_check
+    run is symmetric about S/2, so its second factor is its first reversed.
     """
     own = stats.pair[0] == stats.pair[1]
     dns = table.dn_range(stats.L_h)
     A = stats.alpha * table.M // 2
     (el, elp), (cl, clp) = _support(stats.n, table.M, A)
-    e, c = stats.eps_band, stats.check_band
+    eps_runs = _runs(elp - el, el, stats.eps_band)
+    chk_runs = _runs(cl + clp, cl, stats.check_band)
     peaks = np.flatnonzero(stats.mu)
-    Ft = table.F.T                              # (lag, m'), lag-major
+    F, Ft = table.F, table.F.T
     jm = np.arange(table.M) - table.m
     powers = np.empty((table.M, len(dns)))
     for j, dn in enumerate(dns):
-        i0 = (dn + stats.alpha) * (table.M // 2) + table.L_f - 1   # row at l=0
-        Xa, Xb = _rows(Ft, i0 - el), _rows(Ft, i0 - elp)
-        Xa *= np.conjugate(Xb, out=Xb)
-        quad = 0.5 * (e @ Xa + (c @ (_rows(Ft, i0 - cl) * _rows(Ft, i0 - clp)))
-                      * _J[2 * (jm - dn) % 4]).real
+        i0 = (dn + stats.alpha) * (table.M // 2) + table.L_f - 1   # l = 0
+        e = np.zeros(table.M, dtype=complex)
+        for lo, hi, d, v in eps_runs:
+            a, b, (X, Xd) = _windows(F, lo, hi, i0, i0 - d)
+            e += (X * np.conj(Xd)) @ v[hi - b:hi - a + 1]
+        c = np.zeros(table.M, dtype=complex)
+        for lo, hi, S, v in chk_runs:     # column i0 - (S - l) in F too
+            a, b, (X,) = _windows(F, max(lo, S - i0),
+                                  min(hi, S - i0 + F.shape[1] - 1), i0)
+            c += (X * X[:, ::-1]) @ v[hi - b:hi - a + 1]
+        quad = 0.5 * (e + c * _J[2 * (jm - dn) % 4]).real
         amp = ((stats.mu[peaks] @ _rows(Ft, i0 - peaks) + _rows(Ft, i0 - A))
                * _J[(jm - dn) % 4]).real if own else 0.0
         powers[:, j] = quad + amp * amp

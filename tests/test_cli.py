@@ -84,6 +84,26 @@ def test_fig4_exit_0_and_theory_column(tmp_path, capsys):
         assert float(r["sinr_theory_db"]) == want
 
 
+def test_fig3_lengths_start_where_the_delay_fits(tmp_path, capsys):
+    # g-bar places the alpha M/2 delay only with more than alpha M/(2 D1)
+    # low-rate taps, so each D1's axis starts one tap past that
+    code, out = _run(tmp_path, "fig3",
+                     "M = 16\nkappa = 2\nN_r = 4\ntrials = 2\n"
+                     "channels = PedA\n")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "fig3.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    lengths = {}
+    for r in rows:
+        lengths.setdefault(int(r["D1"]), []).append(int(r["Lg_prime"]))
+    assert sorted(lengths) == [2, 4, 8]
+    for D1, lg in lengths.items():
+        assert all(x > 16 // (2 * D1) for x in lg)
+        assert lg == list(range(16 // (2 * D1) + 1, 16 // (2 * D1) + 9))
+    assert all(np.isfinite(float(r["sir_db"])) for r in rows)
+
+
 def test_fig4_channel_longer_than_m_exits_2_before_the_sweep(
         tmp_path, capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
