@@ -16,11 +16,11 @@ from .stage1 import (HighRateEqualizer, SingleTapEqualizer, alpha_bound,
                      design_highrate, apply_highrate, single_tap)
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,
                      build_lowrate_receiver, equalize_lowrate, recover_symbols)
-from .theory import (tau, ErrorStats, error_stats, InterferenceTable,
-                     interference_table, average_power, noise_power,
-                     sir_upper_bound, theoretical_sinr)
-from .metrics import (SchemeSpec, CoeffSet, SinrEstimate, empirical_sinr,
-                      SinrReport, SweepResult, sweep, run_mse)
+from .theory import (tau, ErrorStats, error_stats, interference_table,
+                     average_power, noise_power, sir_upper_bound,
+                     theoretical_sinr)
+from .metrics import (SchemeSpec, CoeffSet, SinrReport, SweepResult, sweep,
+                      run_mse)
 from .config import (SimConfig, parse_config, render_config, fingerprint,
                      channel_assignment, P_SYM)
 from .cli import run_preset, emit_plot_script, main

@@ -8,6 +8,8 @@ import numpy as np
 from numpy.fft import fft, ifft
 from numpy.random import Generator, Philox
 
+from .errors import ConfigError
+
 # Standard profiles as (delay ns, average power dB) anchor lists (3GPP TS 36.101
 # annex B for EVA/ETU, ITU-R M.1225 for the pedestrian profiles).
 _STANDARD_PDPS = {
@@ -41,12 +43,12 @@ class PdpProfile:
     def __init__(self, name, taps, sample_rate):
         taps = np.asarray(taps, dtype=float)
         if taps.ndim != 1 or taps.size == 0:
-            raise ValueError("profile taps must be a nonempty 1-D sequence")
+            raise ConfigError("profile taps must be a nonempty 1-D sequence")
         if np.any(taps < 0):
-            raise ValueError("profile taps must be nonnegative")
+            raise ConfigError("profile taps must be nonnegative")
         total = taps.sum()
         if total <= 0:
-            raise ValueError("profile has zero total power")
+            raise ConfigError("profile has zero total power")
         self.name = name
         self.taps = taps / total
         self.sample_rate = float(sample_rate)
@@ -105,19 +107,19 @@ def load_pdp(name, sample_rate):
                     continue
                 parts = line.split()
                 if len(parts) != 2:
-                    raise ValueError(
+                    raise ConfigError(
                         f"{name}:{lineno}: expected 'delay_ns power_db', got {line!r}")
                 try:
                     rows.append((float(parts[0]), float(parts[1])))
                 except ValueError:
-                    raise ValueError(
+                    raise ConfigError(
                         f"{name}:{lineno}: non-numeric entry in {line!r}") from None
         if not rows:
-            raise ValueError(f"{name}: no anchor rows found")
+            raise ConfigError(f"{name}: no anchor rows found")
         delays, powers = zip(*rows)
         return PdpProfile(os.path.basename(name),
                           _place_anchors(delays, powers, sample_rate), sample_rate)
-    raise ValueError(
+    raise ConfigError(
         f"unknown profile {name!r}: expected one of {sorted(_STANDARD_PDPS)} "
         "or a readable custom file path")
 
@@ -300,36 +302,31 @@ def bin_response(taps, n):
 
 
 class FreqCsi:
-    """Frequency-domain CSI on the M DFT bins.
+    """Channel state on the M DFT bins, held as time taps.
 
-    H_tilde has shape (M, N_r, N_t). time_taps, shape (N_r, N_t, L), is what
-    the equalizer designers read: they take its bins at any grid size n with
-    ``bin_response(time_taps, n)``, which folds the taps modulo n. It holds
-    the true taps for perfect CSI and the length-M IDFT of the estimated bins
-    for estimated CSI, so ``bin_response(time_taps, M)`` reproduces H_tilde
-    either way.
+    time_taps, shape (N_r, N_t, L), is what the equalizer designers read:
+    they take its bins at any grid size n with ``bin_response(time_taps,
+    n)``, which folds the taps modulo n. It holds the true taps for perfect
+    CSI and the length-M IDFT of the estimated bins for estimated CSI.
     """
 
-    def __init__(self, H_tilde, time_taps):
-        self.H_tilde = np.asarray(H_tilde, dtype=complex)
+    def __init__(self, time_taps, M):
         self.time_taps = np.asarray(time_taps, dtype=complex)
-
-    @property
-    def M(self):
-        return self.H_tilde.shape[0]
+        self.M = M
 
     @property
     def N_r(self):
-        return self.H_tilde.shape[1]
+        return self.time_taps.shape[0]
 
     @property
     def N_t(self):
-        return self.H_tilde.shape[2]
+        return self.time_taps.shape[1]
 
 
 def freq_csi(H, M):
-    """Perfect CSI: H_tilde_m = sum_l H[l] e^{-j 2 pi m l / M} for m = 0..M-1."""
-    return FreqCsi(bin_response(H.taps, M), H.taps)
+    """Perfect CSI on M bins: the true taps, whose bins are
+    H_tilde_m = sum_l H[l] e^{-j 2 pi m l / M}."""
+    return FreqCsi(H.taps, M)
 
 
 def estimate_csi_mmse(csi, P_p, sigma_z2, seed):
@@ -341,9 +338,10 @@ def estimate_csi_mmse(csi, P_p, sigma_z2, seed):
     if P_p <= 0:
         raise ValueError("P_p must be positive")
     rng = make_rng(seed)
-    Z = np.sqrt(P_p * sigma_z2 / 2.0) * (rng.standard_normal(csi.H_tilde.shape)
-                                         + 1j * rng.standard_normal(csi.H_tilde.shape))
-    H_hat = (P_p * csi.H_tilde + Z) / (P_p + sigma_z2)
+    H_tilde = bin_response(csi.time_taps, csi.M)
+    Z = np.sqrt(P_p * sigma_z2 / 2.0) * (rng.standard_normal(H_tilde.shape)
+                                         + 1j * rng.standard_normal(H_tilde.shape))
+    H_hat = (P_p * H_tilde + Z) / (P_p + sigma_z2)
     # bin-exact time-domain representation (length M)
     time_taps = np.fft.ifft(np.moveaxis(H_hat, 0, 2), axis=2)
-    return FreqCsi(H_hat, time_taps)
+    return FreqCsi(time_taps, csi.M)

@@ -188,6 +188,8 @@ def run_preset(name, scale="desk", out_dir="out", config_text=None, seed=None,
                           + ", ".join(_PRESETS))
     if scale not in ("desk", "full"):
         raise ConfigError(f"unknown scale {scale!r}; expected desk or full")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     items = _preset_items(name, scale)
     if config_text is not None:
         items.update(_parse_items(config_text, base_M=items.get("M")))

@@ -1,5 +1,5 @@
 """Monte Carlo measurement: interference coefficients per receiver scheme,
-empirical SIR/SINR with jackknife standard errors, symbol-level MSE runs, and
+SIR/SINR reports with jackknife standard errors, symbol-level MSE runs, and
 parameter sweeps.
 
 The coefficient path runs no sample streams. At the full rate, a scheme's
@@ -8,8 +8,9 @@ one tap W[m, u] (single-tap, alpha = 0), the L_g high-rate taps (D1 = 1) or
 the two-stage g-bar of subcarrier m. One batched FFT convolution
 (channel._convolve) sums the antennas into each user's equalized channel
 c_{u'} = sum_r g^r * h^{r,u'}, and the real symbol s_{m',n'} of user u'
-reaches the phase-compensated output with the coefficient (F the table that
-`theory` holds for (pf, m), entry i at lag i - (L_f - 1); indices from 0)
+reaches the phase-compensated output with the coefficient (F the table
+`theory.interference_table(pf, m)`, entry i at lag i - (L_f - 1); indices
+from 0)
 
     R[u', m', dn] = Re{ j^{(m'-m-dn) mod 4} sum_l F[m', i0 - l] c_{u'}[l] },
     i0 = (dn + alpha) M/2 + L_f - 1,      dn = n - n',
@@ -46,7 +47,8 @@ from .stage1 import (HighRateEqualizer, SingleTapEqualizer, design_highrate,
                      single_tap, apply_highrate)
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,
                      build_lowrate_receiver, equalize_lowrate, recover_symbols)
-from .theory import _J, _rows, _table, _windows
+from . import theory    # where bench/layers.py wraps interference_table
+from .theory import _J, _dn_range, _rows, _windows
 
 log = logging.getLogger(__name__)
 
@@ -158,7 +160,7 @@ def _measure_many(H, schemes, pf, m, u):
     F_{mm'} * c_{u'} reaches one product of the reversed c with the table
     window of columns i0 - l (`theory._windows`)."""
     M, L_f, half = pf.M, pf.L_f, pf.M // 2
-    F = _table(pf, m)
+    F = theory.interference_table(pf, m)
     jm = np.arange(M) - m
     out = []
     for scheme in schemes:
@@ -166,8 +168,7 @@ def _measure_many(H, schemes, pf, m, u):
         c = _equalized_channel(H, g, D1)
         L_c = c.shape[1]
         cr = c[:, ::-1].copy()      # BLAS takes no negative strides
-        dns = np.arange(-((L_f - 1) // half),
-                        (L_f + L_c - 2) // half + 1) - a_s
+        dns = _dn_range(M, L_f, a_s, L_c)
         R = np.empty((H.N_t, M, dns.size))
         for j, dn in enumerate(dns):
             i0 = (dn + a_s) * half + L_f - 1
@@ -192,30 +193,6 @@ def _jackknife_ratio_db(num, den):
     loo = 10.0 * np.log10((num.sum() - num) / (den.sum() - den))
     se = np.sqrt((T - 1) / T * np.sum((loo - loo.mean()) ** 2))
     return float(est), float(se)
-
-
-@dataclass
-class SinrEstimate:
-    sir_db: float
-    sir_se_db: float
-    sinr_db: float
-    sinr_se_db: float
-    noise_db: float
-    trials: int
-
-
-def empirical_sinr(coeff_sets, sigma_z2=0.0):
-    """Aggregate per-trial coefficient sets into SIR/SINR (ratio of mean
-    powers) with jackknife standard errors on the dB values."""
-    des = np.array([c.desired_power() for c in coeff_sets])
-    intf = np.array([c.interference_power() for c in coeff_sets])
-    nz = np.array([c.noise_power(sigma_z2) for c in coeff_sets])
-    sir_db, sir_se = _jackknife_ratio_db(des, intf)
-    sinr_db, sinr_se = _jackknife_ratio_db(des, intf + nz)
-    P_s = coeff_sets[0].P_s
-    noise_db = 10.0 * np.log10(nz.mean() / P_s) if sigma_z2 > 0 else -np.inf
-    return SinrEstimate(sir_db, sir_se, sinr_db, sinr_se, noise_db,
-                        len(coeff_sets))
 
 
 @dataclass
@@ -253,7 +230,7 @@ def _collect(cfg, specs, csi_mode, threads, pf):
     """Per-trial coefficient sets for every spec: {spec: [CoeffSet] * trials}."""
     profiles = [load_pdp(nm, cfg.sample_rate) for nm in channel_assignment(cfg)]
     m, u = cfg.subcarrier, cfg.user
-    _table(pf, m)           # held before the trials, which then only read it
+    theory.interference_table(pf, m)  # held before the trials read it
     sigma_d = cfg.noise_var()
     P_p = 2.0 * P_SYM * cfg.L_p
 
@@ -275,14 +252,23 @@ def _collect(cfg, specs, csi_mode, threads, pf):
     return {sp: [row[i] for row in rows] for i, sp in enumerate(specs)}, flagged
 
 
-def _report(cfg, spec, sets, gamma_db, csi_mode, flagged):
-    est = empirical_sinr(sets, cfg.noise_var(gamma_db))
+def _report(cfg, spec, label, sets, csi_mode, flagged):
+    """Aggregate per-trial coefficient sets into SIR/SINR (ratio of mean
+    powers) with jackknife standard errors on the dB values, at the SNR of
+    `cfg`."""
+    sigma_z2 = cfg.noise_var()
+    des = np.array([c.desired_power() for c in sets])
+    intf = np.array([c.interference_power() for c in sets])
+    nz = np.array([c.noise_power(sigma_z2) for c in sets])
+    sir_db, sir_se = _jackknife_ratio_db(des, intf)
+    sinr_db, sinr_se = _jackknife_ratio_db(des, intf + nz)
+    noise_db = 10.0 * np.log10(nz.mean() / sets[0].P_s) if sigma_z2 > 0 \
+        else -np.inf
     return SinrReport(
-        scheme=spec.label(), kind=spec.kind, D1=spec.D1, Lg_prime=spec.Lg_prime,
-        m=cfg.subcarrier, u=cfg.user, gamma_db=gamma_db,
-        sir_db=est.sir_db, sir_se_db=est.sir_se_db,
-        sinr_db=est.sinr_db, sinr_se_db=est.sinr_se_db, noise_db=est.noise_db,
-        trials=cfg.trials, seed=cfg.master_seed,
+        scheme=label, kind=spec.kind, D1=spec.D1, Lg_prime=spec.Lg_prime,
+        m=cfg.subcarrier, u=cfg.user, gamma_db=cfg.gamma_db,
+        sir_db=sir_db, sir_se_db=sir_se, sinr_db=sinr_db, sinr_se_db=sinr_se,
+        noise_db=noise_db, trials=cfg.trials, seed=cfg.master_seed,
         config_fingerprint=fingerprint(cfg), csi=csi_mode, flagged=flagged)
 
 
@@ -309,7 +295,8 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     strictly increasing. Lg_prime points must be >= 1; N_r points need not be
     powers of two; gamma_db points may be negative. Within a trial index the
     channel realization is shared across schemes (and, where the receiver does
-    not depend on the axis, across points).
+    not depend on the axis, across points). Each report carries the
+    fingerprint of its point's config; an Lg_prime point keeps `config`.
     """
     if axis not in _AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
@@ -318,52 +305,38 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
         raise ConfigError("sweep needs at least one point")
     if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
         raise ConfigError("sweep points must be strictly increasing")
-    if axis == "Lg_prime" and any(int(p) != p or p < 1 for p in points):
-        raise ConfigError("Lg_prime sweep points must be integers >= 1")
-    if axis == "N_r" and any(int(p) != p or p < 1 for p in points):
-        raise ConfigError("N_r sweep points must be integers >= 1")
+    if axis != "gamma_db" and any(int(p) != p or p < 1 for p in points):
+        raise ConfigError(f"{axis} sweep points must be integers >= 1")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     specs = _specs(config, schemes)
     labels = tuple(sp.label() for sp in specs)
-    reports = {}
-    pf = design_prototype(config.kappa, config.M)   # no axis changes it
-
-    if axis == "Lg_prime":
-        # widen to one spec per (two-stage scheme, point); everything else is
-        # measured once and reused across points
-        variants = {}
-        for pt in points:
-            variants[pt] = [replace(sp, Lg_prime=int(pt))
-                            if sp.kind == "two_stage" else sp for sp in specs]
-        unique = list(dict.fromkeys(sp for v in variants.values() for sp in v))
-        data, flagged = _collect(config, unique, csi_mode, threads, pf)
-        for pt in points:
-            for sp, lab in zip(variants[pt], labels):
-                rep = _report(config, sp, data[sp], config.gamma_db,
-                              csi_mode, flagged)
-                reports[(pt, lab)] = replace(rep, scheme=lab)
-    elif axis == "gamma_db":
-        if config.criterion == "zf" and csi_mode == "perfect":
-            # ZF coefficients do not depend on the noise level: measure once
-            data, flagged = _collect(config, specs, csi_mode, threads, pf)
-            for pt in points:
-                for sp, lab in zip(specs, labels):
-                    reports[(pt, lab)] = _report(config, sp, data[sp],
-                                                 float(pt), csi_mode, flagged)
+    plan = []       # (point, config, specs)
+    for pt in points:
+        if axis == "Lg_prime":      # selects specs; the config stays
+            plan.append((pt, config, [replace(sp, Lg_prime=int(pt))
+                                      if sp.kind == "two_stage" else sp
+                                      for sp in specs]))
         else:
-            for pt in points:
-                cfg_pt = replace(config, gamma_db=float(pt))
-                data, flagged = _collect(cfg_pt, specs, csi_mode, threads, pf)
-                for sp, lab in zip(specs, labels):
-                    reports[(pt, lab)] = _report(cfg_pt, sp, data[sp],
-                                                 float(pt), csi_mode, flagged)
-    else:
-        for pt in points:
-            cfg_pt = replace(config, N_r=int(pt))
-            data, flagged = _collect(cfg_pt, specs, csi_mode, threads, pf)
-            for sp, lab in zip(specs, labels):
-                reports[(pt, lab)] = _report(cfg_pt, sp, data[sp],
-                                             cfg_pt.gamma_db, csi_mode, flagged)
-        log.debug("sweep %s done (%d points)", axis, len(points))
+            value = float(pt) if axis == "gamma_db" else int(pt)
+            plan.append((pt, replace(config, **{axis: value}), specs))
+    # trials are shared across points when no receiver depends on the axis:
+    # L'_g only selects among specs, and ZF with perfect CSI ignores the SNR
+    shared = axis == "Lg_prime" or (axis == "gamma_db" and
+                                    csi_mode == "perfect" and
+                                    config.criterion == "zf")
+    pf = design_prototype(config.kappa, config.M)   # no axis changes it
+    if shared:
+        unique = list(dict.fromkeys(sp for _, _, v in plan for sp in v))
+        data, flagged = _collect(config, unique, csi_mode, threads, pf)
+    reports = {}
+    for pt, cfg, v in plan:
+        if not shared:
+            data, flagged = _collect(cfg, v, csi_mode, threads, pf)
+        for sp, lab in zip(v, labels):
+            reports[(pt, lab)] = _report(cfg, sp, lab, data[sp], csi_mode,
+                                         flagged)
+    log.debug("sweep %s done (%d points)", axis, len(points))
     return SweepResult(axis, tuple(points), labels, reports, fingerprint(config))
 
 

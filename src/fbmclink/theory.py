@@ -56,8 +56,9 @@ normalization 1/(N_r - N_t), the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the
 diagonal.
 
 Held between calls: the read-only transmultiplexer table of one subcarrier
-per live PrototypeFilter (`_TABLES`, weakly keyed; 8.4 MB at M=256), read by
-every SNR point of a sweep and every Monte Carlo trial of `metrics`.  Error
+per live PrototypeFilter (`interference_table`, kept in `_TABLES`, weakly
+keyed; 8.4 MB at M=256), read by every SNR point of a sweep, by
+`sir_upper_bound` and by every Monte Carlo trial of `metrics`.  Error
 statistics depend on PDP contents and N_r that callers may change in place,
 so they are rebuilt per call, and their `_ratio_moments` calls (and
 noise_power's) hit `_MOMENT_CACHE` instead.
@@ -169,8 +170,8 @@ class ErrorStats:
     matrices `eps` and `eps_check` are built when read.
     """
 
-    def __init__(self, pair, alpha, L_h, M, eps_band, check_band, mu):
-        self.pair, self.alpha, self.L_h, self.M = pair, alpha, L_h, M
+    def __init__(self, pair, alpha, M, eps_band, check_band, mu):
+        self.pair, self.alpha, self.M = pair, alpha, M
         self.eps_band, self.check_band, self.mu = eps_band, check_band, mu
 
     @property
@@ -295,7 +296,7 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
         peaks = (ll - A) % M == 0
         mu[peaks] = Q[peaks]
         mu[A] -= 1.0
-    return ErrorStats(pair, alpha, L_h, M, eps_band, check_band, mu)
+    return ErrorStats(pair, alpha, M, eps_band, check_band, mu)
 
 
 def _transmux(pf, m, lags):
@@ -304,8 +305,11 @@ def _transmux(pf, m, lags):
     return np.conj(_afb(pf.subcarrier_filter(m), pf, -np.asarray(lags)))
 
 
-def _table(pf, m):
-    """The read-only table F_{mm'} held for (pf, m), built on a miss."""
+def interference_table(pf, m):
+    """The read-only table F held for (pf, m), built on a miss: row m' is
+    the full sequence F_{mm'}[l], entry i at lag i - (L_f - 1), shape
+    (M, 2 L_f - 1).  The phase e^{j(theta'-theta)} = j^{m'-m-dn} is applied
+    when powers are formed."""
     m_held, F = _TABLES.get(pf, (None, None))
     if m_held != m:
         F = _transmux(pf, m, np.arange(1 - pf.L_f, pf.L_f))
@@ -314,30 +318,11 @@ def _table(pf, m):
     return F
 
 
-class InterferenceTable:
-    """Transmultiplexer responses seen by one receive subcarrier m.
-
-    F[m'] is the full sequence F_{m m'}[l], entry i at lag i-(L_f-1); the
-    phase e^{j(theta'-theta)} = j^{m'-m-dn} is applied when powers are
-    formed.  F is the read-only table held in `_TABLES` for (pf, m).
-    """
-
-    def __init__(self, pf, M, alpha, max_dn=None, m=None):
-        self.pf, self.M, self.alpha = pf, M, alpha
-        self.m = M // 2 if m is None else m
-        self.max_dn = 2 * pf.kappa + 3 if max_dn is None else max_dn
-        self.L_f, self.F = pf.L_f, _table(pf, self.m)
-
-    def dn_range(self, L_h):
-        """All dn with a nonzero window for error length M+L_h-1."""
-        dns = np.arange(-self.max_dn, self.max_dn + 1)
-        lag_hi = (dns + self.alpha) * (self.M // 2)
-        ok = (lag_hi > -self.L_f) & (lag_hi - (self.M + L_h - 2) < self.L_f)
-        return dns[ok].tolist()
-
-
-# bench/layers.py wraps this name, and theoretical_sinr calls through it
-interference_table = InterferenceTable
+def _dn_range(M, L_f, alpha, n):
+    """Every lattice offset dn whose table window reaches a lag l in [0, n):
+    |(dn + alpha) M/2 - l| < L_f for some l."""
+    half = M // 2
+    return np.arange(-((L_f - 1) // half), (L_f + n - 2) // half + 1) - alpha
 
 
 def _rows(Ft, i):
@@ -373,13 +358,15 @@ def _runs(key, l, band):
     return runs
 
 
-def average_power(stats, table, P_s):
+def average_power(stats, F, m, P_s):
     """Average interference powers: variance plus squared-mean parts.
 
-    Returns (powers, dn_values): powers[m', j] is the mean-square interference
-    coefficient from lattice offset (m', dn_values[j]) for the user pair of
-    `stats`. The deterministic amplitude combines the filter-bank peak (own
-    user only) with the mean equalization-error rays.  The variance
+    F is the `interference_table` of receive subcarrier m; M and L_f come
+    from its shape and alpha from `stats`.  Returns (powers, dn_values):
+    powers[m', j] is the mean-square interference coefficient from lattice
+    offset (m', dn_values[j]) for the user pair of `stats`. The deterministic
+    amplitude combines the filter-bank peak (own user only) with the mean
+    equalization-error rays.  The variance
     (1/2) Re{v^T eps v^* + v^T eps_check v} is summed over the band support
     of the covariances, for all m' of one dn at a time: the phase of v
     cancels in eps, squares to +-1 in eps_check.  Each eps offset l' - l in
@@ -388,22 +375,23 @@ def average_power(stats, table, P_s):
     run is symmetric about S/2, so its second factor is its first reversed.
     """
     own = stats.pair[0] == stats.pair[1]
-    dns = table.dn_range(stats.L_h)
-    A = stats.alpha * table.M // 2
-    (el, elp), (cl, clp) = _support(stats.n, table.M, A)
+    M, L_f, alpha = F.shape[0], (F.shape[1] + 1) // 2, stats.alpha
+    dns = _dn_range(M, L_f, alpha, stats.n).tolist()
+    A = alpha * M // 2
+    (el, elp), (cl, clp) = _support(stats.n, M, A)
     eps_runs = _runs(elp - el, el, stats.eps_band)
     chk_runs = _runs(cl + clp, cl, stats.check_band)
     peaks = np.flatnonzero(stats.mu)
-    F, Ft = table.F, table.F.T
-    jm = np.arange(table.M) - table.m
-    powers = np.empty((table.M, len(dns)))
+    Ft = F.T
+    jm = np.arange(M) - m
+    powers = np.empty((M, len(dns)))
     for j, dn in enumerate(dns):
-        i0 = (dn + stats.alpha) * (table.M // 2) + table.L_f - 1   # l = 0
-        e = np.zeros(table.M, dtype=complex)
+        i0 = (dn + alpha) * (M // 2) + L_f - 1          # l = 0
+        e = np.zeros(M, dtype=complex)
         for lo, hi, d, v in eps_runs:
             a, b, (X, Xd) = _windows(F, lo, hi, i0, i0 - d)
             e += (X * np.conj(Xd)) @ v[hi - b:hi - a + 1]
-        c = np.zeros(table.M, dtype=complex)
+        c = np.zeros(M, dtype=complex)
         for lo, hi, S, v in chk_runs:     # column i0 - (S - l) in F too
             a, b, (X,) = _windows(F, max(lo, S - i0),
                                   min(hi, S - i0 + F.shape[1] - 1), i0)
@@ -415,7 +403,7 @@ def average_power(stats, table, P_s):
     return powers * P_s, dns
 
 
-def noise_power(profile, pf, M, N_r, alpha, sigma_z2, m, N_t=1):
+def noise_power(profile, pf, M, N_r, sigma_z2, N_t=1):
     """Average demodulated-noise power of the two-stage/high-rate ZF receiver.
 
     For a single stream the bin-m'/bin-m'' combiner cross moment
@@ -425,7 +413,7 @@ def noise_power(profile, pf, M, N_r, alpha, sigma_z2, m, N_t=1):
     that carries nearly all the weight.  `profile` is the equalized user's
     PDP.  That moment K depends only on m'' - m' (mod M), so the equalizer
     taps are uncorrelated with sum_l E{|g[l]|^2} = K[0], and the power is
-    sigma_z2 K[0] ||p||^2 / (2 c0) for every alpha and m.
+    sigma_z2 K[0] ||p||^2 / (2 c0) for every delay and subcarrier.
     """
     if sigma_z2 == 0:
         return 0.0
@@ -467,12 +455,10 @@ def sir_upper_bound(pf, M, alpha, m):
     summed coefficients), the bank is orthogonal to within float64 precision
     and the bound is +inf; this is the case for kappa=2, whose PHYDYAS pulse
     reconstructs exactly.  The coefficients are columns of the table held for
-    (pf, m), or else one `_transmux` pass over their lags (same bits).
+    (pf, m).
     """
     dns = np.arange(1 - 2 * pf.kappa, 2 * pf.kappa)    # |dn| M/2 < L_f
-    m_held, F = _TABLES.get(pf, (None, None))
-    F = F[:, dns * (M // 2) + pf.L_f - 1] if m_held == m \
-        else _transmux(pf, m, dns * (M // 2))
+    F = interference_table(pf, m)[:, dns * (M // 2) + pf.L_f - 1]
     c = (F * _J[(np.arange(M)[:, None] - m - dns) % 4]).real
     c[m, dns == 0] = 0.0
     den = np.sum(c * c)
@@ -481,8 +467,7 @@ def sir_upper_bound(pf, M, alpha, m):
     return 10.0 * np.log10(1.0 / den)
 
 
-def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0,
-                     max_dn=None):
+def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0):
     """Closed-form output SINR in dB at subcarrier m for user u.
 
     Sums the closed-form average powers of the own-stream interference, the
@@ -496,7 +481,7 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0,
     NumericalError.  The table is the one held for (pf, m); the statistics
     are rebuilt on each call, once per distinct (own pair, source PDP).
     """
-    table = interference_table(pf, M, alpha, max_dn=max_dn, m=m)
+    F = interference_table(pf, m)
     N_t = len(profiles)
     interference, exact_eq, seen = 0.0, True, {}
     for up in range(N_t):
@@ -505,7 +490,7 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0,
             stats = error_stats(profiles, M, N_r, alpha, (u, up),
                                 exact=(N_t == 1),
                                 n_eff=None if N_t == 1 else N_r - N_t)
-            powers, dns = average_power(stats, table, P_s)
+            powers, dns = average_power(stats, F, m, P_s)
             if up == u:
                 j0 = dns.index(0)
                 desired = powers[m, j0]
@@ -517,8 +502,8 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0,
         interference += seen[key][1]
     if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:
         interference = 0.0
-    total = interference + noise_power(profiles[u], pf, M, N_r, alpha,
-                                       sigma_z2, m, N_t=len(profiles))
+    total = interference + noise_power(profiles[u], pf, M, N_r, sigma_z2,
+                                       N_t=N_t)
     if total == 0.0:
         return np.inf
     if not total > 0.0:

@@ -39,18 +39,18 @@ def transmux_response(pf, m, m_prime):
     return np.convolve(f_mp, np.conj(f_m[::-1]))
 
 
-def window(table, dn, L_h):
-    """V[l, m'] = F_{mm'}[(dn+alpha) M/2 - l] j^{m'-m-dn} for every m' of an
-    `InterferenceTable`, l = 0..M+L_h-2 (zero outside the table), shape
-    (M+L_h-1, M)."""
-    M, F = table.M, table.F
-    n, width = M + L_h - 1, F.shape[1]
-    i0 = (dn + table.alpha) * (M // 2) + table.L_f - 1    # at l = 0
+def window(F, m, alpha, dn, L_h):
+    """V[l, m'] = F_{mm'}[(dn+alpha) M/2 - l] j^{m'-m-dn} for every m' of the
+    `interference_table` F of subcarrier m, l = 0..M+L_h-2 (zero outside the
+    table), shape (M+L_h-1, M)."""
+    M, width = F.shape
+    n, L_f = M + L_h - 1, (width + 1) // 2
+    i0 = (dn + alpha) * (M // 2) + L_f - 1              # at l = 0
     l0, l1 = max(0, i0 - width + 1), min(n, i0 + 1)
     V = np.zeros((n, M), dtype=complex)
     if l0 < l1:
         V[l0:l1] = F[:, i0 - l1 + 1:i0 - l0 + 1][:, ::-1].T
-    V *= np.array([1, 1j, -1, -1j])[(np.arange(M) - table.m - dn) % 4]
+    V *= np.array([1, 1j, -1, -1j])[(np.arange(M) - m - dn) % 4]
     return V
 
 

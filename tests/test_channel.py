@@ -350,9 +350,10 @@ def test_freq_csi_matches_dft(eva, uni4):
     csi = freq_csi(H, M)
     assert (csi.M, csi.N_r, csi.N_t) == (M, 2, 2)
     l = np.arange(H.L_h)
+    bins = bin_response(csi.time_taps, csi.M)
     for m in (0, 1, 17, 31):
         want = (H.taps * np.exp(-2j * np.pi * m * l / M)).sum(axis=2)
-        np.testing.assert_allclose(csi.H_tilde[m], want, atol=1e-12)
+        np.testing.assert_allclose(bins[m], want, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["EVA", "ETU"])
@@ -364,7 +365,7 @@ def test_freq_csi_longer_channel_than_bins(name):
     l = np.arange(H.L_h)
     want = np.stack([(H.taps * np.exp(-2j * np.pi * m * l / M)).sum(axis=2)
                      for m in range(M)])
-    got = freq_csi(H, M).H_tilde
+    got = bin_response(freq_csi(H, M).time_taps, M)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -382,19 +383,23 @@ def test_bin_response_is_the_dtft_on_the_grid(eva, n):
 def test_estimate_csi_noiseless(eva):
     csi = freq_csi(draw_channel(eva, 4, 8), 64)
     est = estimate_csi_mmse(csi, 16.0, 0.0, 1)
-    np.testing.assert_allclose(est.H_tilde, csi.H_tilde, atol=1e-12)
+    est_bins = bin_response(est.time_taps, est.M)
+    np.testing.assert_allclose(est_bins, bin_response(csi.time_taps, csi.M),
+                               atol=1e-12)
     # the time representation always reproduces the bins exactly
     back = np.moveaxis(np.fft.fft(est.time_taps, axis=2), 2, 0)
-    np.testing.assert_allclose(back, est.H_tilde, atol=1e-12)
+    np.testing.assert_allclose(back, est_bins, atol=1e-12)
 
 
 def test_estimate_csi_error_statistics(eva):
     csi = freq_csi(draw_channel([eva, eva], 8, 8), 64)
     P_p, s2 = 8.0, 2.0
+    bins = bin_response(csi.time_taps, csi.M)
     zs = []
     for seed in range(20):
         est = estimate_csi_mmse(csi, P_p, s2, seed)
-        zs.append(est.H_tilde * (P_p + s2) - P_p * csi.H_tilde)
+        zs.append(bin_response(est.time_taps, est.M) * (P_p + s2)
+                  - P_p * bins)
     z = np.concatenate([z.ravel() for z in zs])
     assert abs(np.mean(np.abs(z) ** 2) / (P_p * s2) - 1.0) < 0.05
     assert abs(z.mean()) < 0.05

@@ -117,6 +117,39 @@ def test_fig4_channel_longer_than_m_exits_2_before_the_sweep(
     assert not (out / "fig4.csv").exists()
 
 
+def _assert_config_error(code, capsys, text):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and err.count("\n") == 1
+    assert text in err
+
+
+def test_unknown_channel_profile_exits_2(tmp_path, capsys):
+    code, out = _run(tmp_path, "fig6", "M = 16\ntrials = 2\nchannels = Foo\n")
+    _assert_config_error(code, capsys, "unknown profile 'Foo'")
+    assert not (out / "fig6.csv").exists()
+
+
+def test_malformed_custom_profile_exits_2(tmp_path, capsys):
+    pdp = tmp_path / "bad.pdp"
+    pdp.write_text("# delay_ns power_db\n0 0.0\n30 loud\n", encoding="utf-8")
+    code, out = _run(tmp_path, "fig6",
+                     f"M = 16\ntrials = 2\nchannels = {pdp}\n")
+    _assert_config_error(code, capsys, "bad.pdp:3: non-numeric entry")
+    assert not (out / "fig6.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exits_2(tmp_path, capsys, threads):
+    cfg = tmp_path / "fig7.cfg"
+    cfg.write_text(_TINY_FIG7, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", "fig7", "--config", str(cfg), "--out", str(out),
+                 "--threads", threads])
+    _assert_config_error(code, capsys, "threads must be >= 1")
+    assert not (out / "fig7.csv").exists()
+
+
 def test_schemes_is_not_a_config_key(tmp_path, capsys):
     # every preset runs its own receiver schemes
     code, out = _run(tmp_path, "fig7", _TINY_FIG7 + "schemes = highrate\n")

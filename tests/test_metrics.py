@@ -15,7 +15,7 @@ from scipy.signal import fftconvolve
 
 from fbmclink import theory
 from fbmclink.channel import apply_channel, draw_channel, freq_csi, make_rng
-from fbmclink.config import SimConfig
+from fbmclink.config import SimConfig, fingerprint
 from fbmclink.errors import ConfigError
 from fbmclink.fbmc import OqamGrid, design_prototype, modulate
 from fbmclink.metrics import (SchemeSpec, _collect, _equalized_channel,
@@ -211,6 +211,29 @@ def test_sweep_builds_one_transmultiplexer_table(monkeypatch):
     cfg = replace(_small_cfg(), trials=2)
     sweep(cfg, "N_r", [4, 5, 6], _SCHEMES)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("criterion, axis, points, csi_mode", [
+    ("zf", "gamma_db", [0.0, 20.0], "perfect"),      # trials shared
+    ("mmse", "gamma_db", [0.0, 20.0], "perfect"),    # trials per point
+    ("mmse", "Lg_prime", [3, 5], "estimated"),       # trials shared
+])
+def test_sweep_points_equal_single_point_sweeps(criterion, axis, points,
+                                                csi_mode):
+    cfg = replace(_small_cfg(), criterion=criterion, trials=3)
+    res = sweep(cfg, axis, points, _SCHEMES, csi_mode=csi_mode)
+    for pt in points:
+        alone = sweep(cfg, axis, [pt], _SCHEMES, csi_mode=csi_mode)
+        point_cfg = replace(cfg, gamma_db=pt) if axis == "gamma_db" else cfg
+        for lab in res.labels:
+            assert res.get(pt, lab) == alone.get(pt, lab)
+            assert res.get(pt, lab).config_fingerprint == fingerprint(point_cfg)
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_sweep_rejects_threads_below_one(threads):
+    with pytest.raises(ConfigError, match="threads"):
+        sweep(_small_cfg(), "N_r", [4], _SCHEMES, threads=threads)
 
 
 # ---------------------------------------------------------------- run_mse

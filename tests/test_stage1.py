@@ -7,7 +7,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 from fbmclink import stage1
-from fbmclink.channel import (ChannelRealization, draw_channel,
+from fbmclink.channel import (ChannelRealization, bin_response, draw_channel,
                               estimate_csi_mmse, freq_csi, make_rng)
 from fbmclink.errors import ConfigError, SingularChannelError
 from fbmclink.stage1 import (HighRateEqualizer, alpha_bound, apply_highrate,
@@ -89,7 +89,7 @@ def _close(got, want, rel=1e-12):
 
 def test_zf_scalar_channel(uni4):
     csi = _csi(uni4, 1, 16)
-    h = csi.H_tilde[:, 0, 0]
+    h = bin_response(csi.time_taps, csi.M)[:, 0, 0]
     st = single_tap(csi)
     np.testing.assert_allclose(st.W[:, 0, 0], 1.0 / h, atol=1e-12)
     # alpha only multiplies the delay phase on top of the alpha=0 solution
@@ -104,7 +104,7 @@ def test_zf_matches_pinv(eva, uni4):
     csi = _csi([eva, uni4], 8, 64)
     st = single_tap(csi)
     for m in (0, 13, 40):
-        A = csi.H_tilde[m]
+        A = bin_response(csi.time_taps, csi.M)[m]
         assert st.W[m].shape == (2, 8)
         np.testing.assert_allclose(st.W[m], np.linalg.pinv(A), atol=1e-10)
         # left inverse property
@@ -136,7 +136,7 @@ def test_mmse_limits(eva):
                                design_highrate(csi, 64, 1).taps, atol=1e-14)
     # closed form (H^H H + lam I)^{-1} H^H == P_s H^H (P_s H H^H + s2 I)^{-1}
     m, s2, P_s = 9, 0.3, 0.5
-    A = csi.H_tilde[m]
+    A = bin_response(csi.time_taps, csi.M)[m]
     want = P_s * A.conj().T @ np.linalg.inv(P_s * A @ A.conj().T
                                             + s2 * np.eye(8))
     np.testing.assert_allclose(single_tap(csi, "mmse", s2, P_s).W[m], want,
@@ -150,7 +150,7 @@ def test_mmse_limits(eva):
 def test_mmse_scalar_formula(uni4):
     csi = _csi(uni4, 1, 16)
     s2, P_s = 0.2, 0.5
-    h = csi.H_tilde[:, 0, 0]
+    h = bin_response(csi.time_taps, csi.M)[:, 0, 0]
     want = np.conj(h) / (abs(h) ** 2 + s2 / P_s)
     got = single_tap(csi, "mmse", s2, P_s).W[:, 0, 0]
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -322,9 +322,9 @@ def test_single_tap_zf_inverts_bins(eva, uni4):
     csi = _csi([eva, uni4], 8, 64)
     st = single_tap(csi)
     assert st.criterion == "zf" and st.M == 64
+    bins = bin_response(csi.time_taps, csi.M)
     for m in (0, 5, 33, 63):
-        np.testing.assert_allclose(st.W[m] @ csi.H_tilde[m], np.eye(2),
-                                   atol=1e-10)
+        np.testing.assert_allclose(st.W[m] @ bins[m], np.eye(2), atol=1e-10)
 
 
 def test_single_tap_mmse(eva):
@@ -332,7 +332,7 @@ def test_single_tap_mmse(eva):
     s2, P_s = 0.4, 0.5
     st = single_tap(csi, criterion="mmse", sigma_z2=s2, P_s=P_s)
     for m in (0, 9):
-        A = csi.H_tilde[m]
+        A = bin_response(csi.time_taps, csi.M)[m]
         want = P_s * A.conj().T @ np.linalg.inv(P_s * A @ A.conj().T
                                                 + s2 * np.eye(4))
         np.testing.assert_allclose(st.W[m], want, atol=1e-12)

@@ -16,10 +16,11 @@ from fbmclink.fbmc import demodulate, design_prototype
 from fbmclink.stage1 import apply_highrate, design_highrate
 from fbmclink import theory
 from fbmclink.config import SimConfig, channel_assignment
-from fbmclink.theory import (_gauss_gamma, _ratio_moments, _roundoff_floor,
-                             _support, _transmux, average_power,
-                             error_stats, interference_table, noise_power,
-                             sir_upper_bound, tau, theoretical_sinr)
+from fbmclink.theory import (_dn_range, _gauss_gamma, _ratio_moments,
+                             _roundoff_floor, _support, _transmux,
+                             average_power, error_stats, interference_table,
+                             noise_power, sir_upper_bound, tau,
+                             theoretical_sinr)
 
 from oracles import afb_reference, transmux_response, window
 
@@ -316,18 +317,18 @@ def test_exact_stats_match_channel_simulation(eva):
 
 def test_noise_power_zero_and_flat(pf32):
     flat = PdpProfile("flat", [1.0], RATE)
-    assert noise_power(flat, pf32, 32, 8, 1, 0.0, 16) == 0.0
+    assert noise_power(flat, pf32, 32, 8, 0.0) == 0.0
     # flat channel: every bin combiner is the same MRC row, power s2/(2(N_r-1))
     for N_r in (4, 8):
-        got = noise_power(flat, pf32, 32, N_r, 1, 0.3, 16)
+        got = noise_power(flat, pf32, 32, N_r, 0.3)
         assert abs(got - 0.3 / (2 * (N_r - 1))) < 1e-12
     with pytest.raises(ValueError, match="N_r > N_t"):
-        noise_power(flat, pf32, 32, 4, 1, 0.3, 16, N_t=4)
+        noise_power(flat, pf32, 32, 4, 0.3, N_t=4)
 
 
 def test_noise_power_against_simulation(eva, pf32):
     s2 = 0.4
-    want = noise_power(eva, pf32, 32, 8, 1, s2, 16)
+    want = noise_power(eva, pf32, 32, 8, s2)
     vals = []
     for tr in range(60):
         rng = trial_rng(55, tr)
@@ -345,13 +346,29 @@ def test_noise_power_against_simulation(eva, pf32):
 # ------------------------------------------------------ interference table
 
 def test_interference_table_geometry(pf64, peda):
-    tab = interference_table(pf64, 64, 1, m=32)
+    tab = interference_table(pf64, 32)
     # the own-lattice peak F_{mm}[0], read at lag alpha M/2 of the window
-    assert window(tab, 0, peda.L_h)[32, 32].real == pytest.approx(1.0,
-                                                                  abs=1e-12)
-    assert window(tab, 1, peda.L_h).shape == (64 + peda.L_h - 1, 64)
-    dns = tab.dn_range(peda.L_h)
+    assert window(tab, 32, 1, 0, peda.L_h)[32, 32].real == pytest.approx(
+        1.0, abs=1e-12)
+    assert window(tab, 32, 1, 1, peda.L_h).shape == (64 + peda.L_h - 1, 64)
+    dns = _dn_range(64, pf64.L_f, 1, 64 + peda.L_h - 1).tolist()
     assert 0 in dns and max(dns) >= 2 * pf64.kappa
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("M", [4, 8, 16, 64])
+def test_dn_range_matches_window_oracle(M, kappa):
+    # every dn for which some lag l in [0, n) has |(dn+alpha) M/2 - l| < L_f,
+    # over alpha up to alpha_bound = 3 and every L_h in [1, M]
+    L_f = kappa * M
+    search = np.arange(-4 * kappa - 8, 4 * kappa + 9)
+    for alpha in range(4):
+        for L_h in range(1, M + 1):
+            n = M + L_h - 1
+            lags = (search[:, None] + alpha) * (M // 2) - np.arange(n)
+            want = search[np.any(np.abs(lags) < L_f, axis=1)]
+            assert search[0] < want[0] and want[-1] < search[-1]
+            np.testing.assert_array_equal(_dn_range(M, L_f, alpha, n), want)
 
 
 @pytest.mark.parametrize("M", [4, 8, 16, 64, 256])
@@ -393,18 +410,18 @@ def test_sweep_and_bound_build_one_table_per_prototype(monkeypatch, peda):
     theoretical_sinr([peda], design_prototype(4, 32), 32, 8, 1, 16, 0, 0.1,
                      P_s=0.5)
     assert len(calls) == 2
-    F = interference_table(pf, 32, 1, m=16).F
+    F = interference_table(pf, 16)
     assert not F.flags.writeable
     with pytest.raises(ValueError):
         F[0, 0] = 0.0
     # one subcarrier per prototype: asking for another one replaces it
-    interference_table(pf, 32, 1, m=3)
+    interference_table(pf, 3)
     assert len(calls) == 3 and theory._TABLES[pf][0] == 3
 
 
 def test_held_table_is_freed_with_its_prototype():
     pf = design_prototype(4, 16)
-    held = weakref.ref(interference_table(pf, 16, 1, m=8).F)
+    held = weakref.ref(interference_table(pf, 8))
     assert held() is not None
     del pf
     gc.collect()
@@ -428,7 +445,7 @@ def test_bound_reads_the_held_table_bit_for_bit(M):
         for m in (0, M // 2, M - 1):
             pf = design_prototype(kappa, M)
             alone = sir_upper_bound(pf, M, 1, m)        # nothing held yet
-            F = interference_table(pf, M, 1, m=m).F
+            F = interference_table(pf, m)
             np.testing.assert_array_equal(
                 F[:, dns * (M // 2) + pf.L_f - 1],
                 _transmux(pf, m, dns * (M // 2)))
@@ -439,13 +456,13 @@ def test_table_is_the_reference_fold_bit_for_bit():
     pf = design_prototype(4, 256)
     lags = np.arange(1 - pf.L_f, pf.L_f)
     want = np.conj(afb_reference(pf.subcarrier_filter(128), pf, -lags))
-    assert np.array_equal(interference_table(pf, 256, 1, m=128).F, want)
+    assert np.array_equal(interference_table(pf, 128), want)
 
 
 def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
     """theoretical_sinr with error_stats and average_power run for every
     user pair, one after another."""
-    table = interference_table(pf, M, alpha, m=m)
+    F = interference_table(pf, m)
     N_t = len(profiles)
     interference, exact_eq = 0.0, True
     for up in range(N_t):
@@ -454,7 +471,7 @@ def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
                             n_eff=None if N_t == 1 else N_r - N_t)
         exact_eq &= not (stats.eps.any() or stats.eps_check.any()
                          or stats.mu.any())
-        powers, dns = average_power(stats, table, P_s)
+        powers, dns = average_power(stats, F, m, P_s)
         if up == u:
             j0 = dns.index(0)
             desired = powers[m, j0]
@@ -463,8 +480,8 @@ def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
         interference += powers.sum()
     if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:
         interference = 0.0
-    total = interference + noise_power(profiles[u], pf, M, N_r, alpha,
-                                       sigma_z2, m, N_t=N_t)
+    total = interference + noise_power(profiles[u], pf, M, N_r, sigma_z2,
+                                       N_t=N_t)
     return 10.0 * np.log10(desired / total)
 
 
@@ -495,9 +512,9 @@ def test_multiuser_sinr_evaluates_each_source_pdp_once(monkeypatch):
 
 def test_interference_confined_to_adjacent_ring(pf64, peda):
     # outside |dm| <= 1, |dn| <= 2 kappa the average power is negligible
-    tab = interference_table(pf64, 64, 1, m=32)
+    tab = interference_table(pf64, 32)
     st = error_stats([peda], 64, 8, 1, (0, 0))
-    powers, dns = average_power(st, tab, 1.0)
+    powers, dns = average_power(st, tab, 32, 1.0)
     j0 = dns.index(0)
     assert abs(powers[32, j0] - 1.0) < 1e-12     # desired entry carries P_s
     outside = 0.0
@@ -532,11 +549,11 @@ def test_flat_channels_orthogonal_bank_with_noise():
     # users (exact multi-user ZF) are still interference-free without noise
     flat = PdpProfile("flat", [1.0], RATE)
     pf = design_prototype(2, 64)
-    noise = noise_power(flat, pf, 64, 8, 1, 0.01, 32)
+    noise = noise_power(flat, pf, 64, 8, 0.01)
     got = theoretical_sinr([flat], pf, 64, 8, 1, 32, 0, 0.01, P_s=0.5)
     assert np.isfinite(got)
     desired = average_power(error_stats([flat], 64, 8, 1, (0, 0), exact=True),
-                            interference_table(pf, 64, 1, m=32), 0.5)
+                            interference_table(pf, 32), 32, 0.5)
     assert abs(got - 10 * np.log10(desired[0][32, desired[1].index(0)]
                                    / noise)) < 1e-12
     assert theoretical_sinr([flat, flat], pf, 64, 8, 1, 32, 0, 0.0,
@@ -917,7 +934,7 @@ def test_error_stats_matches_lag_loop_oracle(M, alpha, kind):
 def test_interference_table_matches_transmux_oracle(M, kappa):
     pf = design_prototype(kappa, M)
     for m in (0, M // 2, M - 1):
-        _assert_close(interference_table(pf, M, 1, m=m).F,
+        _assert_close(interference_table(pf, m),
                       _table_oracle(pf, M, m))
 
 
@@ -930,8 +947,8 @@ def test_average_power_matches_row_oracle(M, kappa, alpha, kind):
     pf = design_prototype(kappa, M)
     st = error_stats(_oracle_profiles(M), M, 6, alpha, pair, exact=exact)
     for m in (0, M // 2, M - 1):
-        tab = interference_table(pf, M, alpha, m=m)
-        got, dns = average_power(st, tab, 0.5)
+        tab = interference_table(pf, m)
+        got, dns = average_power(st, tab, m, 0.5)
         want = _average_power_oracle(st, _table_oracle(pf, M, m), M, m,
                                      alpha, dns, 0.5)
         _assert_close(got, want)
@@ -976,8 +993,7 @@ def test_noise_power_matches_dense_oracle(M, kappa, N_t):
     profile = _oracle_profiles(M)[0]
     for alpha in (0, 1):
         for m in (0, M // 2, M - 1):
-            _assert_close(noise_power(profile, pf, M, 6, alpha, 0.3, m,
-                                      N_t=N_t),
+            _assert_close(noise_power(profile, pf, M, 6, 0.3, N_t=N_t),
                           _noise_power_oracle(profile, pf, M, 6, alpha, 0.3,
                                               m, N_t))
 
@@ -1008,7 +1024,7 @@ def test_theory_input_errors_are_config_errors(uni4, eva, pf32):
     cases = [lambda: error_stats([eva], 16, 8, 1, (0, 0)),
              lambda: error_stats([uni4, uni4], 16, 8, 1, (0, 1), n_eff=0),
              lambda: _ratio_moments([0.5], 1),
-             lambda: noise_power(uni4, pf32, 32, 4, 1, 0.3, 16, N_t=4),
+             lambda: noise_power(uni4, pf32, 32, 4, 0.3, N_t=4),
              lambda: theoretical_sinr([uni4] * 4, pf32, 32, 4, 1, 16, 0, 0.1)]
     for call in cases:
         with pytest.raises(ConfigError):
