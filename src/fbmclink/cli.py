@@ -164,7 +164,8 @@ def _run_mse(cfg, scale, out_dir, threads):
     rows = []
     for mode in ("perfect", "estimated"):
         for g in gammas:
-            v = run_mse(replace(cfg, gamma_db=g), spec, csi_mode=mode)
+            v = run_mse(replace(cfg, gamma_db=g), spec, csi_mode=mode,
+                        threads=threads)
             rows.append((g, spec.kind, mode, v, 10.0 * np.log10(v)))
     return [_write_csv(os.path.join(out_dir, "mse.csv"),
                        ("gamma_db", "scheme", "csi", "mse", "mse_db"), rows)]

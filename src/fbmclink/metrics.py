@@ -226,6 +226,16 @@ def _flag_note(cfg, profiles):
     return ""
 
 
+def _map_trials(fn, trials, threads):
+    """[fn(t) for t in range(trials)], on `threads` worker threads if > 1."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            return list(ex.map(fn, range(trials)))
+    return [fn(t) for t in range(trials)]
+
+
 def _collect(cfg, specs, csi_mode, threads, pf):
     """Per-trial coefficient sets for every spec: {spec: [CoeffSet] * trials}."""
     profiles = [load_pdp(nm, cfg.sample_rate) for nm in channel_assignment(cfg)]
@@ -243,11 +253,7 @@ def _collect(cfg, specs, csi_mode, threads, pf):
         built = [_build_scheme(sp, csi, pf, cfg, sigma_d, [m]) for sp in specs]
         return _measure_many(H, built, pf, m, u)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(one_trial, range(cfg.trials)))
-    else:
-        rows = [one_trial(t) for t in range(cfg.trials)]
+    rows = _map_trials(one_trial, cfg.trials, threads)
     flagged = _flag_note(cfg, profiles)
     return {sp: [row[i] for row in rows] for i, sp in enumerate(specs)}, flagged
 
@@ -307,8 +313,6 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
         raise ConfigError("sweep points must be strictly increasing")
     if axis != "gamma_db" and any(int(p) != p or p < 1 for p in points):
         raise ConfigError(f"{axis} sweep points must be integers >= 1")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     specs = _specs(config, schemes)
     labels = tuple(sp.label() for sp in specs)
     plan = []       # (point, config, specs)
@@ -346,14 +350,15 @@ def _qam16(rng, shape):
     return (re + 1j * im) / np.sqrt(10.0)
 
 
-def run_mse(config, scheme, csi_mode="perfect", seed=None):
+def run_mse(config, scheme, csi_mode="perfect", seed=None, threads=1):
     """Symbol-level mean-square error of one receiver scheme.
 
     Runs config.trials bursts of N_d instants of 16-QAM through the full
     transmit/channel/receive chain, discards 2*kappa instants at each burst
     edge, and returns the MSE over the kept real symbols of all users and
     subcarriers, normalized by the symbol power (linear scale, mean across
-    trials).
+    trials). Each burst draws from its own stream, so the result does not
+    depend on `threads`, the number of worker threads.
     """
     if csi_mode not in ("perfect", "estimated"):
         raise ConfigError(f"csi_mode must be 'perfect' or 'estimated', got {csi_mode!r}")
@@ -370,9 +375,8 @@ def run_mse(config, scheme, csi_mode="perfect", seed=None):
     P_p = 2.0 * P_SYM * cfg.L_p
     master = cfg.master_seed if seed is None else seed
     keep = slice(2 * cfg.kappa, N_d - 2 * cfg.kappa)
-    errs = np.empty(cfg.trials)
 
-    for t in range(cfg.trials):
+    def one_burst(t):
         rng = trial_rng(master, t)
         H = draw_channel(profiles, cfg.N_r, rng)
         grid = qam_to_oqam(_qam16(rng, (cfg.N_t, M, N_d // 2)), P_SYM)
@@ -383,5 +387,6 @@ def run_mse(config, scheme, csi_mode="perfect", seed=None):
         rx = _build_scheme(spec, csi, pf, cfg, sigma_z2, None)
         shat = _receive(rx, y, pf, N_d)
         diff = shat[..., keep] - grid.symbols[..., keep]
-        errs[t] = np.mean(diff ** 2) / P_SYM
-    return float(errs.mean())
+        return np.mean(diff ** 2) / P_SYM
+
+    return float(np.mean(_map_trials(one_burst, cfg.trials, threads)))

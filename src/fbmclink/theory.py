@@ -55,13 +55,15 @@ like single-user ones at leading order with the inverse-Wishart
 normalization 1/(N_r - N_t), the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the
 diagonal.
 
-Held between calls: the read-only transmultiplexer table of one subcarrier
-per live PrototypeFilter (`interference_table`, kept in `_TABLES`, weakly
-keyed; 8.4 MB at M=256), read by every SNR point of a sweep, by
-`sir_upper_bound` and by every Monte Carlo trial of `metrics`.  Error
-statistics depend on PDP contents and N_r that callers may change in place,
-so they are rebuilt per call, and their `_ratio_moments` calls (and
-noise_power's) hit `_MOMENT_CACHE` instead.
+Held between calls, keyed by content (callers may change PDP taps in place):
+per live PrototypeFilter (`_TABLES`, weakly keyed) the read-only table of one
+subcarrier (`interference_table`; 8.4 MB at M=256), read by every SNR point
+of a sweep, by `sir_upper_bound` and by every Monte Carlo trial of `metrics`,
+and with it up to 64 `average_power` results, keyed by the statistics' band
+and mean bytes, alpha, own pair, m and P_s; and one `error_stats` geometry
+(`_GEOMETRY`, keyed by both PDPs' taps, M, alpha, own pair and exact), dropped
+before a miss builds the next, so an N_r or SNR axis of one PDP builds it
+once.  The N_r-dependent kernels are formed per call, from `_MOMENT_CACHE`.
 """
 
 import weakref
@@ -73,7 +75,8 @@ from .errors import ConfigError, NumericalError
 from .fbmc import _J_POW, _afb
 
 _MOMENT_CACHE = {}
-_TABLES = weakref.WeakKeyDictionary()   # PrototypeFilter -> (m, F), see above
+_GEOMETRY = [None]                      # (key, geometry) of the last error_stats
+_TABLES = weakref.WeakKeyDictionary()   # PrototypeFilter -> (m, F, powers)
 _J = np.array(_J_POW)
 
 
@@ -223,14 +226,46 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
     Lags with a full range R(l) (l in [L_h-1, M-1]) have b = 0, so the
     Case-1 exactness of the bin-sampled ZF design holds structurally, as do
     the aliasing identities psi[l] = -psi[l +- M].
+
+    All but the kernels depends only on the PDPs' taps, M, alpha, the own
+    pair and exact: that geometry (`_geometry`) is held for the last key.
     """
+    u, up = pair
+    if exact and u != up:
+        raise ValueError("exact statistics cover the own-user pair only")
+    key = (M, alpha, u == up, exact) + tuple(
+        np.asarray(profiles[i].taps, dtype=float).tobytes() for i in pair)
+    entry = _GEOMETRY[0]                    # one read: threads may swap it
+    if entry is None or entry[0] != key:
+        entry = _GEOMETRY[0] = None         # freed before the next is built
+        entry = _GEOMETRY[0] = key, _geometry(profiles, M, alpha, pair, exact)
+    mu, held = entry[1]
+    if exact:                               # own pair, so eps_check too
+        babs, ph1, inv_s2, gg, Ctg, VU, ph, elp, clp = held
+        g1, g2, g3 = _ratio_moments(babs, N_r)
+        k_eps2 = (g2 - babs * babs) * ph1 * ph1 * inv_s2    # (K2 - rho^2)/s2
+        k_chk = (g3 - babs * babs) * inv_s2 * inv_s2
+        T = gg * k_eps2 + Ctg * (ph1 * g1)
+        eps_band = np.sum(T * ph[elp], axis=1) / M
+        check_band = np.sum(VU * k_chk * np.conj(ph[clp]), axis=1) / M
+    else:
+        if n_eff is not None and n_eff < 1:
+            raise ConfigError(f"need a positive combiner normalization, "
+                              f"got n_eff={n_eff}")
+        scale = 1.0 / (M * (N_r if n_eff is None else n_eff))
+        eps_band, check_band = scale * held[0], scale * held[1]
+    return ErrorStats(pair, alpha, M, eps_band, check_band, mu.copy())
+
+
+def _geometry(profiles, M, alpha, pair, exact):
+    """(mu, held): the N_r-free part of `error_stats`, the (pairs, M)
+    products that the exact kernels weight (with ph and the support rows) or
+    the leading order's row sums, each in the one-pass operand order."""
     u, up = pair
     q = np.asarray(profiles[up].taps, dtype=float) / np.sum(profiles[up].taps)
     L_h = q.size
     if not L_h - 1 < M:
         raise ConfigError(f"need L_h-1 < M, got L_h={L_h}, M={M}")
-    if exact and u != up:
-        raise ValueError("exact statistics cover the own-user pair only")
     t = np.conj(np.fft.fft(profiles[u].taps, M))  # sum_l q_u[l] e^{+j2pi dl/M}
     t = t / t[0].real                        # column 0 of the normalized tau
     A = alpha * M // 2
@@ -262,33 +297,8 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
     inter = np.where((b >= a)[:, None], pre[b + 1] - pre[a], 0.0)
     C = (inter - Q[el, None] * S[elp] - Q[elp, None] * S[el]
          + (Q[el] * Q[elp])[:, None] * full)                # (pairs, M)
-    check_band = np.zeros(cl.size, dtype=complex)
-    mu = np.zeros(n, dtype=complex)
     own = u == up
-    if exact:
-        babs = np.abs(t)
-        g1, g2, g3 = _ratio_moments(babs, N_r)
-        ph1 = t / np.where(babs < 1e-300, 1.0, babs)        # unit phase of rho
-        s2 = 1.0 - babs * babs
-        inv_s2 = np.where(s2 < 1e-8, 0.0, 1.0 / np.where(s2 == 0, 1.0, s2))
-        k_eps2 = (g2 - babs * babs) * ph1 * ph1 * inv_s2    # (K2 - rho^2)/s2
-        k_chk = (g3 - babs * babs) * inv_s2 * inv_s2
-        k_j1 = ph1 * g1
-        gg = V[el] * np.conj(U[elp]) * inv_s2
-        T = gg * k_eps2 + (C + t * gg) * k_j1
-        eps_band = np.sum(T * ph[elp], axis=1) / M
-        if own:
-            check_band = np.sum(V[cl] * U[clp] * k_chk * np.conj(ph[clp]),
-                                axis=1) / M
-    else:
-        if n_eff is not None and n_eff < 1:
-            raise ConfigError(f"need a positive combiner normalization, "
-                              f"got n_eff={n_eff}")
-        scale = 1.0 / (M * (N_r if n_eff is None else n_eff))
-        eps_band = scale * np.sum(t * C * ph[elp], axis=1)
-        if own:
-            check_band = scale * np.sum(U[clp] * V[cl] * np.conj(ph[clp]),
-                                        axis=1)
+    mu = np.zeros(n, dtype=complex)
     if own:
         # deterministic part: E{H_eq[l]} = Q(l) at lags = A (mod M); the lag-A
         # entry is the wanted peak, the aliases are residual rays (nonzero only
@@ -296,7 +306,17 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
         peaks = (ll - A) % M == 0
         mu[peaks] = Q[peaks]
         mu[A] -= 1.0
-    return ErrorStats(pair, alpha, M, eps_band, check_band, mu)
+    if exact:
+        babs = np.abs(t)
+        ph1 = t / np.where(babs < 1e-300, 1.0, babs)        # unit phase of rho
+        s2 = 1.0 - babs * babs
+        inv_s2 = np.where(s2 < 1e-8, 0.0, 1.0 / np.where(s2 == 0, 1.0, s2))
+        gg = V[el] * np.conj(U[elp]) * inv_s2
+        return mu, (babs, ph1, inv_s2, gg, C + t * gg, V[cl] * U[clp], ph,
+                    elp, clp)
+    return mu, (np.sum(t * C * ph[elp], axis=1),
+                np.sum(U[clp] * V[cl] * np.conj(ph[clp]), axis=1) if own
+                else np.zeros(cl.size, dtype=complex))
 
 
 def _transmux(pf, m, lags):
@@ -310,11 +330,11 @@ def interference_table(pf, m):
     the full sequence F_{mm'}[l], entry i at lag i - (L_f - 1), shape
     (M, 2 L_f - 1).  The phase e^{j(theta'-theta)} = j^{m'-m-dn} is applied
     when powers are formed."""
-    m_held, F = _TABLES.get(pf, (None, None))
+    m_held, F, _ = _TABLES.get(pf, (None, None, None))
     if m_held != m:
         F = _transmux(pf, m, np.arange(1 - pf.L_f, pf.L_f))
         F.flags.writeable = False
-        _TABLES[pf] = (m, F)
+        _TABLES[pf] = (m, F, {})    # the powers held with F, see average_power
     return F
 
 
@@ -373,8 +393,17 @@ def average_power(stats, F, m, P_s):
     {0, +-M} and each eps_check sum l + l' = S covers one run of l, so each
     is one product of contiguous table windows (`_windows`); an eps_check
     run is symmetric about S/2, so its second factor is its first reversed.
+
+    The result is held with F when F is the held `interference_table`
+    (see the module docstring); each call returns its own copy.
     """
     own = stats.pair[0] == stats.pair[1]
+    held = next((h for _, G, h in _TABLES.values() if G is F), {})
+    key = (m, stats.alpha, own, P_s, stats.eps_band.tobytes(),
+           stats.check_band.tobytes(), stats.mu.tobytes())
+    hit = held.get(key)
+    if hit is not None:
+        return hit[0].copy(), list(hit[1])
     M, L_f, alpha = F.shape[0], (F.shape[1] + 1) // 2, stats.alpha
     dns = _dn_range(M, L_f, alpha, stats.n).tolist()
     A = alpha * M // 2
@@ -400,7 +429,10 @@ def average_power(stats, F, m, P_s):
         amp = ((stats.mu[peaks] @ _rows(Ft, i0 - peaks) + _rows(Ft, i0 - A))
                * _J[(jm - dn) % 4]).real if own else 0.0
         powers[:, j] = quad + amp * amp
-    return powers * P_s, dns
+    if len(held) >= 64:
+        held.clear()
+    held[key] = out = powers * P_s, dns
+    return out[0].copy(), list(dns)
 
 
 def noise_power(profile, pf, M, N_r, sigma_z2, N_t=1):
@@ -479,7 +511,8 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0):
     it is zero, and with no noise the SINR is +inf.  A negative total (the
     leading-order multi-user terms can cancel below round-off) raises
     NumericalError.  The table is the one held for (pf, m); the statistics
-    are rebuilt on each call, once per distinct (own pair, source PDP).
+    are formed once per distinct (own pair, source PDP), from the held
+    geometry and powers when an earlier call built them.
     """
     F = interference_table(pf, m)
     N_t = len(profiles)

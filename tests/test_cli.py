@@ -150,6 +150,20 @@ def test_threads_below_one_exits_2(tmp_path, capsys, threads):
     assert not (out / "fig7.csv").exists()
 
 
+def test_mse_threads_reach_every_run_mse_call(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_mse(cfg, spec, csi_mode, threads=1):
+        seen.append(threads)
+        return 0.5
+    monkeypatch.setattr(cli, "run_mse", fake_run_mse)
+    cfg = tmp_path / "mse.cfg"
+    cfg.write_text("M = 16\ntrials = 2\n", encoding="utf-8")
+    code = main(["run", "mse", "--config", str(cfg), "--out",
+                 str(tmp_path / "out"), "--threads", "2"])
+    assert code == 0 and seen and set(seen) == {2}
+
+
 def test_schemes_is_not_a_config_key(tmp_path, capsys):
     # every preset runs its own receiver schemes
     code, out = _run(tmp_path, "fig7", _TINY_FIG7 + "schemes = highrate\n")

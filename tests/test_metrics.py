@@ -274,6 +274,20 @@ def test_run_mse_seed_is_the_master_seed(scheme):
     assert got != run_mse(cfg, scheme, csi_mode="estimated")
 
 
+@pytest.mark.parametrize("csi_mode", ["perfect", "estimated"])
+def test_run_mse_does_not_depend_on_thread_count(csi_mode):
+    cfg = replace(_small_cfg(), trials=3, N_d=24)
+    spec = SchemeSpec("two_stage")
+    assert (run_mse(cfg, spec, csi_mode=csi_mode, threads=2)
+            == run_mse(cfg, spec, csi_mode=csi_mode, threads=1))
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_run_mse_rejects_threads_below_one(threads):
+    with pytest.raises(ConfigError, match="threads"):
+        run_mse(_small_cfg(), SchemeSpec("single_tap"), threads=threads)
+
+
 def test_run_mse_does_not_depend_on_blas_threads():
     # the batched products give the same bits on one and two BLAS threads
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -438,6 +438,99 @@ def test_sweep_equals_fresh_prototypes(peda, eva):
         assert held == fresh
 
 
+def _clear_holds():
+    theory._GEOMETRY[0] = None
+    theory._TABLES.clear()
+
+
+def test_held_terms_equal_evaluations_with_holds_cleared(peda, eva):
+    pf = design_prototype(4, 64)
+    # one PDP's N_r and gamma axes at two symbol powers (exact statistics),
+    # then a two-user leading-order point for each user
+    calls = [([peda], N_r, 0, s2, P_s) for P_s in (0.5, 1.0)
+             for N_r in (8, 16) for s2 in _SNRS]
+    calls += [([peda, eva], 16, u, 0.01, 0.5) for u in (0, 1, 0)]
+    _clear_holds()
+    held = [theoretical_sinr(pro, pf, 64, N_r, 1, 32, u, s2, P_s=P_s)
+            for pro, N_r, u, s2, P_s in calls]
+    fresh = []
+    for pro, N_r, u, s2, P_s in calls:
+        _clear_holds()
+        fresh.append(theoretical_sinr(pro, pf, 64, N_r, 1, 32, u, s2,
+                                      P_s=P_s))
+    assert held == fresh
+
+
+def test_error_stats_sequence_equals_evaluations_with_holds_cleared(peda,
+                                                                   eva):
+    # each call differs from the one before in one part of the geometry's
+    # key: the equalized PDP of a cross pair, own pair against a twin,
+    # exact, alpha, M
+    calls = [([peda, eva], 64, 1, (0, 1), False),
+             ([eva, eva], 64, 1, (0, 1), False),
+             ([eva], 64, 1, (0, 0), False),
+             ([eva], 64, 1, (0, 0), True),
+             ([eva], 64, 0, (0, 0), True),
+             ([eva], 128, 0, (0, 0), True)]
+
+    def run(pro, M, alpha, pair, exact):
+        st = error_stats(pro, M, 16, alpha, pair, exact=exact)
+        return st.eps_band, st.check_band, st.mu
+
+    _clear_holds()
+    held = [run(*c) for c in calls]
+    for c, got in zip(calls, held):
+        _clear_holds()
+        for g, w in zip(got, run(*c)):
+            assert np.array_equal(g, w)
+
+
+def test_pdp_changed_in_place_gives_the_fresh_result(pf32):
+    prof = PdpProfile("q", [0.5, 0.3, 0.2], RATE)
+    before = theoretical_sinr([prof], pf32, 32, 8, 1, 16, 0, 0.01)
+    prof.taps[:] = [0.2, 0.3, 0.5]
+    after = theoretical_sinr([prof], pf32, 32, 8, 1, 16, 0, 0.01)
+    _clear_holds()
+    want = theoretical_sinr([PdpProfile("r", [0.2, 0.3, 0.5], RATE)], pf32,
+                            32, 8, 1, 16, 0, 0.01)
+    assert after == want != before
+
+
+def test_writes_into_average_power_results_do_not_reach_later_calls(peda):
+    pf = design_prototype(4, 32)
+    st = error_stats([peda], 32, 8, 1, (0, 0), exact=True)
+    F = interference_table(pf, 16)
+    want, want_dns = average_power(st, F.copy("K"), 16, 0.5)  # not held
+    for _ in range(3):              # the built result, then the held one twice
+        powers, dns = average_power(st, F, 16, 0.5)
+        assert np.array_equal(powers, want) and dns == want_dns
+        powers[:] = 0.0
+        dns.append(99)
+
+
+def test_held_powers_are_freed_with_their_prototype(peda):
+    pf = design_prototype(4, 16)
+    st = error_stats([peda], 16, 8, 1, (0, 0), exact=True)
+    average_power(st, interference_table(pf, 8), 8, 1.0)
+    (powers, _), = theory._TABLES[pf][2].values()
+    held = weakref.ref(powers)
+    del pf, powers
+    gc.collect()
+    assert held() is None
+
+
+def test_nr_points_of_one_pdp_build_one_geometry(monkeypatch, eva, pf64):
+    calls = []
+    build = theory._geometry
+    monkeypatch.setattr(theory, "_geometry",
+                        lambda *args: calls.append(1) or build(*args))
+    _clear_holds()
+    for N_r in (16, 64):
+        for s2 in _SNRS:
+            theoretical_sinr([eva], pf64, 64, N_r, 1, 32, 0, s2)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("M", [16, 64, 256])
 def test_bound_reads_the_held_table_bit_for_bit(M):
     for kappa in (2, 3, 4):
