@@ -39,21 +39,14 @@ where gamma1 = E{h~_m'^* b}, gamma2 = E{h~_m^* b'}, ctil = c + rho gamma1
 gamma2^*/(1-|rho|^2), c = E{b b'^*} (all per antenna), J1 = E{Z/(XY)},
 K2 = E{Z^2/(XY)}, g3 = E{|Z|^2/(XY)}.  The three scalar ratio moments depend
 only on (|rho|, N_r), and their large-N_r limits reproduce the leading-order
-kernels.  Given X and the in-line component w_r, Y reaches the remaining
-Gaussian w_i and the Gamma(N_r-1) remainder G only through
-T = w_i^2 + G ~ Gamma(N_r-1/2), and w_i^2/T ~ Beta(1/2, N_r-1) is
-independent of T, so the Beta axis folds into its mean 1/(2N_r-1):
-`_ratio_moments` is a 3-D Gauss quadrature over (X, w_r, T) of
-48 x 64 x 80 nodes, with the T axis one matrix-vector product per |rho|.
-At |rho| = 0, where g2 is exactly 0, it reads below 1e-12 at N_r = 8; at
-N_r >= 16 it agrees with the former 4-D (X, G, w_r, w_i) rule within
-4e-12, and at smaller N_r it is the closer of the two to a high-order
-evaluation.  The Gamma rules are Golub-Welsch, numpy.linalg.eigh of the
-dense Jacobi matrix (`_gauss_gamma`); the Hermite rule is numpy's
-hermgauss.  For N_t > 1 the combiner rows of the multi-user ZF are treated
-like single-user ones at leading order with the inverse-Wishart
-normalization 1/(N_r - N_t), the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the
-diagonal.
+kernels.  All three are closed forms in one Gauss hypergeometric function
+of z = |rho|^2, J = 2F1(1,1;N_r+1;z)/N_r, and the divided differences
+(K2 - |rho|^2)/(1-|rho|^2) and (g3 - |rho|^2)/(1-|rho|^2)^2 are series or a
+recurrence in z with no subtraction left to amplify round-off as |rho| -> 1
+(`_ratio_moments`; within 1e-12 relative of a 50-digit evaluation).  For
+N_t > 1 the combiner rows of the multi-user ZF are treated like single-user
+ones at leading order with the inverse-Wishart normalization 1/(N_r - N_t),
+the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the diagonal.
 
 Held between calls, keyed by content (callers may change PDP taps in place):
 per live PrototypeFilter (`_TABLES`, weakly keyed) the read-only table of one
@@ -63,90 +56,73 @@ and with it up to 64 `average_power` results, keyed by the statistics' band
 and mean bytes, alpha, own pair, m and P_s; and one `error_stats` geometry
 (`_GEOMETRY`, keyed by both PDPs' taps, M, alpha, own pair and exact), dropped
 before a miss builds the next, so an N_r or SNR axis of one PDP builds it
-once.  The N_r-dependent kernels are formed per call, from `_MOMENT_CACHE`.
+once.  The N_r-dependent kernels are formed per call (about 0.2 ms at M=256).
 """
 
 import weakref
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import ConfigError, NumericalError
 from .fbmc import _J_POW, _afb
 
-_MOMENT_CACHE = {}
 _GEOMETRY = [None]                      # (key, geometry) of the last error_stats
 _TABLES = weakref.WeakKeyDictionary()   # PrototypeFilter -> (m, F, powers)
 _J = np.array(_J_POW)
 
 
-def _gauss_gamma(n, a):
-    """Nodes and unit-sum weights for averages over Gamma(a+1) variables.
+def _ratio_moments(bvals, N_r):
+    """Wishart ratio moments and kernels (g1, k2, k3) for |correlation| bvals.
 
-    Golub-Welsch on the generalized-Laguerre Jacobi matrix; the first
-    eigenvector components give the weights up to the common Gamma(a+1)
-    factor, which drops out after normalization.  Stays finite for shape
-    parameters far beyond where the textbook weight formula overflows.
-    """
-    i = np.arange(n)
-    off = np.diag(np.sqrt(i[1:] * (i[1:] + a)), 1)
-    x, v = np.linalg.eigh(np.diag(2.0 * i + 1 + a) + off + off.T)
-    w = v[0] ** 2
-    return x, w / w.sum()
-
-
-def _ratio_moments(bvals, N_r, nx=48, nt=80, nh=64):
-    """Wishart ratio moments (g1, g2, g3) for |correlation| values bvals.
-
-    g1 = E{Z/(XY)} e^{-j phi}, g2 = E{Z^2/(XY)} e^{-2j phi},
+    g1 = E{Z/(XY)} e^{-j phi}, g2 = E{Z^2/(XY)} e^{-2j phi} and
     g3 = E{|Z|^2/(XY)} with X = ||x||^2, Y = ||y||^2, Z = x^H y for iid
     CN(0,1) N_r-vectors with per-antenna correlation b = |E{x^* y}| (the
-    phase separates out).  X ~ Gamma(N_r); y splits into a CN(0,1) scalar
-    w_r + j w_i along x and a Gamma(N_r-1) remainder G.  With s^2 = 1 - b^2
-    and a = b sqrt(X) + s w_r, Z/sqrt(X) = a + j s w_i and
-    Y = a^2 + s^2 T, T = w_i^2 + G ~ Gamma(N_r-1/2).  The terms odd in w_i
-    vanish, and w_i^2/T ~ Beta(1/2, N_r-1) is independent of T with mean
-    1/(2N_r-1), so with A2 = E{a^2/Y} (and 1 - A2 = E{s^2 T/Y})
+    phase separates out); k2 = (g2 - b^2)/s^2 and k3 = (g3 - b^2)/s^4 with
+    s^2 = 1 - b^2 are the kernels that `error_stats` weights.
 
-      g1 = E{a/(sqrt(X) Y)},  g2 = A2 - (1-A2)/(2N_r-1),
-      g3 = A2 + (1-A2)/(2N_r-1),
+    Write 1/Y = int_0^inf e^{-uY} du.  y = b x + s w, and w splits into a
+    CN(0,1) component along x and a remainder of squared norm
+    G ~ Gamma(N_r-1); the averages over G, the in-line component and
+    X ~ Gamma(N_r) are Gamma and Gaussian Laplace transforms, and
+    u = v/(1-v) leaves, with z = b^2 and
+    I_n = int_0^1 (1-v)^n/(1-zv) dv, J = I_{N_r-1} = 2F1(1,1;N_r+1;z)/N_r:
 
-    a 3-D Gauss quadrature over (X, w_r, T): Gamma rules of nx and nt nodes
-    and a Hermite rule of nh nodes, with T reached only through 1/Y.  At the
-    default nodes g2(b=0), exactly 0, reads below 1e-12 at N_r=8.  Requires
-    N_r >= 2.
+      g1 = b J,  g2 = 1 - N_r s^2 J,  g3 = 1 - (N_r-1) s^2 J,
+      k2 = 1 - N_r J,  k3 = (1 - (N_r-1) J)/s^2 = ((N_r-1) I_{N_r-2} - 1)/z,
+
+    the last from z I_n = 1/n - s^2 I_{n-1}.  Term by term in z,
+    k2 = -z sum_{k>=1} z^{k-1} k! N_r!/(N_r+k)! and
+    k3 = sum_{k>=1} z^{k-1} k! (N_r-1)!/(N_r-1+k)!, series of positive terms
+    with ratios below z and below (k+1)/(k+N_r): 64 terms reach round-off
+    where z < 1/2 or N_r >= 16.  Elsewhere the upward recurrence
+    I_j = (1/j - s^2 I_{j-1})/z from I_0 = -log(s^2)/z is stable
+    (s^2/z <= 1); its error grows about as N_r^2 eps through k2 = 1 - N_r J,
+    which is why the series serves every z from N_r = 16.  b is clamped to
+    [0, 1] and s^2 floored at the smallest normal float: at b = 1 that gives
+    the limits I_j = 1/j (j >= 1), and a finite k3 at N_r = 2, where it
+    diverges like -log(s^2).  Requires N_r >= 2.
     """
     if N_r < 2:
         raise ConfigError(f"ratio moments need N_r >= 2, got N_r={N_r}")
-    bvals = np.atleast_1d(np.asarray(bvals, dtype=float))
-    ub, inv = np.unique(np.round(bvals, 14), return_inverse=True)
-    key = (N_r, nx, nt, nh, ub.tobytes())
-    if key in _MOMENT_CACHE:
-        return tuple(_MOMENT_CACHE[key][inv].T)
-    xg, xw = _gauss_gamma(nx, N_r - 1)
-    tg, tw = _gauss_gamma(nt, N_r - 1.5)
-    hr, hw = hermgauss(nh)
-    sqX = np.sqrt(xg)[:, None]
-    W = xw[:, None] * (hw / hw.sum())
-    beta = 1.0 / (2 * N_r - 1)                  # E{w_i^2 / T}
-    Y = np.empty((nt, nx, nh))
-    out = np.empty((ub.size, 3))
-    for i, b in enumerate(ub):
-        if b >= 1.0 - 1e-12:
-            out[i] = (1.0 / (N_r - 1), 1.0, 1.0)
-            continue
-        s2 = 1.0 - b * b
-        a = b * sqX + np.sqrt(s2) * hr
-        a2 = a * a
-        np.add.outer(s2 * tg, a2, out=Y)
-        R = W * np.tensordot(tw, np.reciprocal(Y, out=Y), 1)   # W E_T{1/Y}
-        A2 = np.sum(a2 * R)
-        out[i] = (np.sum(a / sqX * R), A2 - (1.0 - A2) * beta,
-                  A2 + (1.0 - A2) * beta)
-    if len(_MOMENT_CACHE) > 64:
-        _MOMENT_CACHE.clear()
-    _MOMENT_CACHE[key] = out
-    return tuple(out[inv].T)
+    b = np.clip(np.atleast_1d(np.asarray(bvals, dtype=float)), 0.0, 1.0)
+    z = b * b
+    s2 = np.maximum((1.0 - b) * (1.0 + b), np.finfo(float).tiny)
+    J, k2, k3 = np.empty((3,) + b.shape)
+    series = (z < 0.5) | (N_r >= 16)
+    k = np.arange(1, 65)
+    P = z[series][:, None] ** (k - 1)
+    S = z[series] * (P @ np.cumprod(k / (N_r + k)))      # N_r J - 1
+    J[series], k2[series] = (1.0 + S) / N_r, -S
+    k3[series] = P @ np.cumprod(k / (N_r - 1 + k))
+    rec = ~series
+    if rec.any():                                       # N_r < 16 only
+        zr, sr = z[rec], s2[rec]
+        I = -np.log(sr) / zr
+        for j in range(1, N_r):
+            I, I_prev = (1.0 / j - sr * I) / zr, I
+        J[rec], k2[rec] = I, 1.0 - N_r * I
+        k3[rec] = ((N_r - 1) * I_prev - 1.0) / zr
+    return b * J, k2, k3
 
 
 def tau(profile, M):
@@ -220,8 +196,11 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
     is this leading-order closed form, exact to O(1/N_r) with an explicit
     1/N_r factor (n_eff substitutes another normalization, e.g. N_r - N_t).
     exact=True (own pair, single stream) replaces the kernels t[d]/N_r and
-    1/N_r by the exact Wishart ratio-moment expressions, which pick up the
-    O(1/N_r^2) residue that dominates once the leading sums cancel.
+    1/N_r by the exact Wishart ratio moments, which pick up the O(1/N_r^2)
+    residue that dominates once the leading sums cancel; the divided
+    differences (K2 - rho^2)/s^2 and (g3 - |rho|^2)/s^4 come from
+    `_ratio_moments` in closed form, so nothing cancels as |rho| -> 1, and
+    bins with s^2 = 1 - |rho|^2 < 1e-8 are left out.
 
     Lags with a full range R(l) (l in [L_h-1, M-1]) have b = 0, so the
     Case-1 exactness of the bin-sampled ZF design holds structurally, as do
@@ -241,10 +220,10 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
         entry = _GEOMETRY[0] = key, _geometry(profiles, M, alpha, pair, exact)
     mu, held = entry[1]
     if exact:                               # own pair, so eps_check too
-        babs, ph1, inv_s2, gg, Ctg, VU, ph, elp, clp = held
-        g1, g2, g3 = _ratio_moments(babs, N_r)
-        k_eps2 = (g2 - babs * babs) * ph1 * ph1 * inv_s2    # (K2 - rho^2)/s2
-        k_chk = (g3 - babs * babs) * inv_s2 * inv_s2
+        babs, ph1, keep, gg, Ctg, VU, ph, elp, clp = held
+        g1, k2, k3 = _ratio_moments(babs, N_r)
+        k_eps2 = k2 * ph1 * ph1 * keep                      # (K2 - rho^2)/s2
+        k_chk = k3 * keep
         T = gg * k_eps2 + Ctg * (ph1 * g1)
         eps_band = np.sum(T * ph[elp], axis=1) / M
         check_band = np.sum(VU * k_chk * np.conj(ph[clp]), axis=1) / M
@@ -310,9 +289,10 @@ def _geometry(profiles, M, alpha, pair, exact):
         babs = np.abs(t)
         ph1 = t / np.where(babs < 1e-300, 1.0, babs)        # unit phase of rho
         s2 = 1.0 - babs * babs
-        inv_s2 = np.where(s2 < 1e-8, 0.0, 1.0 / np.where(s2 == 0, 1.0, s2))
+        keep = s2 >= 1e-8
+        inv_s2 = np.where(keep, 1.0 / np.where(s2 == 0, 1.0, s2), 0.0)
         gg = V[el] * np.conj(U[elp]) * inv_s2
-        return mu, (babs, ph1, inv_s2, gg, C + t * gg, V[cl] * U[clp], ph,
+        return mu, (babs, ph1, keep, gg, C + t * gg, V[cl] * U[clp], ph,
                     elp, clp)
     return mu, (np.sum(t * C * ph[elp], axis=1),
                 np.sum(U[clp] * V[cl] * np.conj(ph[clp]), axis=1) if own

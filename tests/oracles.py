@@ -5,6 +5,21 @@ import numpy as np
 from fbmclink.fbmc import OqamGrid
 
 
+def _gauss_gamma(n, a):
+    """Nodes and unit-sum weights for averages over Gamma(a+1) variables.
+
+    Golub-Welsch on the generalized-Laguerre Jacobi matrix; the first
+    eigenvector components give the weights up to the common Gamma(a+1)
+    factor, which drops out after normalization.  Stays finite for shape
+    parameters far beyond where the textbook weight formula overflows.
+    """
+    i = np.arange(n)
+    off = np.diag(np.sqrt(i[1:] * (i[1:] + a)), 1)
+    x, v = np.linalg.eigh(np.diag(2.0 * i + 1 + a) + off + off.T)
+    w = v[0] ** 2
+    return x, w / w.sum()
+
+
 def afb_reference(y, pf, offsets):
     """The analysis bank as one fold of whole (offsets, M) index gathers: a
     zero-padded copy of the streams, and each of the kappa prototype blocks

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
+from numpy.polynomial.hermite import hermgauss
 from scipy.special import roots_hermite
 
 from fbmclink.channel import (PdpProfile, draw_channel, freq_csi, load_pdp,
@@ -15,14 +16,15 @@ from fbmclink.errors import ConfigError, NumericalError
 from fbmclink.fbmc import demodulate, design_prototype
 from fbmclink.stage1 import apply_highrate, design_highrate
 from fbmclink import theory
-from fbmclink.config import SimConfig, channel_assignment
-from fbmclink.theory import (_dn_range, _gauss_gamma, _ratio_moments,
+from fbmclink.config import P_SYM, SimConfig, channel_assignment
+from fbmclink.metrics import SchemeSpec, sweep
+from fbmclink.theory import (_dn_range, _ratio_moments,
                              _roundoff_floor, _support, _transmux,
                              average_power, error_stats, interference_table,
                              noise_power, sir_upper_bound, tau,
                              theoretical_sinr)
 
-from oracles import afb_reference, transmux_response, window
+from oracles import _gauss_gamma, afb_reference, transmux_response, window
 
 RATE = 7.68e6
 
@@ -221,12 +223,21 @@ def test_psi_cov_positive_semidefinite(uni4, peda):
 
 # ---------------------------------------------------------------- moments
 
+def _moments(bvals, N_r):
+    """(g1, g2, g3) from `_ratio_moments`' (g1, k2, k3): g2 = b^2 + s^2 k2,
+    g3 = b^2 + s^4 k3 with s^2 = 1 - b^2."""
+    b = np.asarray(bvals, dtype=float)
+    g1, k2, k3 = _ratio_moments(b, N_r)
+    s2 = (1.0 - b) * (1.0 + b)
+    return g1, b * b + s2 * k2, b * b + s2 * s2 * k3
+
+
 def test_ratio_moments_limits():
     # fully correlated vectors: Z = X = Y, closed form is exact
-    g1, g2, g3 = _ratio_moments([1.0], 8)
+    g1, g2, g3 = _moments([1.0], 8)
     assert (g1[0], g2[0], g3[0]) == (1.0 / 7, 1.0, 1.0)
     # independent vectors: only |Z|^2 survives, E{cos^2} = 1/N_r
-    g1, g2, g3 = _ratio_moments([0.0], 8)
+    g1, g2, g3 = _moments([0.0], 8)
     assert abs(g1[0]) < 1e-12 and abs(g2[0]) < 1e-12
     assert abs(g3[0] - 1.0 / 8) < 1e-7
 
@@ -242,18 +253,18 @@ def test_ratio_moments_against_simulation():
     X = np.sum(np.abs(x) ** 2, 1)
     Y = np.sum(np.abs(y) ** 2, 1)
     Z = np.sum(np.conj(x) * y, 1)
-    g1, g2, g3 = _ratio_moments([b], N_r)
+    g1, g2, g3 = _moments([b], N_r)
     assert abs(np.mean(Z / (X * Y)) - g1[0]) < 3e-3
     assert abs(np.mean(Z ** 2 / (X * Y)) - g2[0]) < 3e-3
     assert abs(np.mean(np.abs(Z) ** 2 / (X * Y)) - g3[0]) < 3e-3
 
 
 def test_ratio_moments_large_array_asymptotics():
-    # the quadrature stays finite far beyond the naive weight formula and
-    # approaches N_r g1 -> b, g2 -> b^2, g3 -> b^2
+    # the moments stay finite at large N_r and approach N_r g1 -> b,
+    # g2 -> b^2, g3 -> b^2
     b = 0.6
     for N_r in (128, 256, 512):
-        g1, g2, g3 = _ratio_moments([b], N_r)
+        g1, g2, g3 = _moments([b], N_r)
         assert np.isfinite([g1[0], g2[0], g3[0]]).all()
         assert abs(N_r * g1[0] - b) < 0.3 / N_r
         assert abs(g2[0] - b * b) < 0.3 / N_r
@@ -270,7 +281,7 @@ def test_gauss_gamma_matches_reference():
 
 @pytest.mark.parametrize("a", [0.5, 6.5])
 def test_gauss_gamma_matches_reference_at_half_integer_shape(a):
-    # the T ~ Gamma(N_r - 1/2) rule of `_ratio_moments` at N_r = 2 and 8
+    # the T ~ Gamma(N_r - 1/2) rule of the 3-D reference at N_r = 2 and 8
     from scipy.special import roots_genlaguerre
     x1, w1 = _gauss_gamma(80, a)
     x2, w2 = roots_genlaguerre(80, a)
@@ -280,14 +291,56 @@ def test_gauss_gamma_matches_reference_at_half_integer_shape(a):
 
 @pytest.mark.parametrize("nh", [5, 24, 48])
 def test_hermite_rule_matches_reference(nh):
-    # the w_r rule of `_ratio_moments`, used unfolded: symmetric, with an
-    # exact zero node at odd orders
-    x1, w1 = theory.hermgauss(nh)
+    # numpy's Hermite rule, as a w_r rule would use it unfolded: symmetric,
+    # with an exact zero node at odd orders
+    x1, w1 = hermgauss(nh)
     x2, w2 = roots_hermite(nh)
     np.testing.assert_allclose(x1, x2, rtol=0, atol=1e-14)
     np.testing.assert_allclose(w1, w2, rtol=0, atol=1e-14)
     assert np.array_equal(x1, -x1[::-1])
     assert np.count_nonzero(x1 == 0.0) == nh % 2
+
+
+def _hypergeometric_oracle(bvals, N_r, mpmath):
+    """(g1, k2, k3) from J = 2F1(1,1;N_r+1;z)/N_r at 50 digits, z = b^2:
+    g1 = b J, k2 = 1 - N_r J, k3 = (1 - (N_r-1) J)/(1 - z)."""
+    out = []
+    with mpmath.workdps(50):
+        for b in bvals:
+            b = mpmath.mpf(float(b))
+            J = mpmath.hyp2f1(1, 1, N_r + 1, b * b) / N_r
+            out.append((b * J, 1 - N_r * J, (1 - (N_r - 1) * J) / (1 - b * b)))
+    return np.array(out, dtype=float).T
+
+
+@pytest.mark.parametrize("N_r", [2, 3, 4, 8, 16, 64, 256, 1024])
+def test_ratio_moments_match_hypergeometric_oracle(N_r):
+    # both sides of z = 1/2 (b = 0.7071...), where the series hands over to
+    # the recurrence below N_r = 16, and up to b = 1 - 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    b = np.concatenate([np.linspace(0.0, 0.99, 12),
+                        [1e-8, 0.7071067, 0.7071068, 0.9, 0.999, 1 - 1e-6,
+                         1 - 1e-9, 1 - 1e-12]])
+    got = np.array(_ratio_moments(b, N_r))
+    np.testing.assert_allclose(got, _hypergeometric_oracle(b, N_r, mpmath),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("N_r", [2, 3, 64])
+def test_ratio_moments_finite_and_continuous_at_full_correlation(N_r):
+    # b = 1 and b = 1 + 2^-52 (|t|/t0 rounded up) read the b = 1 limits
+    # g1 = 1/(N_r-1), k2 = -1/(N_r-1), k3 = 1/(N_r-2); at N_r = 2, k3
+    # diverges like -log(1 - b^2), and b = 1 reads a finite value
+    edge = np.array(_ratio_moments([1.0, 1.0 + 2.0 ** -52], N_r))
+    assert np.isfinite(edge).all()
+    assert np.array_equal(edge[:, 0], edge[:, 1])
+    limits = [1 / (N_r - 1), -1 / (N_r - 1)] + ([1 / (N_r - 2)] if N_r > 2
+                                                else [])
+    np.testing.assert_allclose(edge[:len(limits), 0], limits, rtol=1e-14)
+    near = np.array(_ratio_moments([1 - 1e-9, 1 - 1e-12], N_r))
+    np.testing.assert_allclose(near[:len(limits), 1], limits, rtol=1e-9)
+    err = np.abs(near[:len(limits)] - edge[:len(limits), :1])
+    assert np.all(err[:, 1] < err[:, 0])    # closer at the nearer point
 
 
 # ------------------------------------------------------ physical validation
@@ -311,6 +364,21 @@ def test_exact_stats_match_channel_simulation(eva):
     assert sel.sum() > 20
     assert np.median(rel) < 0.15
     assert rel.max() < 0.35
+
+
+def test_single_user_sinr_matches_monte_carlo(peda):
+    # one fig4 point at its smallest N_r, where the exact kernels matter
+    # most: the high-rate Monte Carlo SINR against the closed form, within
+    # three jackknife standard errors
+    cfg = SimConfig(M=64, N_t=1, N_r=4, channels=("PedA",), gamma_db=30.0,
+                    trials=1500)
+    rep = sweep(cfg, "gamma_db", [30.0],
+                [SchemeSpec("highrate")]).get(30.0, "highrate")
+    th = theoretical_sinr([peda], design_prototype(cfg.kappa, 64), 64, 4,
+                          cfg.alpha, cfg.subcarrier, 0, cfg.noise_var(),
+                          P_s=P_SYM)
+    assert rep.sinr_se_db > 0
+    assert abs(rep.sinr_db - th) <= 3 * rep.sinr_se_db, (rep.sinr_db, th)
 
 
 # ---------------------------------------------------------------- noise
@@ -754,8 +822,8 @@ def test_sinr_trends(peda, pf32):
 # ------------------------------------------------ brute-force kernel oracles
 # Straightforward per-lag, per-row, per-m' and 4-D evaluations of the closed
 # form. The module evaluates the same sums on the band support of eps and
-# eps_check, from one analysis-bank pass, and with the G axis of the
-# ratio-moment quadrature folded; both must agree to 1e-12 of the maximum.
+# eps_check, from one analysis-bank pass, and the ratio moments as one
+# hypergeometric function; both must agree to 1e-12 of the maximum.
 
 def _assert_close(got, want, rel=1e-12):
     """|got - want| <= rel max|want|, and a 1e-9 relative bump of the largest
@@ -797,37 +865,6 @@ def _ratio_moments_oracle(bvals, N_r, nx=48, ng=48, nh=24):
     return np.array(out).T
 
 
-def _ratio_moments_3d_oracle(bvals, N_r, nx, nt, nh, nb=2):
-    """The 3-D (X, w_r, T) rule on its full grid, brute force: w_i^2 = B T
-    and G = (1 - B) T with B ~ Beta(1/2, N_r - 1) on Gauss-Jacobi nodes (the
-    integrands are linear in B, so every nb >= 1 is exact), and Z, X and
-    Y = |Z|^2/X + s^2 G formed directly."""
-    from scipy.special import roots_jacobi
-    xg, xw = _gauss_gamma(nx, N_r - 1)
-    tg, tw = _gauss_gamma(nt, N_r - 1.5)
-    hr, hw = roots_hermite(nh)
-    yb, yw = roots_jacobi(nb, N_r - 2, -0.5)     # B = (1 + y) / 2
-    X = xg[:, None, None, None]
-    wr = hr[None, :, None, None]
-    T = tg[None, None, :, None]
-    B = (1.0 + yb) / 2
-    W = (xw[:, None, None, None] * hw[None, :, None, None]
-         * tw[None, None, :, None] * yw) / (hw.sum() * yw.sum())
-    out = []
-    for b in bvals:
-        if b >= 1.0 - 1e-12:
-            out.append((1.0 / (N_r - 1), 1.0, 1.0))
-            continue
-        s = np.sqrt(1.0 - b * b)
-        Zr = b * X + s * np.sqrt(X) * wr
-        Zi2 = s * s * X * B * T
-        Y = (Zr * Zr + Zi2) / X + s * s * (1.0 - B) * T
-        inv_xy = W / (X * Y)
-        out.append((np.sum(Zr * inv_xy), np.sum((Zr * Zr - Zi2) * inv_xy),
-                    np.sum((Zr * Zr + Zi2) * inv_xy)))
-    return np.array(out).T
-
-
 def _ratio_moments_reference(bvals, N_r, nx, nt, nh):
     """The 3-D rule at high order, its T sum one product per block of X
     nodes, in bounded memory."""
@@ -855,8 +892,8 @@ def _error_stats_oracle(profiles, M, N_r, alpha, pair, exact=False,
                         n_eff=None):
     """(eps, eps_check, mu) from the per-lag loops over every l and the lags
     l' = l, l +- M (eps) and l' = 2A - l (mod M) (eps_check); the exact
-    kernels take their ratio moments from `_ratio_moments`, which has its
-    own oracle above."""
+    kernels (g1, k2, k3) come from `_ratio_moments`, which has its own
+    oracles above and below."""
     u, up = pair
     q = np.asarray(profiles[up].taps, dtype=float)
     q = q / q.sum()
@@ -882,12 +919,12 @@ def _error_stats_oracle(profiles, M, N_r, alpha, pair, exact=False,
     V = S - Q[None, :] * np.conj(t)[:, None]
     if exact:
         babs = np.abs(t)
-        g1, g2, g3 = _ratio_moments(babs, N_r)
+        g1, k2, k3 = _ratio_moments(babs, N_r)
         ph1 = t / np.where(babs < 1e-300, 1.0, babs)
         s2 = 1.0 - babs * babs
         inv_s2 = np.where(s2 < 1e-8, 0.0, 1.0 / np.where(s2 == 0, 1.0, s2))
-        k_eps2 = (g2 - babs * babs) * ph1 * ph1 * inv_s2
-        k_chk = (g3 - babs * babs) * inv_s2 * inv_s2
+        k_eps2 = np.where(s2 < 1e-8, 0.0, k2) * ph1 * ph1
+        k_chk = np.where(s2 < 1e-8, 0.0, k3)
         k_j1 = ph1 * g1
     else:
         scale = 1.0 / (M * (N_r if n_eff is None else n_eff))
@@ -1052,30 +1089,19 @@ def test_ratio_moments_match_4d_oracle(N_r):
     if N_r >= 16:
         # both rules converge: the 4-D one is an independent reference
         b = np.concatenate([np.linspace(0.0, 0.999, 12), [1.0]])
-        got = np.array(_ratio_moments(b, N_r))
+        got = np.array(_moments(b, N_r))
         for g, w in zip(got, _ratio_moments_oracle(b, N_r)):
             _assert_close(g, w)
         return
-    # at small N_r neither rule has converged (they differ by up to 2e-3 at
-    # N_r=2); against a high-order evaluation the 3-D rule's error is no
-    # larger, per moment, up to round-off where the shared X rule dominates
-    # both (g1 near b=1)
+    # at small N_r the 4-D rule has not converged (it differs by up to 2e-3
+    # at N_r=2); against a high-order evaluation the closed form's error is
+    # no larger, per moment, up to round-off
     b = [0.3, 0.6, 0.9, 0.99]
     n = 500 if N_r <= 3 else 200           # slowest convergence at small N_r
     ref = _ratio_moments_reference(b, N_r, n, n, 150)
-    err_3d = np.abs(np.array(_ratio_moments(b, N_r)) - ref).max(axis=1)
+    err_cf = np.abs(np.array(_moments(b, N_r)) - ref).max(axis=1)
     err_4d = np.abs(_ratio_moments_oracle(b, N_r) - ref).max(axis=1)
-    assert np.all(err_3d <= err_4d + 1e-15), (err_3d, err_4d)
-
-
-@pytest.mark.parametrize("nh", [5, 6])
-@pytest.mark.parametrize("N_r", [2, 5, 64])
-def test_ratio_moments_match_3d_oracle(N_r, nh):
-    # an odd nh puts a w_r node at 0, where a = b sqrt(X)
-    b = np.array([0.0, 0.3, 0.8, 0.99, 1.0])
-    got = _ratio_moments(b, N_r, nx=6, nt=5, nh=nh)
-    for g, w in zip(got, _ratio_moments_3d_oracle(b, N_r, 6, 5, nh)):
-        _assert_close(g, w)
+    assert np.all(err_cf <= err_4d + 1e-15), (err_cf, err_4d)
 
 
 @pytest.mark.parametrize("N_t", [1, 3])
