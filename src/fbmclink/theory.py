@@ -19,8 +19,7 @@ e^{j2pi m(l-A)/M} (A = alpha M/2) with statistics that depend only on the bin
 difference, so eps lives on l'-l in {0, +-M} (l' = l mod M; n = M+L_h-1 < 2M)
 and eps_check on l + l' = 2A (mod M).  `error_stats` and `average_power` work
 on that support only (at M=256, EVA: 337 and 311 of 80,089 entries), and an
-`ErrorStats` holds only those band values; its dense `eps` and `eps_check`
-are built when read.
+`ErrorStats` holds only those band values.
 
 The statistics come in two flavours.  The leading-order closed form uses the
 channel-hardening limit of the ZF combiner moments: with w_m the combiner row
@@ -38,25 +37,21 @@ correlation rho,
 where gamma1 = E{h~_m'^* b}, gamma2 = E{h~_m^* b'}, ctil = c + rho gamma1
 gamma2^*/(1-|rho|^2), c = E{b b'^*} (all per antenna), J1 = E{Z/(XY)},
 K2 = E{Z^2/(XY)}, g3 = E{|Z|^2/(XY)}.  The three scalar ratio moments depend
-only on (|rho|, N_r), and their large-N_r limits reproduce the leading-order
-kernels.  All three are closed forms in one Gauss hypergeometric function
-of z = |rho|^2, J = 2F1(1,1;N_r+1;z)/N_r, and the divided differences
-(K2 - |rho|^2)/(1-|rho|^2) and (g3 - |rho|^2)/(1-|rho|^2)^2 are series or a
-recurrence in z with no subtraction left to amplify round-off as |rho| -> 1
-(`_ratio_moments`; within 1e-12 relative of a 50-digit evaluation).  For
+only on (|rho|, N_r), their large-N_r limits reproduce the leading-order
+kernels, and all are closed forms in one hypergeometric function of |rho|^2
+(`_ratio_moments`, within 1e-12 relative of a 50-digit evaluation).  For
 N_t > 1 the combiner rows of the multi-user ZF are treated like single-user
 ones at leading order with the inverse-Wishart normalization 1/(N_r - N_t),
 the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the diagonal.
 
-Held between calls, keyed by content (callers may change PDP taps in place):
-per live PrototypeFilter (`_TABLES`, weakly keyed) the read-only table of one
-subcarrier (`interference_table`; 8.4 MB at M=256), read by every SNR point
-of a sweep, by `sir_upper_bound` and by every Monte Carlo trial of `metrics`,
-and with it up to 64 `average_power` results, keyed by the statistics' band
-and mean bytes, alpha, own pair, m and P_s; and one `error_stats` geometry
-(`_GEOMETRY`, keyed by both PDPs' taps, M, alpha, own pair and exact), dropped
-before a miss builds the next, so an N_r or SNR axis of one PDP builds it
-once.  The N_r-dependent kernels are formed per call (about 0.2 ms at M=256).
+Held between calls, per live PrototypeFilter (`_TABLES`, weakly keyed): the
+read-only table of one subcarrier (`interference_table`; 8.4 MB at M=256),
+read by every SNR point of a sweep, by `sir_upper_bound` and by every Monte
+Carlo trial of `metrics`, and with it `average_power`'s table-only weights
+(`_weights`: Gram bands of 150 KB at M=256, then per alpha, n, m, own pair).
+One `error_stats` geometry (`_GEOMETRY`, keyed by the bytes of both PDPs'
+taps, M, alpha, own pair and exact) is held and dropped before a miss builds
+the next, so an N_r or SNR axis of one PDP builds it once.
 """
 
 import weakref
@@ -67,7 +62,7 @@ from .errors import ConfigError, NumericalError
 from .fbmc import _J_POW, _afb
 
 _GEOMETRY = [None]                      # (key, geometry) of the last error_stats
-_TABLES = weakref.WeakKeyDictionary()   # PrototypeFilter -> (m, F, powers)
+_TABLES = weakref.WeakKeyDictionary()   # PrototypeFilter -> (m, F, held)
 _J = np.array(_J_POW)
 
 
@@ -150,25 +145,16 @@ class ErrorStats:
     """
 
     def __init__(self, pair, alpha, M, eps_band, check_band, mu):
-        self.pair, self.alpha, self.M = pair, alpha, M
+        self.pair, self.alpha, self.M, self.n = pair, alpha, M, mu.size
         self.eps_band, self.check_band, self.mu = eps_band, check_band, mu
-
-    @property
-    def n(self):
-        return self.mu.size
 
     def _dense(self, band, which):
         out = np.zeros((self.n, self.n), dtype=complex)
         out[_support(self.n, self.M, self.alpha * self.M // 2)[which]] = band
         return out
 
-    @property
-    def eps(self):
-        return self._dense(self.eps_band, 0)
-
-    @property
-    def eps_check(self):
-        return self._dense(self.check_band, 1)
+    eps = property(lambda self: self._dense(self.eps_band, 0))
+    eps_check = property(lambda self: self._dense(self.check_band, 1))
 
 
 def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
@@ -200,14 +186,12 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
     residue that dominates once the leading sums cancel; the divided
     differences (K2 - rho^2)/s^2 and (g3 - |rho|^2)/s^4 come from
     `_ratio_moments` in closed form, so nothing cancels as |rho| -> 1, and
-    bins with s^2 = 1 - |rho|^2 < 1e-8 are left out.
+    bins with s^2 = 1 - |rho|^2 < 1e-8 are left out.  All but the kernels
+    (`_geometry`) is held for the last key (see the module docstring).
 
     Lags with a full range R(l) (l in [L_h-1, M-1]) have b = 0, so the
     Case-1 exactness of the bin-sampled ZF design holds structurally, as do
     the aliasing identities psi[l] = -psi[l +- M].
-
-    All but the kernels depends only on the PDPs' taps, M, alpha, the own
-    pair and exact: that geometry (`_geometry`) is held for the last key.
     """
     u, up = pair
     if exact and u != up:
@@ -219,14 +203,11 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
         entry = _GEOMETRY[0] = None         # freed before the next is built
         entry = _GEOMETRY[0] = key, _geometry(profiles, M, alpha, pair, exact)
     mu, held = entry[1]
-    if exact:                               # own pair, so eps_check too
-        babs, ph1, keep, gg, Ctg, VU, ph, elp, clp = held
+    if exact:           # own pair: kernels per bin offset d, as matvecs
+        babs, ph1, keep, Gp, Cp, Vp = held
         g1, k2, k3 = _ratio_moments(babs, N_r)
-        k_eps2 = k2 * ph1 * ph1 * keep                      # (K2 - rho^2)/s2
-        k_chk = k3 * keep
-        T = gg * k_eps2 + Ctg * (ph1 * g1)
-        eps_band = np.sum(T * ph[elp], axis=1) / M
-        check_band = np.sum(VU * k_chk * np.conj(ph[clp]), axis=1) / M
+        eps_band = (Gp @ (k2 * ph1 * ph1 * keep) + Cp @ (ph1 * g1)) / M
+        check_band = Vp @ (k3 * keep) / M
     else:
         if n_eff is not None and n_eff < 1:
             raise ConfigError(f"need a positive combiner normalization, "
@@ -237,9 +218,9 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
 
 
 def _geometry(profiles, M, alpha, pair, exact):
-    """(mu, held): the N_r-free part of `error_stats`, the (pairs, M)
-    products that the exact kernels weight (with ph and the support rows) or
-    the leading order's row sums, each in the one-pass operand order."""
+    """(mu, held): the N_r-free part of `error_stats`, bin phases folded in:
+    for the exact kernels |rho|, its unit phase, the s^2 mask and the
+    (pairs, M) products that they weight; for the leading order its sums."""
     u, up = pair
     q = np.asarray(profiles[up].taps, dtype=float) / np.sum(profiles[up].taps)
     L_h = q.size
@@ -273,9 +254,9 @@ def _geometry(profiles, M, alpha, pair, exact):
     # one block over the support pairs of each covariance
     (el, elp), (cl, clp) = _support(n, M, A)
     a, b = np.maximum(lo[el], lo[elp]), np.minimum(hi[el], hi[elp])
-    inter = np.where((b >= a)[:, None], pre[b + 1] - pre[a], 0.0)
-    C = (inter - Q[el, None] * S[elp] - Q[elp, None] * S[el]
-         + (Q[el] * Q[elp])[:, None] * full)                # (pairs, M)
+    C = (np.where((b >= a)[:, None], pre[b + 1] - pre[a], 0.0)  # (pairs, M)
+         - Q[el, None] * S[elp] - Q[elp, None] * S[el]
+         + (Q[el] * Q[elp])[:, None] * full)
     own = u == up
     mu = np.zeros(n, dtype=complex)
     if own:
@@ -285,18 +266,22 @@ def _geometry(profiles, M, alpha, pair, exact):
         peaks = (ll - A) % M == 0
         mu[peaks] = Q[peaks]
         mu[A] -= 1.0
-    if exact:
-        babs = np.abs(t)
-        ph1 = t / np.where(babs < 1e-300, 1.0, babs)        # unit phase of rho
-        s2 = 1.0 - babs * babs
-        keep = s2 >= 1e-8
-        inv_s2 = np.where(keep, 1.0 / np.where(s2 == 0, 1.0, s2), 0.0)
-        gg = V[el] * np.conj(U[elp]) * inv_s2
-        return mu, (babs, ph1, keep, gg, C + t * gg, V[cl] * U[clp], ph,
-                    elp, clp)
-    return mu, (np.sum(t * C * ph[elp], axis=1),
-                np.sum(U[clp] * V[cl] * np.conj(ph[clp]), axis=1) if own
-                else np.zeros(cl.size, dtype=complex))
+    if not exact:
+        return mu, (np.sum(t * C * ph[elp], axis=1),
+                    np.sum(U[clp] * V[cl] * np.conj(ph[clp]), axis=1) if own
+                    else np.zeros(cl.size, dtype=complex))
+    babs = np.abs(t)
+    ph1 = t / np.where(babs < 1e-300, 1.0, babs)            # unit phase of rho
+    s2 = 1.0 - babs * babs
+    keep = s2 >= 1e-8
+    inv_s2 = np.where(keep, 1.0 / np.where(s2 == 0, 1.0, s2), 0.0)
+    gg = V[el] * np.conj(U[elp]) * inv_s2
+    C += t * gg
+    gg *= ph[elp]                       # the phases folded in, in place
+    C *= ph[elp]
+    VU = V[cl] * U[clp]
+    VU *= np.conj(ph[clp])
+    return mu, (babs, ph1, keep, gg, C, VU)
 
 
 def _transmux(pf, m, lags):
@@ -308,13 +293,15 @@ def _transmux(pf, m, lags):
 def interference_table(pf, m):
     """The read-only table F held for (pf, m), built on a miss: row m' is
     the full sequence F_{mm'}[l], entry i at lag i - (L_f - 1), shape
-    (M, 2 L_f - 1).  The phase e^{j(theta'-theta)} = j^{m'-m-dn} is applied
-    when powers are formed."""
+    (M, 2 L_f - 1); ConfigError for m outside [0, M).  The phase
+    e^{j(theta'-theta)} = j^{m'-m-dn} is applied when powers are formed."""
     m_held, F, _ = _TABLES.get(pf, (None, None, None))
     if m_held != m:
+        if not 0 <= m < pf.M:
+            raise ConfigError(f"need a subcarrier in [0, {pf.M}), got m={m}")
         F = _transmux(pf, m, np.arange(1 - pf.L_f, pf.L_f))
         F.flags.writeable = False
-        _TABLES[pf] = (m, F, {})    # the powers held with F, see average_power
+        _TABLES[pf] = (m, F, {})    # weights held with F, see average_power
     return F
 
 
@@ -348,71 +335,82 @@ def _windows(F, lo, hi, *i0s):
     return a, b, [F[:, i0 - b:i0 - a + 1] for i0 in i0s]
 
 
-def _runs(key, l, band):
-    """Split a band in row-major order by key into runs of l: (lo, hi, key,
-    values for l = hi, hi-1, ..., lo) per key value."""
-    runs = []
-    for k in sorted(set(key.tolist())):
-        sel = key == k
-        runs.append((l[sel][0], l[sel][-1], k, band[sel][::-1].copy()))
-    return runs
+def _weights(F, m, alpha, n, own):
+    """`average_power`'s weights for (alpha, n, m, own), held read-only with
+    F when it is a held table: (K_eps, v[l] conj(v[l']), K_chk or 0 for a
+    cross pair, v[l] v[l']), v of (m, 0); before them the Gram bands g_d[c]
+    = sum_m' F[m', c] conj(F[m', c-d]), row d/M + 1, column c + 2M, 0 off F."""
+    key, (M, W), P = (alpha, n, m, own), F.shape, 2 * F.shape[0]
+    held = next((h for _, G, h in _TABLES.values() if G is F), {})
+    if "gram" not in held:                      # views: no table-sized copy
+        X, Y, G = F.real, F.imag, np.zeros((3, W + 2 * P), dtype=complex)
+        Xa, Xb, Ya, Yb = X[:, M:], X[:, :-M], Y[:, M:], Y[:, :-M]
+        dot = lambda a, b: np.einsum("ij,ij->j", a, b)      # column sums
+        G[1, P:P + W] = dot(X, X) + dot(Y, Y)
+        G[2, P + M:P + W] = (dot(Xa, Xb) + dot(Ya, Yb)
+                             + 1j * (dot(Ya, Xb) - dot(Xa, Yb)))
+        G[0, P:P + W - M] = G[2, P + M:P + W].conj()
+        held["gram"], G.flags.writeable = G, False
+    if key not in held:
+        dns = _dn_range(M, (W + 1) // 2, alpha, n)
+        i0 = (dns + alpha) * (M // 2) + (W - 1) // 2
+        (el, elp), (cl, clp) = _support(n, M, alpha * M // 2)
+        v = _rows(F[m], i0[-dns[0]] - np.arange(n))     # (m, 0); dns[0] <= 0
+        out = [held["gram"][(elp - el) // M + 1, i0[:, None] - el + P]
+               .sum(axis=0), v[el] * np.conj(v[elp]),
+               np.zeros(cl.size, dtype=complex), v[cl] * v[clp]]
+        if own:     # one run of l per S = l + l', symmetric about S/2
+            sign = np.where((np.arange(M) - m) % 2, -1.0, 1.0)
+            for S in sorted(set((cl + clp).tolist())):
+                sel = np.flatnonzero(cl + clp == S)
+                lo, hi = cl[sel[0]], cl[sel[-1]]
+                for dn, i in zip(dns.tolist(), i0.tolist()):
+                    a, b, (Z,) = _windows(F, max(lo, S - i),
+                                          min(hi, S - i + W - 1), i)
+                    h = (b - a + 2) // 2        # the product is symmetric
+                    p = (-1) ** dn * (sign @ (Z[:, :h] * Z[:, ::-1][:, :h]))
+                    out[2][sel[a - lo:b - lo + 1]] += np.r_[
+                        p, p[:b - a + 1 - h][::-1]]
+        for w in out:
+            w.flags.writeable = False
+        held[key] = tuple(out)
+    return held[key]
 
 
 def average_power(stats, F, m, P_s):
-    """Average interference powers: variance plus squared-mean parts.
+    """Average interference power at (m, 0), summed over the lattice.
 
-    F is the `interference_table` of receive subcarrier m; M and L_f come
-    from its shape and alpha from `stats`.  Returns (powers, dn_values):
-    powers[m', j] is the mean-square interference coefficient from lattice
-    offset (m', dn_values[j]) for the user pair of `stats`. The deterministic
-    amplitude combines the filter-bank peak (own user only) with the mean
-    equalization-error rays.  The variance
-    (1/2) Re{v^T eps v^* + v^T eps_check v} is summed over the band support
-    of the covariances, for all m' of one dn at a time: the phase of v
-    cancels in eps, squares to +-1 in eps_check.  Each eps offset l' - l in
-    {0, +-M} and each eps_check sum l + l' = S covers one run of l, so each
-    is one product of contiguous table windows (`_windows`); an eps_check
-    run is symmetric about S/2, so its second factor is its first reversed.
-
-    The result is held with F when F is the held `interference_table`
-    (see the module docstring); each call returns its own copy.
+    F is the `interference_table` of subcarrier m.  Returns (rest, entry)
+    for the user pair of `stats`: the mean-square interference coefficient
+    summed over every lattice offset (m', dn) != (m, 0), and the (m, 0)
+    entry (for the own pair, the desired power).  An entry is the variance
+    (1/2) Re{v^T eps v^* + v^T eps_check v}, v[l] = F[m', i0 - l] j^(m'-m-dn)
+    and i0 = (dn + alpha) M/2 + L_f - 1, plus the squared mean amplitude
+    (filter-bank peak and error rays, own pair only).  Linear in the bands,
+    the variance sums to (1/2) Re{<eps_band, K_eps> + <check_band, K_chk>}:
+    the phase of v cancels in eps, so K_eps[l, l'] = sum_dn g_{l'-l}[i0 - l]
+    (column Gram bands g_d), and squares to (-1)^(m'-m-dn) in eps_check, so
+    K_chk[l, l'] = sum_dn (-1)^dn sum_m' (-1)^(m'-m) F[m', i0-l] F[m', i0-l'].
+    The (m, 0) variance is formed from row m and leaves the sum; amplitudes
+    stay per entry, (m, 0) zeroed before squaring, so the peak's square is
+    never cancelled.  `_weights` holds the weights with a held table.
     """
+    M, alpha, n = F.shape[0], stats.alpha, stats.n
     own = stats.pair[0] == stats.pair[1]
-    held = next((h for _, G, h in _TABLES.values() if G is F), {})
-    key = (m, stats.alpha, own, P_s, stats.eps_band.tobytes(),
-           stats.check_band.tobytes(), stats.mu.tobytes())
-    hit = held.get(key)
-    if hit is not None:
-        return hit[0].copy(), list(hit[1])
-    M, L_f, alpha = F.shape[0], (F.shape[1] + 1) // 2, stats.alpha
-    dns = _dn_range(M, L_f, alpha, stats.n).tolist()
-    A = alpha * M // 2
-    (el, elp), (cl, clp) = _support(stats.n, M, A)
-    eps_runs = _runs(elp - el, el, stats.eps_band)
-    chk_runs = _runs(cl + clp, cl, stats.check_band)
-    peaks = np.flatnonzero(stats.mu)
-    Ft = F.T
-    jm = np.arange(M) - m
-    powers = np.empty((M, len(dns)))
-    for j, dn in enumerate(dns):
-        i0 = (dn + alpha) * (M // 2) + L_f - 1          # l = 0
-        e = np.zeros(M, dtype=complex)
-        for lo, hi, d, v in eps_runs:
-            a, b, (X, Xd) = _windows(F, lo, hi, i0, i0 - d)
-            e += (X * np.conj(Xd)) @ v[hi - b:hi - a + 1]
-        c = np.zeros(M, dtype=complex)
-        for lo, hi, S, v in chk_runs:     # column i0 - (S - l) in F too
-            a, b, (X,) = _windows(F, max(lo, S - i0),
-                                  min(hi, S - i0 + F.shape[1] - 1), i0)
-            c += (X * X[:, ::-1]) @ v[hi - b:hi - a + 1]
-        quad = 0.5 * (e + c * _J[2 * (jm - dn) % 4]).real
-        amp = ((stats.mu[peaks] @ _rows(Ft, i0 - peaks) + _rows(Ft, i0 - A))
-               * _J[(jm - dn) % 4]).real if own else 0.0
-        powers[:, j] = quad + amp * amp
-    if len(held) >= 64:
-        held.clear()
-    held[key] = out = powers * P_s, dns
-    return out[0].copy(), list(dns)
+    w = _weights(F, m, alpha, n, own)
+    quad = 0.5 * (stats.eps_band @ w[0] + stats.check_band @ w[2]).real
+    quad0 = 0.5 * (stats.eps_band @ w[1] + stats.check_band @ w[3]).real
+    dns = _dn_range(M, (F.shape[1] + 1) // 2, alpha, n)
+    amp = np.zeros((dns.size, M))
+    if own:
+        i0 = (dns + alpha) * (M // 2) + (F.shape[1] - 1) // 2
+        peaks = np.flatnonzero(stats.mu)        # the mean rays, then the peak
+        amp = (np.tensordot(stats.mu[peaks], _rows(F.T, i0 - peaks[:, None]),
+                            1) + _rows(F.T, i0 - alpha * M // 2))
+        amp = (amp * _J[(np.arange(M) - m - dns[:, None]) % 4]).real
+    amp0, amp[-dns[0], m] = amp[-dns[0], m], 0.0      # dns[-dns[0]] = 0
+    return (P_s * (quad - quad0 + np.sum(amp * amp)),
+            P_s * (quad0 + amp0 * amp0))
 
 
 def noise_power(profile, pf, M, N_r, sigma_z2, N_t=1):
@@ -469,6 +467,8 @@ def sir_upper_bound(pf, M, alpha, m):
     reconstructs exactly.  The coefficients are columns of the table held for
     (pf, m).
     """
+    if M != pf.M:
+        raise ConfigError(f"need the prototype's M={pf.M}, got M={M}")
     dns = np.arange(1 - 2 * pf.kappa, 2 * pf.kappa)    # |dn| M/2 < L_f
     F = interference_table(pf, m)[:, dns * (M // 2) + pf.L_f - 1]
     c = (F * _J[(np.arange(M)[:, None] - m - dns) % 4]).real
@@ -490,12 +490,13 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0):
     `sir_upper_bound` (scaled by the desired power), as on the kappa=2 bank,
     it is zero, and with no noise the SINR is +inf.  A negative total (the
     leading-order multi-user terms can cancel below round-off) raises
-    NumericalError.  The table is the one held for (pf, m); the statistics
-    are formed once per distinct (own pair, source PDP), from the held
-    geometry and powers when an earlier call built them.
+    NumericalError, and M, m or u off the prototype's grid ConfigError.
+    Statistics and powers are formed once per (own pair, source PDP).
     """
-    F = interference_table(pf, m)
-    N_t = len(profiles)
+    if M != pf.M or not 0 <= u < len(profiles):
+        raise ConfigError(f"need the prototype's M={pf.M} and a user in "
+                          f"[0, {len(profiles)}), got M={M}, u={u}")
+    F, N_t = interference_table(pf, m), len(profiles)
     interference, exact_eq, seen = 0.0, True, {}
     for up in range(N_t):
         key = (up == u, np.asarray(profiles[up].taps, dtype=float).tobytes())
@@ -503,14 +504,12 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0):
             stats = error_stats(profiles, M, N_r, alpha, (u, up),
                                 exact=(N_t == 1),
                                 n_eff=None if N_t == 1 else N_r - N_t)
-            powers, dns = average_power(stats, F, m, P_s)
-            if up == u:
-                j0 = dns.index(0)
-                desired = powers[m, j0]
-                powers[m, j0] = 0.0     # sum around the desired entry
-                n_bank = powers.size - 1
+            rest, entry = average_power(stats, F, m, P_s)
+            if up == u:     # another user's (m, 0) entry is interference
+                desired, entry = entry, 0.0
+                n_bank = M * _dn_range(M, pf.L_f, alpha, stats.n).size - 1
             seen[key] = (stats.eps_band.any() or stats.check_band.any()
-                         or stats.mu.any(), powers.sum())
+                         or stats.mu.any(), rest + entry)
         exact_eq &= not seen[key][0]
         interference += seen[key][1]
     if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:

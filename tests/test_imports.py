@@ -49,5 +49,8 @@ def test_simulation_calls_load_no_new_numpy_or_scipy_module():
         "        csi_mode='estimated')\n"
         "theoretical_sinr([load_pdp('PedA', cfg.sample_rate)],\n"
         "                 design_prototype(4, 32), 32, 8, 1, 16, 0, 0.1)\n"
+        "theoretical_sinr([load_pdp(c, cfg.sample_rate) for c in\n"
+        "                  ('PedA', 'EVA')], design_prototype(4, 64), 64, 8,\n"
+        "                 1, 32, 0, 0.1)\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))")
     assert [m for m in new if m.split(".")[0] in ("numpy", "scipy")] == []

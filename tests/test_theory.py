@@ -564,27 +564,36 @@ def test_pdp_changed_in_place_gives_the_fresh_result(pf32):
     assert after == want != before
 
 
-def test_writes_into_average_power_results_do_not_reach_later_calls(peda):
+def _held_weights(pf):
+    """The arrays held with the table of pf: the Gram bands first."""
+    held = dict(theory._TABLES[pf][2])
+    return [held.pop("gram")] + [w for ws in held.values() for w in ws]
+
+
+def test_held_gram_bands_are_read_only(peda, eva):
     pf = design_prototype(4, 32)
-    st = error_stats([peda], 32, 8, 1, (0, 0), exact=True)
     F = interference_table(pf, 16)
-    want, want_dns = average_power(st, F.copy("K"), 16, 0.5)  # not held
-    for _ in range(3):              # the built result, then the held one twice
-        powers, dns = average_power(st, F, 16, 0.5)
-        assert np.array_equal(powers, want) and dns == want_dns
-        powers[:] = 0.0
-        dns.append(99)
+    for prof in (peda, eva):    # two n: own-pair weights for each
+        st = error_stats([prof], 32, 8, 1, (0, 0), exact=True)
+        want = average_power(st, F.copy("K"), 16, 0.5)      # nothing held
+        for _ in range(2):      # the weights built, then read
+            assert average_power(st, F, 16, 0.5) == want
+    held = _held_weights(pf)
+    assert len(held) == 1 + 2 * 4
+    for w in held:
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
-def test_held_powers_are_freed_with_their_prototype(peda):
+def test_held_gram_bands_are_freed_with_their_prototype(peda):
     pf = design_prototype(4, 16)
     st = error_stats([peda], 16, 8, 1, (0, 0), exact=True)
     average_power(st, interference_table(pf, 8), 8, 1.0)
-    (powers, _), = theory._TABLES[pf][2].values()
-    held = weakref.ref(powers)
-    del pf, powers
+    held = [weakref.ref(w) for w in _held_weights(pf)]
+    assert len(held) == 5 and all(h() is not None for h in held)
+    del pf
     gc.collect()
-    assert held() is None
+    assert all(h() is None for h in held)
 
 
 def test_nr_points_of_one_pdp_build_one_geometry(monkeypatch, eva, pf64):
@@ -632,13 +641,13 @@ def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
                             n_eff=None if N_t == 1 else N_r - N_t)
         exact_eq &= not (stats.eps.any() or stats.eps_check.any()
                          or stats.mu.any())
-        powers, dns = average_power(stats, F, m, P_s)
+        rest, entry = average_power(stats, F, m, P_s)
         if up == u:
-            j0 = dns.index(0)
-            desired = powers[m, j0]
-            powers[m, j0] = 0.0
-            n_bank = powers.size - 1
-        interference += powers.sum()
+            desired = entry
+            n_bank = M * _dn_range(M, pf.L_f, alpha, stats.n).size - 1
+        else:
+            rest += entry
+        interference += rest
     if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:
         interference = 0.0
     total = interference + noise_power(profiles[u], pf, M, N_r, sigma_z2,
@@ -675,9 +684,12 @@ def test_interference_confined_to_adjacent_ring(pf64, peda):
     # outside |dm| <= 1, |dn| <= 2 kappa the average power is negligible
     tab = interference_table(pf64, 32)
     st = error_stats([peda], 64, 8, 1, (0, 0))
-    powers, dns = average_power(st, tab, 32, 1.0)
+    dns = _dn_range(64, pf64.L_f, 1, st.n).tolist()
+    powers = _average_power_oracle(st, tab, 64, 32, 1, dns, 1.0)
     j0 = dns.index(0)
-    assert abs(powers[32, j0] - 1.0) < 1e-12     # desired entry carries P_s
+    _, entry = average_power(st, tab, 32, 1.0)
+    for desired in (entry, powers[32, j0]):     # desired entry carries P_s
+        assert abs(desired - 1.0) < 1e-12
     outside = 0.0
     for j, dn in enumerate(dns):
         for mp in range(64):
@@ -713,10 +725,10 @@ def test_flat_channels_orthogonal_bank_with_noise():
     noise = noise_power(flat, pf, 64, 8, 0.01)
     got = theoretical_sinr([flat], pf, 64, 8, 1, 32, 0, 0.01, P_s=0.5)
     assert np.isfinite(got)
-    desired = average_power(error_stats([flat], 64, 8, 1, (0, 0), exact=True),
-                            interference_table(pf, 32), 32, 0.5)
-    assert abs(got - 10 * np.log10(desired[0][32, desired[1].index(0)]
-                                   / noise)) < 1e-12
+    _, desired = average_power(
+        error_stats([flat], 64, 8, 1, (0, 0), exact=True),
+        interference_table(pf, 32), 32, 0.5)
+    assert abs(got - 10 * np.log10(desired / noise)) < 1e-12
     assert theoretical_sinr([flat, flat], pf, 64, 8, 1, 32, 0, 0.0,
                             P_s=0.5) == np.inf
 
@@ -1076,12 +1088,14 @@ def test_average_power_matches_row_oracle(M, kappa, alpha, kind):
     pair, exact, n_eff = _KINDS[kind]
     pf = design_prototype(kappa, M)
     st = error_stats(_oracle_profiles(M), M, 6, alpha, pair, exact=exact)
+    dns = _dn_range(M, pf.L_f, alpha, st.n).tolist()
     for m in (0, M // 2, M - 1):
-        tab = interference_table(pf, m)
-        got, dns = average_power(st, tab, m, 0.5)
+        rest, entry = average_power(st, interference_table(pf, m), m, 0.5)
         want = _average_power_oracle(st, _table_oracle(pf, M, m), M, m,
                                      alpha, dns, 0.5)
-        _assert_close(got, want)
+        _assert_close(entry, want[m, dns.index(0)])
+        want[m, dns.index(0)] = 0.0             # every other lattice offset
+        _assert_close(rest, want.sum())
 
 
 @pytest.mark.parametrize("N_r", [2, 3, 5, 8, 64])
@@ -1148,3 +1162,13 @@ def test_theory_input_errors_are_config_errors(uni4, eva, pf32):
     for call in cases:
         with pytest.raises(ConfigError):
             call()
+
+
+@pytest.mark.parametrize("M, m, u", [(32, -1, 0), (32, 32, 0), (16, 8, 0),
+                                     (64, 16, 0), (32, 16, 1), (32, 16, -1)])
+def test_bad_lattice_point_or_user_is_a_config_error(peda, pf32, M, m, u):
+    with pytest.raises(ConfigError):
+        theoretical_sinr([peda], pf32, M, 8, 1, m, u, 0.01)
+    if u == 0:
+        with pytest.raises(ConfigError):
+            sir_upper_bound(pf32, M, 1, m)
