@@ -7,8 +7,8 @@ metrics (Monte Carlo measurement), cli/config (presets and run files).
 """
 
 from .errors import ConfigError, NumericalError, SingularChannelError
-from .fbmc import (PrototypeFilter, design_prototype, phase_factor, OqamGrid,
-                   qam_to_oqam, modulate, demodulate)
+from .fbmc import (PrototypeFilter, design_prototype, OqamGrid, qam_to_oqam,
+                   modulate, demodulate)
 from .channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                       ChannelRealization, draw_channel, apply_channel,
                       add_awgn, FreqCsi, freq_csi, estimate_csi_mmse)
@@ -16,7 +16,7 @@ from .stage1 import (HighRateEqualizer, SingleTapEqualizer, alpha_bound,
                      design_highrate, apply_highrate, single_tap)
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,
                      build_lowrate_receiver, equalize_lowrate, recover_symbols)
-from .theory import (tau, ErrorStats, error_stats, interference_table,
+from .theory import (ErrorStats, error_stats, interference_table,
                      average_power, noise_power, sir_upper_bound,
                      theoretical_sinr)
 from .metrics import (SchemeSpec, CoeffSet, SinrReport, SweepResult, sweep,

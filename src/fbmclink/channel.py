@@ -138,11 +138,10 @@ def trial_rng(master_seed, trial):
 
 
 class ChannelRealization:
-    """One block-fading draw: taps (N_r, N_t, L_h_max) plus per-user profiles."""
+    """One block-fading draw: taps (N_r, N_t, L_h_max)."""
 
-    def __init__(self, taps, profiles):
+    def __init__(self, taps):
         self.taps = np.asarray(taps, dtype=complex)
-        self.profiles = list(profiles)
 
     @property
     def N_r(self):
@@ -173,7 +172,7 @@ def draw_channel(profiles, N_r, seed):
     if isinstance(profiles, PdpProfile):
         profiles = [profiles]
     if N_r < 1:
-        raise ValueError("N_r must be >= 1")
+        raise ConfigError("N_r must be >= 1")
     rng = make_rng(seed)
     N_t = len(profiles)
     L_max = max(p.L_h for p in profiles)
@@ -183,7 +182,7 @@ def draw_channel(profiles, N_r, seed):
         shape = (N_r, prof.L_h)
         taps[:, u, :prof.L_h] = scale * (rng.standard_normal(shape)
                                          + 1j * rng.standard_normal(shape))
-    return ChannelRealization(taps, profiles)
+    return ChannelRealization(taps)
 
 
 def _fast_len(n):
@@ -271,7 +270,7 @@ def apply_channel(x, H):
     if x.ndim == 1:
         x = x[None]
     if x.shape[0] != H.N_t:
-        raise ValueError(f"{x.shape[0]} streams for {H.N_t} users")
+        raise ConfigError(f"{x.shape[0]} streams for {H.N_t} users")
     # batched convolution over (N_r, N_t, time), summing the user axis
     return _convolve(x[None, :, :], H.taps, sum_axis=1)
 
@@ -279,7 +278,7 @@ def apply_channel(x, H):
 def add_awgn(y, sigma_z2, seed):
     """Add circular complex white Gaussian noise of total variance sigma_z2."""
     if sigma_z2 < 0:
-        raise ValueError("noise variance must be nonnegative")
+        raise ConfigError("noise variance must be nonnegative")
     y = np.asarray(y, dtype=complex)
     if sigma_z2 == 0:
         return y.copy()
@@ -336,7 +335,7 @@ def estimate_csi_mmse(csi, P_p, sigma_z2, seed):
     Z_m i.i.d. CN(0, P_p sigma_z2); P_p = 2 P_s L_p for L_p training symbols.
     """
     if P_p <= 0:
-        raise ValueError("P_p must be positive")
+        raise ConfigError("P_p must be positive")
     rng = make_rng(seed)
     H_tilde = bin_response(csi.time_taps, csi.M)
     Z = np.sqrt(P_p * sigma_z2 / 2.0) * (rng.standard_normal(H_tilde.shape)

@@ -193,7 +193,7 @@ def run_preset(name, scale="desk", out_dir="out", config_text=None, seed=None,
         raise ConfigError(f"threads must be >= 1, got {threads}")
     items = _preset_items(name, scale)
     if config_text is not None:
-        items.update(_parse_items(config_text, base_M=items.get("M")))
+        items.update(_parse_items(config_text))
     cfg = SimConfig(**items)
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)
@@ -243,8 +243,7 @@ print(png)
 '''
 
 _SCRIPT_BODIES = {
-    ("Lg_prime", "D1", "channel", "sir_db", "sir_se_db", "highrate_sir_db"): (
-        "fig3", '''
+    ("Lg_prime", "D1", "channel", "sir_db", "sir_se_db", "highrate_sir_db"): '''
 groups = {}
 for r in rows:
     groups.setdefault((r["channel"], int(r["D1"])), []).append(r)
@@ -257,9 +256,9 @@ for (ch, d1), rs in sorted(groups.items()):
     ax.axhline(float(rs[0]["highrate_sir_db"]), ls="--", lw=0.8, color="gray")
 ax.set_xlabel("low-rate equalizer length L'_g")
 ax.set_ylabel("SIR (dB)")
-'''),
+''',
     ("channel", "N_r", "gamma_db", "sinr_sim_db", "sinr_se_db",
-     "sinr_theory_db"): ("fig4", '''
+     "sinr_theory_db"): '''
 groups = {}
 for r in rows:
     groups.setdefault((r["channel"], int(r["N_r"])), []).append(r)
@@ -273,8 +272,8 @@ for (ch, nr), rs in sorted(groups.items()):
             label=f"{ch} N_r={nr} theory")
 ax.set_xlabel("SNR (dB)")
 ax.set_ylabel("SINR (dB)")
-'''),
-    ("N_r", "scheme", "Lg_prime", "sinr_db", "sinr_se_db"): ("fig6", '''
+''',
+    ("N_r", "scheme", "Lg_prime", "sinr_db", "sinr_se_db"): '''
 groups = {}
 for r in rows:
     groups.setdefault((r["scheme"], r["Lg_prime"]), []).append(r)
@@ -288,9 +287,9 @@ for (sc, lgp), rs in sorted(groups.items()):
 ax.set_xscale("log", base=2)
 ax.set_xlabel("receive antennas N_r")
 ax.set_ylabel("SINR (dB)")
-'''),
+''',
     ("gamma_db", "scheme", "Lg_prime", "sinr_db", "sinr_se_db",
-     "sir_upper_bound_db"): ("fig7", '''
+     "sir_upper_bound_db"): '''
 groups = {}
 for r in rows:
     groups.setdefault((r["scheme"], r["Lg_prime"]), []).append(r)
@@ -306,8 +305,8 @@ if math.isfinite(bound):    # an orthogonal bank (kappa=2) has no ceiling
     ax.axhline(bound, ls=":", color="k", label="SIR bound")
 ax.set_xlabel("SNR (dB)")
 ax.set_ylabel("SINR (dB)")
-'''),
-    ("gamma_db", "scheme", "csi", "mse", "mse_db"): ("mse", '''
+''',
+    ("gamma_db", "scheme", "csi", "mse", "mse_db"): '''
 groups = {}
 for r in rows:
     groups.setdefault((r["scheme"], r["csi"]), []).append(r)
@@ -318,16 +317,16 @@ for (sc, mode), rs in sorted(groups.items()):
     ax.plot(x, y, marker="o", label=f"{sc} ({mode} CSI)")
 ax.set_xlabel("SNR (dB)")
 ax.set_ylabel("MSE (dB)")
-'''),
+''',
 }
 
 
 def emit_plot_script(csv_path):
     """Return the text of a standalone matplotlib script for a result CSV.
 
-    The header row selects the plot layout; an unrecognized header raises
-    ConfigError listing the supported column sets. The script is returned,
-    never executed.
+    The header row selects the plot layout, and the file's stem (fig7,
+    fig8, ...) titles it; an unrecognized header raises ConfigError listing
+    the supported column sets. The script is returned, never executed.
     """
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -340,10 +339,10 @@ def emit_plot_script(csv_path):
         known = "; ".join(",".join(h) for h in _SCRIPT_BODIES)
         raise ConfigError(
             f"unrecognized CSV columns {','.join(header)}; expected one of: {known}")
-    title, body = _SCRIPT_BODIES[header]
     name = os.path.basename(csv_path)
-    text = _SCRIPT_PRELUDE + body + _SCRIPT_EPILOGUE
-    return text.replace("__CSV__", name).replace("__TITLE__", title)
+    text = _SCRIPT_PRELUDE + _SCRIPT_BODIES[header] + _SCRIPT_EPILOGUE
+    return text.replace("__CSV__", name).replace(
+        "__TITLE__", os.path.splitext(name)[0])
 
 
 class _Parser(argparse.ArgumentParser):

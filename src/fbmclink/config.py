@@ -2,8 +2,12 @@
 
 Config files are UTF-8 text, one ``key = value`` per line, ``#`` comments.
 ``D1``, ``L_g`` and ``subcarrier`` accept ``M``-relative notation ("M/4", "M",
-"M/2"), resolved against the ``M`` of the same file (or the default).
-``parse_config(render_config(cfg)) == cfg`` holds for every valid config.
+"M/2"), resolved against the config's ``M`` (the file's, or the default).
+Their defaults are M-relative too: D1 = M/4, L_g = M, subcarrier = M/2. A
+value resolved from such a form reads as an int but keeps its divisor, so
+``dataclasses.replace(cfg, M=...)`` resolves it again at the new M; an int
+given explicitly stays as given. ``render_config`` writes the resolved ints,
+and ``parse_config(render_config(cfg)) == cfg`` holds for every valid config.
 """
 
 import hashlib
@@ -19,6 +23,39 @@ _CHANNEL_NAMES = {"eva": "EVA", "etu": "ETU", "peda": "PedA", "pedb": "PedB"}
 # Real-symbol power of a unit-average-power QAM constellation after the
 # real/imaginary split.
 P_SYM = 0.5
+
+
+class _MRelative(int):
+    """An int resolved from M/k that keeps its divisor k."""
+
+
+# divisor k of each M-relative field's default, M/k
+_M_RELATIVE = {"D1": 4, "L_g": 1, "subcarrier": 2}
+
+
+def _resolve_m_relative(key, val, M):
+    """The value of field `key` at this M: the default (0, or negative for
+    subcarrier), the text "M" or "M/k", or a value resolved from one of
+    those at another M gives M/k; any other int is kept as given."""
+    if isinstance(val, _MRelative):
+        k = val.k
+    elif isinstance(val, str):
+        bad = ConfigError(f"{key}: bad M-relative value {val!r}")
+        if val != "M" and not val.startswith("M/"):
+            raise bad
+        try:
+            k = 1 if val == "M" else int(val[2:])
+        except ValueError:
+            raise bad from None
+    elif val == 0 or (key == "subcarrier" and val < 0):
+        k = _M_RELATIVE[key]
+    else:
+        return val
+    if k < 1 or M % k != 0:     # a divisor of M is a power of two, as D1 needs
+        raise ConfigError(f"{key} = M/{k}: {k} does not divide M = {M}")
+    out = _MRelative(M // k)
+    out.k = k
+    return out
 
 
 @dataclass
@@ -49,12 +86,9 @@ class SimConfig:
             raise ConfigError(f"M must be a power of two >= 4, got {self.M}")
         if self.kappa not in (2, 3, 4):
             raise ConfigError(f"kappa must be 2, 3 or 4, got {self.kappa}")
-        if self.L_g == 0:
-            self.L_g = self.M
-        if self.D1 == 0:
-            self.D1 = self.M // 4
-        if self.subcarrier < 0:
-            self.subcarrier = self.M // 2
+        for key in _M_RELATIVE:
+            setattr(self, key, _resolve_m_relative(key, getattr(self, key),
+                                                   self.M))
         for c in self.channels:
             # the text form splits on ',', '#' and line breaks and strips names
             if (not isinstance(c, str) or c.splitlines() != [c]
@@ -103,32 +137,11 @@ def channel_assignment(cfg):
     return [base[i % len(base)] for i in range(cfg.N_t)]
 
 
-_M_RELATIVE = ("D1", "L_g", "subcarrier")
-
-
-def _resolve_m_expr(key, val, M):
-    if val == "M":
-        k = 1
-    elif val.startswith("M/"):
-        try:
-            k = int(val[2:])
-        except ValueError:
-            raise ConfigError(f"{key}: bad M-relative value {val!r}") from None
-    else:
-        return None
-    if k < 1 or M % k != 0:
-        raise ConfigError(f"{key} = {val}: {k} does not divide M = {M}")
-    if key == "D1" and (k & (k - 1)) != 0:
-        raise ConfigError(
-            f"D1 = {val} violates the D1 = M/2^eta rule: the divisor must be a"
-            " power of two")
-    return M // k
-
-
-def _parse_items(text, base_M=None):
-    """key=value lines -> dict of typed SimConfig field values."""
+def _parse_items(text):
+    """key=value lines -> dict of typed SimConfig field values; M-relative
+    text stays text, for SimConfig to resolve."""
     ftypes = {f.name: f.type for f in fields(SimConfig)}
-    raw = {}
+    items = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -141,24 +154,12 @@ def _parse_items(text, base_M=None):
             raise ConfigError(
                 f"line {lineno}: unknown config key {key!r}; known keys: "
                 + ", ".join(sorted(ftypes)))
-        if key in raw:
+        if key in items:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = (lineno, val)
-
-    M = base_M if base_M is not None else SimConfig.__dataclass_fields__["M"].default
-    if "M" in raw:
-        try:
-            M = int(raw["M"][1])
-        except ValueError:
-            raise ConfigError(f"line {raw['M'][0]}: M must be an integer") from None
-
-    items = {}
-    for key, (lineno, val) in raw.items():
         t = ftypes[key]
         try:
-            if key in _M_RELATIVE:
-                resolved = _resolve_m_expr(key, val, M)
-                items[key] = int(val) if resolved is None else resolved
+            if key in _M_RELATIVE and val.startswith("M"):
+                items[key] = val
             elif t is int:
                 items[key] = int(val)
             elif t is float:
@@ -167,8 +168,6 @@ def _parse_items(text, base_M=None):
                 items[key] = tuple(p.strip() for p in val.split(",") if p.strip())
             else:
                 items[key] = val
-        except ConfigError:
-            raise
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value {val!r} for key {key!r}") from None

@@ -6,7 +6,7 @@ Conventions used throughout the package:
 * subcarrier filter f_m[t] = p[t] * exp(j*2*pi*m*(t - (L_f-1)/2)/M); the phase is
   referenced to the prototype's symmetry centre so that the lattice is orthogonal
   in the real domain (see module tests for the measured residual floor);
-* transmit atom F_{m,n}[l] = f_m[l - n*M/2] * phase_factor(m, n);
+* transmit atom F_{m,n}[l] = f_m[l - n*M/2] * j^{m+n};
 * the analysis bank output for instant n is the matched-filter output
   (y conv f_m^*[-.]) sampled at lag n*M/2, i.e. sum_t y[n*M/2 + t] f_m^*[t].
 
@@ -16,6 +16,8 @@ A burst of N_d symbol instants occupies (N_d-1)*M/2 + L_f samples.
 import math
 
 import numpy as np
+
+from .errors import ConfigError
 
 # Frequency-sampling sideband coefficients of the PHYDYAS pulse for
 # overlapping factors 2..4 (H_0 = 1 implicit).
@@ -87,9 +89,9 @@ def design_prototype(kappa, M):
         Symmetric, unit-energy pulse of length kappa*M.
     """
     if kappa not in _PHYDYAS:
-        raise ValueError(f"unsupported kappa={kappa}; supported: {sorted(_PHYDYAS)}")
+        raise ConfigError(f"unsupported kappa={kappa}; supported: {sorted(_PHYDYAS)}")
     if M < 4 or (M & (M - 1)) != 0:
-        raise ValueError(f"M must be a power of two >= 4, got {M}")
+        raise ConfigError(f"M must be a power of two >= 4, got {M}")
     L_f = kappa * M
     l = np.arange(L_f)
     # Frequency-sampling synthesis; the (l + 0.5) argument centres the pulse on
@@ -99,11 +101,6 @@ def design_prototype(kappa, M):
         p += 2.0 * (-1) ** k * hk * np.cos(2 * np.pi * k * (l + 0.5) / L_f)
     p /= np.sqrt(np.sum(p * p))
     return PrototypeFilter(p, M, kappa)
-
-
-def phase_factor(m, n):
-    """OQAM phase e^{j pi (m+n)/2}, exact (unit modulus, no rounding)."""
-    return _J_POW[(m + n) % 4]
 
 
 class OqamGrid:
@@ -166,7 +163,7 @@ def modulate(grid, pf):
     """
     M = pf.M
     if grid.symbols.shape[1] != M:
-        raise ValueError(
+        raise ConfigError(
             f"grid has M={grid.symbols.shape[1]} but prototype has M={M}")
     N_t, _, N_d = grid.symbols.shape
     half, n_blk = M // 2, 2 * pf.kappa
@@ -248,7 +245,7 @@ def demodulate(stream, pf, n_out=None):
     y = np.asarray(stream)
     M, L_f = pf.M, pf.L_f
     if y.shape[-1] < L_f:
-        raise ValueError(f"stream too short: {y.shape[-1]} < L_f={L_f}")
+        raise ConfigError(f"stream too short: {y.shape[-1]} < L_f={L_f}")
     if n_out is None:
         n_out = (y.shape[-1] - L_f) // (M // 2) + 1
     offsets = np.arange(n_out) * (M // 2)

@@ -210,20 +210,10 @@ class SinrReport:
     sir_se_db: float
     sinr_db: float
     sinr_se_db: float
-    noise_db: float
     trials: int
     seed: int
     config_fingerprint: str
     csi: str = "perfect"
-    flagged: str = ""
-
-
-def _flag_note(cfg, profiles):
-    worst = max(p.L_h for p in profiles)
-    if cfg.M < 2 * (worst - 1):
-        return (f"M={cfg.M} < 2(L_h-1)={2 * (worst - 1)}: channel memory "
-                "exceeds the equalizer's frequency resolution")
-    return ""
 
 
 def _map_trials(fn, trials, threads):
@@ -254,11 +244,10 @@ def _collect(cfg, specs, csi_mode, threads, pf):
         return _measure_many(H, built, pf, m, u)
 
     rows = _map_trials(one_trial, cfg.trials, threads)
-    flagged = _flag_note(cfg, profiles)
-    return {sp: [row[i] for row in rows] for i, sp in enumerate(specs)}, flagged
+    return {sp: [row[i] for row in rows] for i, sp in enumerate(specs)}
 
 
-def _report(cfg, spec, label, sets, csi_mode, flagged):
+def _report(cfg, spec, label, sets, csi_mode):
     """Aggregate per-trial coefficient sets into SIR/SINR (ratio of mean
     powers) with jackknife standard errors on the dB values, at the SNR of
     `cfg`."""
@@ -268,14 +257,12 @@ def _report(cfg, spec, label, sets, csi_mode, flagged):
     nz = np.array([c.noise_power(sigma_z2) for c in sets])
     sir_db, sir_se = _jackknife_ratio_db(des, intf)
     sinr_db, sinr_se = _jackknife_ratio_db(des, intf + nz)
-    noise_db = 10.0 * np.log10(nz.mean() / sets[0].P_s) if sigma_z2 > 0 \
-        else -np.inf
     return SinrReport(
         scheme=label, kind=spec.kind, D1=spec.D1, Lg_prime=spec.Lg_prime,
         m=cfg.subcarrier, u=cfg.user, gamma_db=cfg.gamma_db,
         sir_db=sir_db, sir_se_db=sir_se, sinr_db=sinr_db, sinr_se_db=sinr_se,
-        noise_db=noise_db, trials=cfg.trials, seed=cfg.master_seed,
-        config_fingerprint=fingerprint(cfg), csi=csi_mode, flagged=flagged)
+        trials=cfg.trials, seed=cfg.master_seed,
+        config_fingerprint=fingerprint(cfg), csi=csi_mode)
 
 
 @dataclass
@@ -332,14 +319,13 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     pf = design_prototype(config.kappa, config.M)   # no axis changes it
     if shared:
         unique = list(dict.fromkeys(sp for _, _, v in plan for sp in v))
-        data, flagged = _collect(config, unique, csi_mode, threads, pf)
+        data = _collect(config, unique, csi_mode, threads, pf)
     reports = {}
     for pt, cfg, v in plan:
         if not shared:
-            data, flagged = _collect(cfg, v, csi_mode, threads, pf)
+            data = _collect(cfg, v, csi_mode, threads, pf)
         for sp, lab in zip(v, labels):
-            reports[(pt, lab)] = _report(cfg, sp, lab, data[sp], csi_mode,
-                                         flagged)
+            reports[(pt, lab)] = _report(cfg, sp, lab, data[sp], csi_mode)
     log.debug("sweep %s done (%d points)", axis, len(points))
     return SweepResult(axis, tuple(points), labels, reports, fingerprint(config))
 
@@ -350,15 +336,16 @@ def _qam16(rng, shape):
     return (re + 1j * im) / np.sqrt(10.0)
 
 
-def run_mse(config, scheme, csi_mode="perfect", seed=None, threads=1):
+def run_mse(config, scheme, csi_mode="perfect", threads=1):
     """Symbol-level mean-square error of one receiver scheme.
 
     Runs config.trials bursts of N_d instants of 16-QAM through the full
     transmit/channel/receive chain, discards 2*kappa instants at each burst
     edge, and returns the MSE over the kept real symbols of all users and
     subcarriers, normalized by the symbol power (linear scale, mean across
-    trials). Each burst draws from its own stream, so the result does not
-    depend on `threads`, the number of worker threads.
+    trials). Burst t draws from the stream `trial_rng(config.master_seed,
+    t)`, so the result does not depend on `threads`, the number of worker
+    threads.
     """
     if csi_mode not in ("perfect", "estimated"):
         raise ConfigError(f"csi_mode must be 'perfect' or 'estimated', got {csi_mode!r}")
@@ -373,11 +360,10 @@ def run_mse(config, scheme, csi_mode="perfect", seed=None, threads=1):
     M, N_d = cfg.M, cfg.N_d
     sigma_z2 = cfg.noise_var()
     P_p = 2.0 * P_SYM * cfg.L_p
-    master = cfg.master_seed if seed is None else seed
     keep = slice(2 * cfg.kappa, N_d - 2 * cfg.kappa)
 
     def one_burst(t):
-        rng = trial_rng(master, t)
+        rng = trial_rng(cfg.master_seed, t)
         H = draw_channel(profiles, cfg.N_r, rng)
         grid = qam_to_oqam(_qam16(rng, (cfg.N_t, M, N_d // 2)), P_SYM)
         y = add_awgn(apply_channel(modulate(grid, pf), H), sigma_z2, rng)

@@ -27,10 +27,9 @@ _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singula
 class HighRateEqualizer:
     """Matrix FIR equalizer G[l], shape (N_t, N_r, L_g), with target delay alpha*M/2."""
 
-    def __init__(self, taps, alpha, criterion, M):
+    def __init__(self, taps, alpha, M):
         self.taps = np.asarray(taps, dtype=complex)
         self.alpha = int(alpha)
-        self.criterion = criterion
         self.M = int(M)
 
     @property
@@ -41,9 +40,8 @@ class HighRateEqualizer:
 class SingleTapEqualizer:
     """Per-subcarrier combining matrices W_m, shape (M, N_t, N_r)."""
 
-    def __init__(self, W, criterion):
+    def __init__(self, W):
         self.W = np.asarray(W, dtype=complex)
-        self.criterion = criterion
 
     @property
     def M(self):
@@ -105,7 +103,7 @@ def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.
     delay = np.arange(L_g) * (alpha * M // 2) % L_g
     G *= np.exp(-2j * np.pi * delay / L_g)[:, None, None]
     G = np.fft.ifft(G, axis=0)                          # (L_g, N_t, N_r)
-    return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha, criterion, M)
+    return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha, M)
 
 
 def apply_highrate(y, eq):
@@ -114,7 +112,7 @@ def apply_highrate(y, eq):
     if y.ndim == 1:
         y = y[None]
     if y.shape[0] != eq.taps.shape[1]:
-        raise ValueError(f"{y.shape[0]} antenna streams for N_r={eq.taps.shape[1]}")
+        raise ConfigError(f"{y.shape[0]} antenna streams for N_r={eq.taps.shape[1]}")
     return _convolve(eq.taps, y[None, :, :], sum_axis=1)
 
 
@@ -125,5 +123,4 @@ def single_tap(csi, criterion="zf", sigma_z2=0.0, P_s=1.0):
     bins, so alpha = 0 for this scheme).
     """
     lam = _ridge(criterion, sigma_z2, P_s)
-    return SingleTapEqualizer(_solve_bins(bin_response(csi.time_taps, csi.M), lam),
-                              criterion)
+    return SingleTapEqualizer(_solve_bins(bin_response(csi.time_taps, csi.M), lam))

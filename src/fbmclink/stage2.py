@@ -106,12 +106,11 @@ class LowRateEqualizerBank:
     value of each leading index (all M of them by default).
     """
 
-    def __init__(self, gbar, subcarriers, plan, alpha, criterion):
+    def __init__(self, gbar, subcarriers, plan, alpha):
         self.gbar = np.asarray(gbar, dtype=complex)
         self.subcarriers = list(subcarriers)
         self.plan = plan
         self.alpha = int(alpha)
-        self.criterion = criterion
 
     @property
     def Lg_prime(self):
@@ -135,7 +134,7 @@ def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
     if subcarriers is None:
         subcarriers = list(range(pf.M))
     gbar = _fit(eq.taps, pf, subcarriers, plan.D1, Lg_prime)
-    return LowRateEqualizerBank(gbar, subcarriers, plan, alpha, criterion)
+    return LowRateEqualizerBank(gbar, subcarriers, plan, alpha)
 
 
 def equalize_lowrate(y, bank, pf):
@@ -170,9 +169,9 @@ def equalize_lowrate(y, bank, pf):
     D1, D2, M = bank.plan.D1, bank.plan.D2, bank.plan.M
     n_sub, N_t, N_r, Lgp = bank.gbar.shape
     if y.shape[0] != N_r:
-        raise ValueError(f"{y.shape[0]} antenna streams for N_r={N_r}")
+        raise ConfigError(f"{y.shape[0]} antenna streams for N_r={N_r}")
     if y.shape[1] < pf.L_f:
-        raise ValueError("stream too short for one analysis window")
+        raise ConfigError("stream too short for one analysis window")
     n_inst = (y.shape[1] - 1) // (M // 2) + 1
     # taps j = a D2 - p, phases p in [p0, p1), as (n_sub, N_t, phases x N_r)
     a_max = (Lgp + D2 - 2) // D2

@@ -120,12 +120,6 @@ def _ratio_moments(bvals, N_r):
     return b * J, k2, k3
 
 
-def tau(profile, M):
-    """Subcarrier correlation matrix tau[m,m'] = sum_l q[l] e^{j2pi(m-m')l/M}."""
-    t = np.conj(np.fft.fft(profile.taps, M))    # sum_l q[l] e^{+j2pi dl/M}
-    return t[(np.arange(M)[:, None] - np.arange(M)) % M]
-
-
 def _support(n, M, A):
     """Row-major pairs (l, l') of the eps band l' in {l, l +- M} and the
     eps_check band l' in (2A - l) mod M + {0, M}, within [0, n < 2M)."""
@@ -195,7 +189,7 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
     """
     u, up = pair
     if exact and u != up:
-        raise ValueError("exact statistics cover the own-user pair only")
+        raise ConfigError("exact statistics cover the own-user pair only")
     key = (M, alpha, u == up, exact) + tuple(
         np.asarray(profiles[i].taps, dtype=float).tobytes() for i in pair)
     entry = _GEOMETRY[0]                    # one read: threads may swap it

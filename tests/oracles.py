@@ -20,6 +20,17 @@ def _gauss_gamma(n, a):
     return x, w / w.sum()
 
 
+def phase_factor(m, n):
+    """OQAM phase e^{j pi (m+n)/2}, exact (unit modulus, no rounding)."""
+    return (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)[(m + n) % 4]
+
+
+def tau(profile, M):
+    """Subcarrier correlation matrix tau[m,m'] = sum_l q[l] e^{j2pi(m-m')l/M}."""
+    t = np.conj(np.fft.fft(profile.taps, M))    # sum_l q[l] e^{+j2pi dl/M}
+    return t[(np.arange(M)[:, None] - np.arange(M)) % M]
+
+
 def afb_reference(y, pf, offsets):
     """The analysis bank as one fold of whole (offsets, M) index gathers: a
     zero-padded copy of the streams, and each of the kappa prototype blocks

@@ -274,7 +274,7 @@ def test_convolve_blocks_never_hold_the_user_product():
     B = next_fast_len(max(8 * L_h, 1024))
     n_blk = -(-L // (B - L_h + 1))
     assert L + L_h - 1 >= 2 * B                  # the block path
-    H = ChannelRealization(taps, [None] * N_t)
+    H = ChannelRealization(taps)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -306,7 +306,7 @@ def test_apply_channel_impulse(eva, uni4):
 def test_apply_channel_delay():
     taps = np.zeros((1, 1, 6), dtype=complex)
     taps[0, 0, 5] = 2.0
-    H = ChannelRealization(taps, [None])
+    H = ChannelRealization(taps)
     x = np.arange(1.0, 9.0)
     y = apply_channel(x, H)
     assert y.shape == (1, 13)

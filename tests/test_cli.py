@@ -47,6 +47,19 @@ def test_fig7_orthogonal_bank_writes_infinite_bound(tmp_path, capsys):
     assert "import math\n" in script
 
 
+def test_plot_script_title_is_the_csv_stem(tmp_path):
+    # fig7 and fig8 share one header, so the header cannot name the figure
+    path = tmp_path / "fig8.csv"
+    path.write_text("gamma_db,scheme,Lg_prime,sinr_db,sinr_se_db,"
+                    "sir_upper_bound_db\n0.0,highrate,0,1.0,0.1,60.0\n",
+                    encoding="utf-8")
+    script = cli.emit_plot_script(str(path))
+    compile(script, "fig8_plot.py", "exec")
+    assert script.splitlines()[1] == (
+        '"""Plot fig8 from fig8.csv (generated; requires matplotlib)."""')
+    assert "fig7" not in script
+
+
 def test_python_m_fbmclink_starts_without_warning():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

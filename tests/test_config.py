@@ -1,6 +1,8 @@
-"""Config files: the render/parse round trip and the values it rejects."""
+"""Config files: the render/parse round trip, the values it rejects, and
+how `replace` treats M-relative values."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -69,3 +71,53 @@ def test_rejects_values_that_do_not_round_trip(field, value):
     with pytest.raises(ConfigError, match=field):
         SimConfig(**{field: value})
 
+
+
+@pytest.mark.parametrize("M, want", [(64, (16, 64, 32)), (512, (128, 512, 256))])
+def test_replace_m_resolves_the_defaults_again(M, want):
+    cfg = replace(SimConfig(), M=M)
+    assert (cfg.D1, cfg.L_g, cfg.subcarrier) == want
+
+
+def test_replace_m_keeps_explicit_ints_and_resolves_text_again():
+    assert replace(SimConfig(M=64, D1=8), M=256).D1 == 8
+    cfg = parse_config("M = 64\nD1 = M/8\nL_g = M\nsubcarrier = M/4\n")
+    assert (cfg.D1, cfg.L_g, cfg.subcarrier) == (8, 64, 16)
+    cfg = replace(cfg, M=256)
+    assert (cfg.D1, cfg.L_g, cfg.subcarrier) == (32, 256, 64)
+    # the resolved values render as ints, so the fingerprint text is plain
+    assert "D1 = 32\nLg_prime" in render_config(cfg)
+    assert parse_config(render_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("text, match", [
+    ("D1 = M/3\n", "3 does not divide M = 256"),
+    ("M = 16\nD1 = M\n", "D1=16 invalid"),
+    ("M = 16\nL_g = M/32\n", "32 does not divide M = 16"),
+    ("subcarrier = M/0\n", "does not divide"),
+    ("D1 = Mx\n", "bad M-relative value 'Mx'"),
+    ("D1 = M/two\n", "bad M-relative value"),
+    ("D1 = quarter\n", "line 1: bad value 'quarter'"),
+])
+def test_bad_m_relative_values_are_config_errors(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs(), st.integers(2, 10),
+       st.sampled_from([None, 0, "M/2", "M/4", "M/64"]))
+def test_replace_m_works_or_raises_config_error(cfg, log2M, d1):
+    # d1 None keeps the drawn config's explicit ints
+    try:
+        if d1 is not None:
+            cfg = replace(cfg, D1=d1, L_g="M/2", subcarrier=-1)
+        new = replace(cfg, M=2 ** log2M)
+    except ConfigError:
+        return
+    assert new.M == 2 ** log2M
+    assert 1 <= new.D1 <= new.M // 2 and 0 <= new.subcarrier < new.M
+    if d1 is not None:
+        assert new.D1 == new.M // (4 if d1 == 0 else int(d1[2:]))
+        assert (new.L_g, new.subcarrier) == (new.M // 2, new.M // 2)
+    assert parse_config(render_config(new)) == new

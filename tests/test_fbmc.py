@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fbmclink import (OqamGrid, demodulate, design_prototype, modulate,
-                      phase_factor, qam_to_oqam)
+                      qam_to_oqam)
 from fbmclink.fbmc import _afb, _tx_phases
 
 from fbmclink import fbmc
 from fbmclink.channel import make_rng
 
-from oracles import afb_reference, oqam_to_qam, transmux_response
+from oracles import (afb_reference, oqam_to_qam, phase_factor,
+                     transmux_response)
 
 
 # ---------------------------------------------------------------- prototype

@@ -194,8 +194,8 @@ def test_trial_coefficients_do_not_depend_on_trial_count():
     cfg = _small_cfg()
     specs = _specs(cfg, _SCHEMES)
     pf = design_prototype(cfg.kappa, cfg.M)
-    few, _ = _collect(replace(cfg, trials=2), specs, "estimated", 1, pf)
-    many, _ = _collect(cfg, specs, "estimated", 2, pf)
+    few = _collect(replace(cfg, trials=2), specs, "estimated", 1, pf)
+    many = _collect(cfg, specs, "estimated", 2, pf)
     for sp in specs:
         for a, b in zip(few[sp], many[sp][:2]):
             assert np.array_equal(a.R, b.R) and np.array_equal(a.dn, b.dn)
@@ -268,7 +268,7 @@ def test_run_mse_rejects_bad_input():
 @pytest.mark.parametrize("scheme", _SCHEMES, ids=lambda sp: sp.kind)
 def test_run_mse_seed_is_the_master_seed(scheme):
     cfg = replace(_small_cfg(), trials=2, N_d=24)
-    got = run_mse(cfg, scheme, csi_mode="estimated", seed=5)
+    got = run_mse(replace(cfg, master_seed=5), scheme, csi_mode="estimated")
     assert got == run_mse(replace(cfg, master_seed=5), scheme,
                           csi_mode="estimated")
     assert got != run_mse(cfg, scheme, csi_mode="estimated")

@@ -408,7 +408,7 @@ def test_flat_channel_alpha0_reduces_to_single_tap():
     # with a one-tap channel and no delay the LS fit returns the bin combiner
     rng = make_rng(8)
     taps = rng.standard_normal((2, 1, 1)) + 1j * rng.standard_normal((2, 1, 1))
-    csi = freq_csi(ChannelRealization(taps, [None]), 16)
+    csi = freq_csi(ChannelRealization(taps), 16)
     pf = design_prototype(4, 16)
     bank = build_lowrate_receiver(csi, pf, DecimationPlan(16, 8), alpha=0,
                                   Lg_prime=3)
@@ -426,7 +426,7 @@ def test_lowrate_loopback(pf16):
            + 1j * (rng.integers(0, 2, (16, N_d // 2)) * 2 - 1)) * np.sqrt(0.25)
     grid = qam_to_oqam(qam, 0.5)
     s = modulate(grid, pf16)
-    csi = freq_csi(ChannelRealization(np.ones((1, 1, 1)), [None]), 16)
+    csi = freq_csi(ChannelRealization(np.ones((1, 1, 1))), 16)
     bank = build_lowrate_receiver(csi, pf16, DecimationPlan(16, 4), alpha=1,
                                   Lg_prime=5)
     out = equalize_lowrate(s, bank, pf16)
@@ -447,7 +447,7 @@ def test_equalize_lowrate_sums_antennas(pf16, eva):
     assert out.shape == (2, 3, (300 - 1) // 8 + 1)
     parts = [equalize_lowrate(
         y[r:r + 1], LowRateEqualizerBank(bank.gbar[:, :, r:r + 1],
-                                         bank.subcarriers, plan, 1, "zf"),
+                                         bank.subcarriers, plan, 1),
         pf16) for r in range(4)]
     np.testing.assert_allclose(out, sum(parts), rtol=0, atol=1e-12)
 
@@ -489,7 +489,7 @@ def test_equalize_lowrate_matches_polyphase_oracle(M, D1, Lgp, eva):
     csi = freq_csi(draw_channel([eva, eva], 3, M + D1), M)
     full = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp)
     subset = [M - 1, 0, M // 2 + 1]
-    rows = LowRateEqualizerBank(full.gbar[subset], subset, plan, 1, "zf")
+    rows = LowRateEqualizerBank(full.gbar[subset], subset, plan, 1)
     rng = make_rng(Lgp)
     for L in (pf.L_f + 3, 5 * M + M // 4 + 1):
         y = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))

@@ -21,10 +21,10 @@ from fbmclink.metrics import SchemeSpec, sweep
 from fbmclink.theory import (_dn_range, _ratio_moments,
                              _roundoff_floor, _support, _transmux,
                              average_power, error_stats, interference_table,
-                             noise_power, sir_upper_bound, tau,
-                             theoretical_sinr)
+                             noise_power, sir_upper_bound, theoretical_sinr)
 
-from oracles import _gauss_gamma, afb_reference, transmux_response, window
+from oracles import (_gauss_gamma, afb_reference, tau, transmux_response,
+                     window)
 
 RATE = 7.68e6
 
@@ -1096,6 +1096,25 @@ def test_average_power_matches_row_oracle(M, kappa, alpha, kind):
         _assert_close(entry, want[m, dns.index(0)])
         want[m, dns.index(0)] = 0.0             # every other lattice offset
         _assert_close(rest, want.sum())
+
+
+def test_eps_weights_match_brute_force_sum_on_complex_table():
+    # K_eps[l, l'] = sum_dn sum_m' F[m', i0 - l] conj(F[m', i0 - l']). The
+    # PHYDYAS tables' +-M Gram bands are real to round-off, so only a table
+    # with complex bands shows a lost conjugate there.
+    M, L_f, alpha, n, m = 8, 32, 1, 12, 3
+    rng = np.random.default_rng(21)
+    F = (rng.standard_normal((M, 2 * L_f - 1))
+         + 1j * rng.standard_normal((M, 2 * L_f - 1)))
+
+    def col(i):                 # zero beyond the table
+        return F[:, i] if 0 <= i < F.shape[1] else np.zeros(M)
+    i0s = [(dn + alpha) * (M // 2) + L_f - 1 for dn in range(-20, 21)]
+    (el, elp), _ = _support(n, M, alpha * M // 2)
+    want = [sum(np.sum(col(i0 - l) * np.conj(col(i0 - lp))) for i0 in i0s)
+            for l, lp in zip(el.tolist(), elp.tolist())]
+    got = theory._weights(F, m, alpha, n, False)[0]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("N_r", [2, 3, 5, 8, 64])
