@@ -5,9 +5,12 @@ Config files are UTF-8 text, one ``key = value`` per line, ``#`` comments.
 "M/2"), resolved against the config's ``M`` (the file's, or the default).
 Their defaults are M-relative too: D1 = M/4, L_g = M, subcarrier = M/2. A
 value resolved from such a form reads as an int but keeps its divisor, so
-``dataclasses.replace(cfg, M=...)`` resolves it again at the new M; an int
-given explicitly stays as given. ``render_config`` writes the resolved ints,
-and ``parse_config(render_config(cfg)) == cfg`` holds for every valid config.
+``dataclasses.replace(cfg, M=...)`` resolves it again at the new M; a plain
+int given explicitly stays as given. The divisor travels with the value:
+``replace(cfg, M=512, D1=cfg.D1)`` and ``SimConfig(M=512, D1=cfg.D1)`` resolve
+it again too, and ``int(cfg.D1)`` pins it. ``render_config`` writes the
+resolved ints, and ``parse_config(render_config(cfg)) == cfg`` holds for every
+valid config.
 """
 
 import hashlib
@@ -34,9 +37,10 @@ _M_RELATIVE = {"D1": 4, "L_g": 1, "subcarrier": 2}
 
 
 def _resolve_m_relative(key, val, M):
-    """The value of field `key` at this M: the default (0, or negative for
-    subcarrier), the text "M" or "M/k", or a value resolved from one of
-    those at another M gives M/k; any other int is kept as given."""
+    """The value of field `key` at this M: the default (0 for D1 and L_g, a
+    negative value for subcarrier, whose 0 is a valid bin), the text "M" or
+    "M/k", or a value resolved from one of those at another M gives M/k;
+    any other plain int is kept as given."""
     if isinstance(val, _MRelative):
         k = val.k
     elif isinstance(val, str):
@@ -47,7 +51,7 @@ def _resolve_m_relative(key, val, M):
             k = 1 if val == "M" else int(val[2:])
         except ValueError:
             raise bad from None
-    elif val == 0 or (key == "subcarrier" and val < 0):
+    elif (val < 0) if key == "subcarrier" else (val == 0):
         k = _M_RELATIVE[key]
     else:
         return val

@@ -90,6 +90,21 @@ def test_replace_m_keeps_explicit_ints_and_resolves_text_again():
     assert parse_config(render_config(cfg)) == cfg
 
 
+def test_subcarrier_zero_is_a_bin_not_the_default():
+    assert SimConfig(subcarrier=0).subcarrier == 0
+    assert replace(SimConfig(), subcarrier=0).subcarrier == 0
+    assert parse_config("subcarrier = 0\n").subcarrier == 0
+    assert replace(SimConfig(subcarrier=0), M=64).subcarrier == 0
+
+
+def test_a_resolved_value_keeps_its_divisor_when_copied():
+    cfg = SimConfig()
+    assert replace(cfg, M=512, D1=cfg.D1).D1 == 128
+    assert SimConfig(M=512, D1=cfg.D1).D1 == 128
+    # int() drops the divisor, so the value stays as given
+    assert replace(cfg, M=512, D1=int(cfg.D1)).D1 == 64
+
+
 @pytest.mark.parametrize("text, match", [
     ("D1 = M/3\n", "3 does not divide M = 256"),
     ("M = 16\nD1 = M\n", "D1=16 invalid"),
