@@ -85,7 +85,8 @@ def _place_anchors(delays_ns, powers_db, sample_rate):
 def load_pdp(name, sample_rate):
     """Load a standard profile by name, or a custom one from a text file.
 
-    Custom files contain two columns ``delay_ns power_db`` with ``#`` comments.
+    Custom files contain two columns ``delay_ns power_db`` with ``#`` comments;
+    every value must be finite and every delay nonnegative.
     Anchors are placed on the 1/sample_rate grid with a band-limited
     fractional-delay kernel and normalized to unit total power.  An
     already-constructed PdpProfile passes through unchanged, so tap
@@ -110,10 +111,15 @@ def load_pdp(name, sample_rate):
                     raise ConfigError(
                         f"{name}:{lineno}: expected 'delay_ns power_db', got {line!r}")
                 try:
-                    rows.append((float(parts[0]), float(parts[1])))
+                    row = float(parts[0]), float(parts[1])
                 except ValueError:
                     raise ConfigError(
                         f"{name}:{lineno}: non-numeric entry in {line!r}") from None
+                if not (np.isfinite(row).all() and row[0] >= 0):
+                    raise ConfigError(
+                        f"{name}:{lineno}: need a finite delay_ns >= 0 and a "
+                        f"finite power_db, got {line!r}")
+                rows.append(row)
         if not rows:
             raise ConfigError(f"{name}: no anchor rows found")
         delays, powers = zip(*rows)
@@ -197,71 +203,32 @@ def _fast_len(n):
         n += 1
 
 
-def _bin_sum(fa, fb, sum_axis):
-    """Sum over the leading axis `sum_axis` of the broadcast product fa * fb,
-    for spectra fa (..., n_blk, n_fft) and fb (..., 1, n_fft), as one
-    batched matmul over the frequency bins: fb's leading axes where fa has
-    length 1 become matrix rows, the blocks are the columns, and the other
-    leading axes batch with the bins. Returns (..., n_blk, n_fft) without
-    `sum_axis`, a view with the bins last."""
-    nd = max(fa.ndim, fb.ndim) - 2
-    fa = fa.reshape((1,) * (nd + 2 - fa.ndim) + fa.shape)
-    fb = fb.reshape((1,) * (nd + 2 - fb.ndim) + fb.shape)
-    s = sum_axis % (nd + 1)     # counted on the one-block product (..., n)
-    # a side that is constant along the sum is summed alone first
-    if fa.shape[s] == 1:
-        fb = fb.sum(axis=s, keepdims=True)
-    elif fb.shape[s] == 1:
-        fa = fa.sum(axis=s, keepdims=True)
-    rows = [i for i in range(nd) if i != s and fa.shape[i] == 1]
-    rest = [i for i in range(nd) if i != s and fa.shape[i] > 1]
-    # bins and the other axes batch; fa's rows are all of length 1
-    A, B = (x.transpose([nd + 1, *rest, *rows, s, nd]) for x in (fa, fb))
-    k = len(rest) + 1
-    Y = (B.reshape(B.shape[:k] + (-1, B.shape[-2]))
-         @ A.reshape(A.shape[:k] + A.shape[-2:]))   # (bins, *rest, rows, blk)
-    lead = rest + rows
-    Y = Y.reshape(Y.shape[:k] + tuple(fb.shape[i] for i in rows)
-                  + Y.shape[-1:])
-    return Y.transpose([1 + lead.index(i) for i in sorted(lead)]
-                       + [Y.ndim - 1, 0])
+def _fir(h, x):
+    """y[p] = sum_q h[p, q] * x[q] (linear convolution) for filters h (P, Q,
+    L) and streams x (Q, T); shape (P, T + L - 1).
 
-
-def _convolve(a, b, sum_axis=None):
-    """Linear convolution of a and b along the last axis, broadcasting the
-    leading axes, by FFTs, in overlap-add blocks once the result is long.
-
-    For n the (complex) result's length and L_s the shorter length, let B =
-    _fast_len(max(8 L_s, 1024)), the next 11-smooth length 2^a 3^b 5^c 7^d
-    11^e (pocketfft's fast sizes). Below n = 2B, where blocks cost more,
-    this is one FFT of each operand at _fast_len(n) and one inverse FFT;
-    otherwise the shorter operand is transformed once at B, and the L_s - 1
-    sample tails of the inverse FFTs of the longer one's B - L_s + 1 sample
-    blocks are overlap-added. `sum_axis` (if given) of the broadcast product
-    is summed in the frequency domain, before the inverse FFT: in one block
-    by summing the product, in blocks per frequency bin by one batched
-    matmul (`_bin_sum`), so the blocks never hold the product whole.
+    By FFTs in overlap-add blocks of B - L + 1 samples, B = _fast_len(max(8
+    L, 1024)) (pocketfft's fast sizes), or, when the result is shorter than
+    2B, in one block of B = _fast_len(T + L - 1). The filters are transformed
+    once, and each frequency bin sums its Q products in one batched matmul,
+    so the blocks never hold the product whole; the L - 1 sample tails of
+    the inverse FFTs are overlap-added.
     """
-    short, long = sorted((np.shape(a)[-1], np.shape(b)[-1]))
-    n = short + long - 1
-    n_fft = _fast_len(max(8 * short, 1024))
-    if n < 2 * n_fft:
-        n_fft = _fast_len(n)
-        prod = fft(a, n_fft) * fft(b, n_fft)
-        if sum_axis is not None:
-            prod = prod.sum(axis=sum_axis)
-        return ifft(prod)[..., :n]
-    a, b = (a, b) if np.shape(a)[-1] == long else (b, a)
-    step = n_fft - short + 1
-    n_blk = -(-long // step)
-    a = np.pad(a, [(0, 0)] * (np.ndim(a) - 1) + [(0, n_blk * step - long)])
-    a = a.reshape(a.shape[:-1] + (n_blk, step))      # block axis before time
-    fa, fb = fft(a, n_fft), fft(b, n_fft)[..., None, :]
-    blocks = ifft(fa * fb if sum_axis is None else _bin_sum(fa, fb, sum_axis))
-    out = np.zeros(blocks.shape[:-2] + (n_blk + 1, step), dtype=blocks.dtype)
-    out[..., :-1, :] = blocks[..., :step]
-    out[..., 1:, :short - 1] += blocks[..., step:]
-    return out.reshape(out.shape[:-2] + (-1,))[..., :n]
+    (P, Q, L), T = h.shape, x.shape[-1]
+    n = T + L - 1
+    B = _fast_len(max(8 * L, 1024))
+    hop = B - L + 1
+    if n < 2 * B:
+        B = hop = _fast_len(n)      # one block, nothing overlaps
+    n_blk = -(-T // hop)
+    xb = np.zeros((Q, n_blk, hop), dtype=complex)
+    xb.reshape(Q, -1)[:, :T] = x    # np.pad costs more than a one-block FFT
+    Y = fft(h, B).transpose(2, 0, 1) @ fft(xb, B).transpose(2, 0, 1)
+    blocks = ifft(Y.transpose(1, 2, 0))             # (P, n_blk, B)
+    y = np.zeros((P, n_blk + 1, hop), dtype=complex)
+    y[:, :-1] = blocks[..., :hop]
+    y[:, 1:, :B - hop] += blocks[..., hop:]
+    return y.reshape(P, -1)[:, :n]
 
 
 def apply_channel(x, H):
@@ -271,8 +238,7 @@ def apply_channel(x, H):
         x = x[None]
     if x.shape[0] != H.N_t:
         raise ConfigError(f"{x.shape[0]} streams for {H.N_t} users")
-    # batched convolution over (N_r, N_t, time), summing the user axis
-    return _convolve(x[None, :, :], H.taps, sum_axis=1)
+    return _fir(H.taps, x)
 
 
 def add_awgn(y, sigma_z2, seed):

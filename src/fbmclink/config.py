@@ -11,6 +11,10 @@ int given explicitly stays as given. The divisor travels with the value:
 it again too, and ``int(cfg.D1)`` pins it. ``render_config`` writes the
 resolved ints, and ``parse_config(render_config(cfg)) == cfg`` holds for every
 valid config.
+
+``channels`` names one profile per user (cycled): EVA, ETU, PedA or PedB in
+any case, or the path of a ``delay_ns power_db`` text file (``#`` comments)
+whose values are all finite and whose delays are nonnegative.
 """
 
 import hashlib

@@ -5,12 +5,12 @@ parameter sweeps.
 The coefficient path runs no sample streams. At the full rate, a scheme's
 equalizer of user u at subcarrier m is L taps g^r per antenna at stride D1:
 one tap W[m, u] (single-tap, alpha = 0), the L_g high-rate taps (D1 = 1) or
-the two-stage g-bar of subcarrier m. One batched FFT convolution
-(channel._convolve) sums the antennas into each user's equalized channel
-c_{u'} = sum_r g^r * h^{r,u'}, and the real symbol s_{m',n'} of user u'
-reaches the phase-compensated output with the coefficient (F the table
-`theory.interference_table(pf, m)`, entry i at lag i - (L_f - 1); indices
-from 0)
+the two-stage g-bar of subcarrier m. The matrix-FIR convolution `channel._fir`
+(which also applies the channel and the high-rate filter) sums the antennas
+into each user's equalized channel c_{u'} = sum_r g^r * h^{r,u'}, and the
+real symbol s_{m',n'} of user u' reaches the phase-compensated output with
+the coefficient (F the table `theory.interference_table(pf, m)`, entry i at
+lag i - (L_f - 1); indices from 0)
 
     R[u', m', dn] = Re{ j^{(m'-m-dn) mod 4} sum_l F[m', i0 - l] c_{u'}[l] },
     i0 = (dn + alpha) M/2 + L_f - 1,      dn = n - n',
@@ -27,7 +27,7 @@ table's row m (the autocorrelation of f_m):
 receivers with `_build_scheme`, and `_receive` is the one receive path that
 turns the received streams into real symbol estimates: single-tap
 demodulates all antennas in one call and combines the bins in one batched
-product, high-rate filters at the full rate (overlap-add `_convolve`) and
+product, high-rate filters at the full rate (the overlap-add `_fir`) and
 demodulates all users in one call, and the two-stage bank runs
 `equalize_lowrate`, one batched product per low-rate tap.
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (_convolve, draw_channel, apply_channel, add_awgn,
+from .channel import (_fir, draw_channel, apply_channel, add_awgn,
                       freq_csi, estimate_csi_mmse, trial_rng, load_pdp)
 from .config import P_SYM, channel_assignment, fingerprint
 from .errors import ConfigError
@@ -126,9 +126,9 @@ def _taps(scheme, m, u):
 
 def _equalized_channel(H, g, D1):
     """c_{u'} = sum_r g^r * h^{r,u'} for taps g (N_r, L) at stride D1."""
-    up = np.zeros((g.shape[0], 1, (g.shape[1] - 1) * D1 + 1), dtype=complex)
-    up[:, 0, ::D1] = g
-    return _convolve(up, H.taps, sum_axis=0)
+    up = np.zeros((g.shape[0], (g.shape[1] - 1) * D1 + 1), dtype=complex)
+    up[:, ::D1] = g
+    return _fir(H.taps.transpose(1, 0, 2), up)
 
 
 @dataclass

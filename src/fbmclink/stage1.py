@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .channel import _convolve, bin_response
+from .channel import _fir, bin_response
 from .errors import ConfigError, SingularChannelError
 
 _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singular
@@ -113,7 +113,7 @@ def apply_highrate(y, eq):
         y = y[None]
     if y.shape[0] != eq.taps.shape[1]:
         raise ConfigError(f"{y.shape[0]} antenna streams for N_r={eq.taps.shape[1]}")
-    return _convolve(eq.taps, y[None, :, :], sum_axis=1)
+    return _fir(eq.taps, y)
 
 
 def single_tap(csi, criterion="zf", sigma_z2=0.0, P_s=1.0):

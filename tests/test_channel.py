@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import fft, ifft, next_fast_len
+from scipy.fft import next_fast_len
 
 from fbmclink.channel import (PdpProfile, load_pdp, make_rng, trial_rng,
                               ChannelRealization, draw_channel, apply_channel,
                               add_awgn, bin_response, freq_csi,
-                              estimate_csi_mmse, _STANDARD_PDPS, _convolve,
+                              estimate_csi_mmse, _STANDARD_PDPS, _fir,
                               _fast_len, _place_anchors)
 
 RATE = 7.68e6
@@ -175,93 +175,52 @@ def _convolve_oracle(a, b):
     return out
 
 
-@pytest.mark.parametrize("a_shape, b_shape, sum_axis, want_shape", [
-    ((3, 1, 17), (4, 6), None, (3, 4, 22)),
-    ((3, 1, 17), (4, 6), 0, (4, 22)),
-    ((3, 1, 17), (4, 6), 1, (3, 22)),
-    ((3, 1, 17), (4, 6), -2, (3, 22)),
-    ((17,), (4, 6), None, (4, 22)),
-])
-def test_convolve_matches_np_convolve(a_shape, b_shape, sum_axis, want_shape):
-    rng = make_rng(31)
-    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
-    b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
-    want = _convolve_oracle(a, b)
-    if sum_axis is not None:
-        want = want.sum(axis=sum_axis)
-    got = _convolve(a, b, sum_axis=sum_axis)
-    assert got.shape == want.shape == want_shape
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
 def _assert_rel_close(got, want, rel=1e-12):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
-@pytest.mark.parametrize("short", [1, 13, 47, 256])
-@pytest.mark.parametrize("long_kind", ["B-1", "B", "B+1", "n=2B-1", "n=2B",
-                                       "5 blocks"])
-def test_convolve_overlap_add_matches_oracle(short, long_kind):
-    # long operands around one block of B, around the switch to blocks at a
-    # result length n of 2B, and about five blocks
-    B = next_fast_len(max(8 * short, 1024))
-    L = {"B-1": B - 1, "B": B, "B+1": B + 1, "n=2B-1": 2 * B - short,
-         "n=2B": 2 * B - short + 1, "5 blocks": 5 * (B - short + 1) - 3
-         }[long_kind]
-    rng = make_rng(short + L)
-    x = rng.standard_normal((3, 1, L)) + 1j * rng.standard_normal((3, 1, L))
-    h = rng.standard_normal((4, short)) + 1j * rng.standard_normal((4, short))
-    for a, b in ((x, h), (h, x)):
-        full = _convolve_oracle(a, b)
-        for sum_axis in (None, 0, 1, -2):
-            want = full if sum_axis is None else full.sum(axis=sum_axis)
-            got = _convolve(a, b, sum_axis=sum_axis)
-            _assert_rel_close(got, want)
-            got[..., got.shape[-1] // 2] += 1e-9 * np.abs(want).max()
-            with pytest.raises(AssertionError):
-                _assert_rel_close(got, want)
+def _fir_cases():
+    """(P, Q, L, T) of filters h (P, Q, L) on streams x (Q, T)."""
+    cases = []
+    # streams around one block of B, around the switch to blocks at a
+    # result length n of 2B, about five blocks, and shorter than the filters
+    for L in (1, 13, 47, 256):
+        B = next_fast_len(max(8 * L, 1024))
+        for kind, T in (("B-1", B - 1), ("B", B), ("B+1", B + 1),
+                        ("n=2B-1", 2 * B - L), ("n=2B", 2 * B - L + 1),
+                        ("5 blocks", 5 * (B - L + 1) - 3), ("T<L", L // 2)):
+            if T >= 1:
+                cases.append(pytest.param(3, 4, L, T, id=f"{kind}-{L}"))
+    # recorded sweep shapes, desk fig6 (M=64, N_t=4, ETU-length taps) and the
+    # full-scale fig3/fig4/fig6/fig7 sweeps (M=256, L_f=1024): N_t x N_r
+    # channel filters on streams of 256-1280 samples (results just over one
+    # block of 1024 at full scale), then the coefficient measurement's
+    # equalized channel, the channel on g^r upsampled by D1, up to N_r = 1024
+    recorded = [(4, N_r, 47, T) for N_r in (8, 16, 32, 64)
+                for T in (256, 288, 320)] + \
+               [(8, N_r, 47, T) for N_r in (16, 64)
+                for T in (1024, 1152, 1279, 1280)] + \
+               [(1, 16, 28, T) for T in (1279, 1280)] + \
+               [(4, N_r, 47, T) for N_r in (8, 16, 32, 64) for T in (1, 33, 65)] + \
+               [(8, N_r, 47, T) for N_r in (16, 64, 1024)
+                for T in (1, 129, 256, 257)]
+    cases += [pytest.param(*shape, id="fig6-{}x{}x{}-T{}".format(*shape))
+              for shape in recorded]
+    return cases
 
 
-def _one_fft_convolve(a, b, sum_axis=None):
-    """The single-block form: one FFT of each operand at next_fast_len(n)."""
-    n = np.shape(a)[-1] + np.shape(b)[-1] - 1
-    n_fft = next_fast_len(n)
-    prod = fft(a, n_fft) * fft(b, n_fft)
-    if sum_axis is not None:
-        prod = prod.sum(axis=sum_axis)
-    return ifft(prod)[..., :n]
-
-
-# recorded sweep shapes, desk fig6 (M=64, N_t=4, ETU-length taps) and then
-# the full-scale fig3/fig4/fig6/fig7 sweeps (M=256, L_f=1024): channel times
-# composite receive kernel conj f_m * flip g^r (results of 1070-1331 samples
-# at full scale, just over one block of 1024) and analysis filter times
-# equalizer; then the equalized-channel shapes g^r * h^{r,u'} (g upsampled
-# by D1) of the coefficient measurement, up to N_r = 1024
-_FIG6_SHAPES = [((N_r, 4, 47), (N_r, 1, L), 0)
-                for N_r in (8, 16, 32, 64) for L in (256, 288, 320)] + \
-               [((256,), (N_r, L), None)
-                for N_r in (8, 16, 32, 64) for L in (33, 65)] + \
-               [((N_r, 8, 47), (N_r, 1, L), 0)
-                for N_r in (16, 64) for L in (1024, 1152, 1279, 1280)] + \
-               [((16, 1, 28), (16, 1, L), 0) for L in (1279, 1280)] + \
-               [((1024,), (N_r, L), None)
-                for N_r in (16, 64) for L in (129, 256, 257)] + \
-               [((N_r, 1, L), (N_r, 4, 47), 0)
-                for N_r in (8, 16, 32, 64) for L in (1, 33, 65)] + \
-               [((N_r, 1, L), (N_r, 8, 47), 0)
-                for N_r in (16, 64, 1024) for L in (1, 129, 256, 257)]
-
-
-@pytest.mark.parametrize("a_shape, b_shape, sum_axis", _FIG6_SHAPES)
-def test_convolve_fig6_shapes_take_the_single_block_path(a_shape, b_shape,
-                                                         sum_axis):
-    rng = make_rng(len(b_shape) + b_shape[-1])
-    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
-    b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
-    assert np.array_equal(_convolve(a, b, sum_axis=sum_axis),
-                          _one_fft_convolve(a, b, sum_axis=sum_axis))
+@pytest.mark.parametrize("P, Q, L, T", _fir_cases())
+def test_convolve_overlap_add_matches_oracle(P, Q, L, T):
+    rng = make_rng(P + Q + L + T)
+    h = rng.standard_normal((P, Q, L)) + 1j * rng.standard_normal((P, Q, L))
+    x = rng.standard_normal((Q, T)) + 1j * rng.standard_normal((Q, T))
+    want = _convolve_oracle(h, x[None]).sum(axis=1)
+    got = _fir(h, x)
+    _assert_rel_close(got, want)
+    got[:, got.shape[-1] // 2] += 1e-9 * np.abs(want).max()
+    with pytest.raises(AssertionError):
+        _assert_rel_close(got, want)
 
 
 def test_convolve_blocks_never_hold_the_user_product():

@@ -144,12 +144,16 @@ def test_unknown_channel_profile_exits_2(tmp_path, capsys):
 
 
 def test_malformed_custom_profile_exits_2(tmp_path, capsys):
-    pdp = tmp_path / "bad.pdp"
-    pdp.write_text("# delay_ns power_db\n0 0.0\n30 loud\n", encoding="utf-8")
-    code, out = _run(tmp_path, "fig6",
-                     f"M = 16\ntrials = 2\nchannels = {pdp}\n")
-    _assert_config_error(code, capsys, "bad.pdp:3: non-numeric entry")
-    assert not (out / "fig6.csv").exists()
+    bad_value = "need a finite delay_ns >= 0 and a finite power_db, got"
+    for row, text in (("30 loud", "non-numeric entry in"),
+                      ("nan 0.0", bad_value), ("30 inf", bad_value),
+                      ("-100 0", bad_value)):
+        pdp = tmp_path / "bad.pdp"
+        pdp.write_text(f"# delay_ns power_db\n0 0.0\n{row}\n", encoding="utf-8")
+        code, out = _run(tmp_path, "fig6",
+                         f"M = 16\ntrials = 2\nchannels = {pdp}\n")
+        _assert_config_error(code, capsys, f"bad.pdp:3: {text} {row!r}")
+        assert not (out / "fig6.csv").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])

@@ -288,16 +288,9 @@ def test_run_mse_rejects_threads_below_one(threads):
         run_mse(_small_cfg(), SchemeSpec("single_tap"), threads=threads)
 
 
-def test_run_mse_does_not_depend_on_blas_threads():
-    # the batched products give the same bits on one and two BLAS threads
+def _stdout_on_one_and_two_blas_threads(code):
+    """The words `code` prints in a fresh interpreter on 1 and 2 BLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (
-        "from fbmclink.config import SimConfig\n"
-        "from fbmclink.metrics import SchemeSpec, run_mse\n"
-        "cfg = SimConfig(M=16, N_t=2, N_r=4, trials=2, master_seed=11,\n"
-        "                criterion='mmse', gamma_db=15.0, N_d=24)\n"
-        "for kind in ('single_tap', 'two_stage', 'highrate'):\n"
-        "    print(run_mse(cfg, SchemeSpec(kind), csi_mode='estimated').hex())\n")
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -307,5 +300,33 @@ def test_run_mse_does_not_depend_on_blas_threads():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout.split())
+    return outs
+
+
+def test_run_mse_does_not_depend_on_blas_threads():
+    # the batched products give the same bits on one and two BLAS threads
+    outs = _stdout_on_one_and_two_blas_threads(
+        "from fbmclink.config import SimConfig\n"
+        "from fbmclink.metrics import SchemeSpec, run_mse\n"
+        "cfg = SimConfig(M=16, N_t=2, N_r=4, trials=2, master_seed=11,\n"
+        "                criterion='mmse', gamma_db=15.0, N_d=24)\n"
+        "for kind in ('single_tap', 'two_stage', 'highrate'):\n"
+        "    print(run_mse(cfg, SchemeSpec(kind), csi_mode='estimated').hex())\n")
     assert len(outs[0]) == 3
+    assert outs[0] == outs[1]
+
+
+def test_sweep_does_not_depend_on_blas_threads():
+    # the coefficient path's batched products (the equalized channel's
+    # per-bin matmul among them) give the same bits on one and two threads
+    outs = _stdout_on_one_and_two_blas_threads(
+        "from fbmclink.config import SimConfig\n"
+        "from fbmclink.metrics import SchemeSpec, sweep\n"
+        "cfg = SimConfig(M=16, N_t=2, N_r=4, trials=2, master_seed=11,\n"
+        "                criterion='mmse', gamma_db=15.0)\n"
+        "res = sweep(cfg, 'N_r', [4, 16], [SchemeSpec(k) for k in\n"
+        "            ('single_tap', 'two_stage', 'highrate')], 'estimated')\n"
+        "for key in sorted(res.reports):\n"
+        "    print(res.reports[key].sinr_db.hex())\n")
+    assert len(outs[0]) == 6
     assert outs[0] == outs[1]
