@@ -7,11 +7,11 @@ metrics (Monte Carlo measurement), cli/config (presets and run files).
 """
 
 from .errors import ConfigError, NumericalError, SingularChannelError
-from .fbmc import (PrototypeFilter, design_prototype, OqamGrid, qam_to_oqam,
-                   modulate, demodulate)
-from .channel import (PdpProfile, load_pdp, make_rng, trial_rng,
-                      ChannelRealization, draw_channel, apply_channel,
-                      add_awgn, FreqCsi, freq_csi, estimate_csi_mmse)
+from .fbmc import (PrototypeFilter, design_prototype, qam_to_oqam, modulate,
+                   demodulate)
+from .channel import (PdpProfile, load_pdp, make_rng, trial_rng, draw_channel,
+                      apply_channel, add_awgn, FreqCsi, freq_csi,
+                      estimate_csi_mmse)
 from .stage1 import (HighRateEqualizer, SingleTapEqualizer, alpha_bound,
                      design_highrate, apply_highrate, single_tap)
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,

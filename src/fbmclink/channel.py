@@ -88,38 +88,38 @@ def load_pdp(name, sample_rate):
     Custom files contain two columns ``delay_ns power_db`` with ``#`` comments;
     every value must be finite and every delay nonnegative.
     Anchors are placed on the 1/sample_rate grid with a band-limited
-    fractional-delay kernel and normalized to unit total power.  An
-    already-constructed PdpProfile passes through unchanged, so tap
-    sequences defined directly on the sample grid can be used anywhere a
-    profile name is accepted.
+    fractional-delay kernel and normalized to unit total power.  A file
+    that cannot be read as UTF-8 text raises ConfigError naming it.
     """
-    if isinstance(name, PdpProfile):
-        return name
     if name in _STANDARD_PDPS:
         delays, powers = _STANDARD_PDPS[name]
         return PdpProfile(name, _place_anchors(delays, powers, sample_rate),
                           sample_rate)
     if os.path.exists(name):
+        try:
+            with open(name, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read profile file {name!r}: {e}") from None
         rows = []
-        with open(name) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ConfigError(
-                        f"{name}:{lineno}: expected 'delay_ns power_db', got {line!r}")
-                try:
-                    row = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise ConfigError(
-                        f"{name}:{lineno}: non-numeric entry in {line!r}") from None
-                if not (np.isfinite(row).all() and row[0] >= 0):
-                    raise ConfigError(
-                        f"{name}:{lineno}: need a finite delay_ns >= 0 and a "
-                        f"finite power_db, got {line!r}")
-                rows.append(row)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ConfigError(
+                    f"{name}:{lineno}: expected 'delay_ns power_db', got {line!r}")
+            try:
+                row = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ConfigError(
+                    f"{name}:{lineno}: non-numeric entry in {line!r}") from None
+            if not (np.isfinite(row).all() and row[0] >= 0):
+                raise ConfigError(
+                    f"{name}:{lineno}: need a finite delay_ns >= 0 and a "
+                    f"finite power_db, got {line!r}")
+            rows.append(row)
         if not rows:
             raise ConfigError(f"{name}: no anchor rows found")
         delays, powers = zip(*rows)
@@ -143,40 +143,20 @@ def trial_rng(master_seed, trial):
     return Generator(Philox(key=key))
 
 
-class ChannelRealization:
-    """One block-fading draw: taps (N_r, N_t, L_h_max)."""
-
-    def __init__(self, taps):
-        self.taps = np.asarray(taps, dtype=complex)
-
-    @property
-    def N_r(self):
-        return self.taps.shape[0]
-
-    @property
-    def N_t(self):
-        return self.taps.shape[1]
-
-    @property
-    def L_h(self):
-        return self.taps.shape[2]
-
-
 def draw_channel(profiles, N_r, seed):
     """Draw i.i.d. Rayleigh taps h^{r,u}[l] ~ CN(0, q^u[l]).
 
     Parameters
     ----------
-    profiles : PdpProfile or sequence of PdpProfile (one per user)
+    profiles : sequence of PdpProfile (one per user)
     N_r : int
     seed : int or numpy Generator
 
     Returns
     -------
-    ChannelRealization
+    ndarray, complex, shape (N_r, N_t, max L_h)
+        One block-fading draw; user u's taps past its own L_h are zero.
     """
-    if isinstance(profiles, PdpProfile):
-        profiles = [profiles]
     if N_r < 1:
         raise ConfigError("N_r must be >= 1")
     rng = make_rng(seed)
@@ -188,7 +168,7 @@ def draw_channel(profiles, N_r, seed):
         shape = (N_r, prof.L_h)
         taps[:, u, :prof.L_h] = scale * (rng.standard_normal(shape)
                                          + 1j * rng.standard_normal(shape))
-    return ChannelRealization(taps)
+    return taps
 
 
 def _fast_len(n):
@@ -231,14 +211,13 @@ def _fir(h, x):
     return y.reshape(P, -1)[:, :n]
 
 
-def apply_channel(x, H):
-    """y^r = sum_u x^u conv h^{r,u}; output length = input length + L_h - 1."""
+def apply_channel(x, h):
+    """y^r = sum_u x^u conv h^{r,u} for streams x (N_t, T) and taps h (N_r,
+    N_t, L_h); shape (N_r, T + L_h - 1)."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim == 1:
-        x = x[None]
-    if x.shape[0] != H.N_t:
-        raise ConfigError(f"{x.shape[0]} streams for {H.N_t} users")
-    return _fir(H.taps, x)
+    if x.shape[0] != h.shape[1]:
+        raise ConfigError(f"{x.shape[0]} streams for {h.shape[1]} users")
+    return _fir(h, x)
 
 
 def add_awgn(y, sigma_z2, seed):
@@ -279,19 +258,11 @@ class FreqCsi:
         self.time_taps = np.asarray(time_taps, dtype=complex)
         self.M = M
 
-    @property
-    def N_r(self):
-        return self.time_taps.shape[0]
 
-    @property
-    def N_t(self):
-        return self.time_taps.shape[1]
-
-
-def freq_csi(H, M):
-    """Perfect CSI on M bins: the true taps, whose bins are
-    H_tilde_m = sum_l H[l] e^{-j 2 pi m l / M}."""
-    return FreqCsi(H.taps, M)
+def freq_csi(h, M):
+    """Perfect CSI on M bins from the taps h (N_r, N_t, L_h): the true taps,
+    whose bins are H_tilde_m = sum_l h[..., l] e^{-j 2 pi m l / M}."""
+    return FreqCsi(h, M)
 
 
 def estimate_csi_mmse(csi, P_p, sigma_z2, seed):

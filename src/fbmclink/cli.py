@@ -377,8 +377,9 @@ def main(argv=None):
                 try:
                     with open(args.config, encoding="utf-8") as fh:
                         config_text = fh.read()
-                except OSError as e:
-                    raise ConfigError(f"cannot read config file: {e}")
+                except (OSError, UnicodeDecodeError) as e:
+                    raise ConfigError(
+                        f"cannot read config file {args.config!r}: {e}") from None
             paths = run_preset(args.preset, scale=args.scale,
                                out_dir=args.out, config_text=config_text,
                                seed=args.seed, threads=args.threads)

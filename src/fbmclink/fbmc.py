@@ -103,35 +103,18 @@ def design_prototype(kappa, M):
     return PrototypeFilter(p, M, kappa)
 
 
-class OqamGrid:
-    """Real OQAM symbols s_{m,n} per user: array (N_t, M, N_d) plus symbol power."""
-
-    def __init__(self, symbols, P_s):
-        symbols = np.asarray(symbols, dtype=float)
-        if symbols.ndim == 2:
-            symbols = symbols[None]
-        self.symbols = symbols
-        self.P_s = float(P_s)
-
-    @property
-    def shape(self):
-        return self.symbols.shape
-
-
-def qam_to_oqam(qam, P_s):
-    """Stagger complex QAM symbols into a real OQAM grid.
+def qam_to_oqam(qam):
+    """Stagger complex QAM symbols (N_t, M, K) into the real OQAM symbols
+    s_{m,n}, shape (N_t, M, 2K).
 
     Each complex symbol at instant k becomes (real part at n=2k, imaginary part
-    at n=2k+1), on every subcarrier. P_s is the per-real-symbol power carried as
-    grid metadata (half the QAM symbol power for a unit-power constellation).
+    at n=2k+1), on every subcarrier.
     """
     qam = np.asarray(qam, dtype=complex)
-    if qam.ndim == 2:
-        qam = qam[None]
     s = np.empty(qam.shape[:-1] + (2 * qam.shape[-1],), dtype=float)
     s[..., 0::2] = qam.real
     s[..., 1::2] = qam.imag
-    return OqamGrid(s, P_s)
+    return s
 
 
 def _tx_phases(M, N_d, pf):
@@ -145,7 +128,7 @@ def _tx_phases(M, N_d, pf):
 
 
 def modulate(grid, pf):
-    """Synthesis filter bank: OQAM grid -> per-user sample streams.
+    """Synthesis filter bank: real OQAM symbols -> per-user sample streams.
 
     The adjoint of `_afb` at offsets n*M/2: one IFFT over every (user,
     instant) column, the kappa-fold periodic extension under the pulse, then
@@ -154,7 +137,8 @@ def modulate(grid, pf):
 
     Parameters
     ----------
-    grid : OqamGrid
+    grid : ndarray, real, shape (N_t, M, N_d)
+        s_{m,n} of each user.
     pf : PrototypeFilter
 
     Returns
@@ -162,12 +146,11 @@ def modulate(grid, pf):
     ndarray, complex, shape (N_t, (N_d-1)*M/2 + L_f)
     """
     M = pf.M
-    if grid.symbols.shape[1] != M:
-        raise ConfigError(
-            f"grid has M={grid.symbols.shape[1]} but prototype has M={M}")
-    N_t, _, N_d = grid.symbols.shape
+    N_t, M_grid, N_d = grid.shape
+    if M_grid != M:
+        raise ConfigError(f"grid has M={M_grid} but prototype has M={M}")
     half, n_blk = M // 2, 2 * pf.kappa
-    c = np.swapaxes(grid.symbols * _tx_phases(M, N_d, pf), 1, 2)
+    c = np.swapaxes(grid * _tx_phases(M, N_d, pf), 1, 2)
     b = (M * np.fft.ifft(c, axis=-1)).reshape(N_t, N_d, 2, half)
     p = pf.coeffs.reshape(n_blk, half)
     out = np.zeros((N_t, N_d - 1 + n_blk, half), dtype=complex)

@@ -124,11 +124,12 @@ def _taps(scheme, m, u):
     raise TypeError(f"unsupported scheme object {type(scheme).__name__}")
 
 
-def _equalized_channel(H, g, D1):
-    """c_{u'} = sum_r g^r * h^{r,u'} for taps g (N_r, L) at stride D1."""
+def _equalized_channel(h, g, D1):
+    """c_{u'} = sum_r g^r * h^{r,u'} for channel taps h (N_r, N_t, L_h) and
+    equalizer taps g (N_r, L) at stride D1."""
     up = np.zeros((g.shape[0], (g.shape[1] - 1) * D1 + 1), dtype=complex)
     up[:, ::D1] = g
-    return _fir(H.taps.transpose(1, 0, 2), up)
+    return _fir(h.transpose(1, 0, 2), up)
 
 
 @dataclass
@@ -154,22 +155,22 @@ class CoeffSet:
         return 0.5 * sigma_z2 * self.noise_gain
 
 
-def _measure_many(H, schemes, pf, m, u):
-    """CoeffSets of several scheme objects on one realization: per scheme,
-    c_{u'} of every user, then per dn of every lattice offset that
-    F_{mm'} * c_{u'} reaches one product of the reversed c with the table
-    window of columns i0 - l (`theory._windows`)."""
+def _measure_many(h, schemes, pf, m, u):
+    """CoeffSets of several scheme objects on one channel draw h (N_r, N_t,
+    L_h): per scheme, c_{u'} of every user, then per dn of every lattice
+    offset that F_{mm'} * c_{u'} reaches one product of the reversed c with
+    the table window of columns i0 - l (`theory._windows`)."""
     M, L_f, half = pf.M, pf.L_f, pf.M // 2
     F = theory.interference_table(pf, m)
     jm = np.arange(M) - m
     out = []
     for scheme in schemes:
         g, D1, a_s = _taps(scheme, m, u)
-        c = _equalized_channel(H, g, D1)
+        c = _equalized_channel(h, g, D1)
         L_c = c.shape[1]
         cr = c[:, ::-1].copy()      # BLAS takes no negative strides
         dns = _dn_range(M, L_f, a_s, L_c)
-        R = np.empty((H.N_t, M, dns.size))
+        R = np.empty((h.shape[1], M, dns.size))
         for j, dn in enumerate(dns):
             i0 = (dn + a_s) * half + L_f - 1
             a, b, (W,) = _windows(F, 0, L_c - 1, i0)
@@ -216,6 +217,11 @@ class SinrReport:
     csi: str = "perfect"
 
 
+def _check_csi_mode(csi_mode):
+    if csi_mode not in ("perfect", "estimated"):
+        raise ConfigError(f"csi_mode must be 'perfect' or 'estimated', got {csi_mode!r}")
+
+
 def _map_trials(fn, trials, threads):
     """[fn(t) for t in range(trials)], on `threads` worker threads if > 1."""
     if threads < 1:
@@ -236,12 +242,12 @@ def _collect(cfg, specs, csi_mode, threads, pf):
 
     def one_trial(t):
         rng = trial_rng(cfg.master_seed, t)
-        H = draw_channel(profiles, cfg.N_r, rng)
-        csi = freq_csi(H, cfg.M)
+        h = draw_channel(profiles, cfg.N_r, rng)
+        csi = freq_csi(h, cfg.M)
         if csi_mode == "estimated":
             csi = estimate_csi_mmse(csi, P_p, sigma_d, rng)
         built = [_build_scheme(sp, csi, pf, cfg, sigma_d, [m]) for sp in specs]
-        return _measure_many(H, built, pf, m, u)
+        return _measure_many(h, built, pf, m, u)
 
     rows = _map_trials(one_trial, cfg.trials, threads)
     return {sp: [row[i] for row in rows] for i, sp in enumerate(specs)}
@@ -300,6 +306,7 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
         raise ConfigError("sweep points must be strictly increasing")
     if axis != "gamma_db" and any(int(p) != p or p < 1 for p in points):
         raise ConfigError(f"{axis} sweep points must be integers >= 1")
+    _check_csi_mode(csi_mode)
     specs = _specs(config, schemes)
     labels = tuple(sp.label() for sp in specs)
     plan = []       # (point, config, specs)
@@ -347,8 +354,7 @@ def run_mse(config, scheme, csi_mode="perfect", threads=1):
     t)`, so the result does not depend on `threads`, the number of worker
     threads.
     """
-    if csi_mode not in ("perfect", "estimated"):
-        raise ConfigError(f"csi_mode must be 'perfect' or 'estimated', got {csi_mode!r}")
+    _check_csi_mode(csi_mode)
     cfg = config
     spec = _specs(cfg, [scheme])[0]
     if cfg.N_d <= 4 * cfg.kappa:
@@ -364,15 +370,15 @@ def run_mse(config, scheme, csi_mode="perfect", threads=1):
 
     def one_burst(t):
         rng = trial_rng(cfg.master_seed, t)
-        H = draw_channel(profiles, cfg.N_r, rng)
-        grid = qam_to_oqam(_qam16(rng, (cfg.N_t, M, N_d // 2)), P_SYM)
-        y = add_awgn(apply_channel(modulate(grid, pf), H), sigma_z2, rng)
-        csi = freq_csi(H, M)
+        h = draw_channel(profiles, cfg.N_r, rng)
+        s = qam_to_oqam(_qam16(rng, (cfg.N_t, M, N_d // 2)))
+        y = add_awgn(apply_channel(modulate(s, pf), h), sigma_z2, rng)
+        csi = freq_csi(h, M)
         if csi_mode == "estimated":
             csi = estimate_csi_mmse(csi, P_p, sigma_z2, rng)
         rx = _build_scheme(spec, csi, pf, cfg, sigma_z2, None)
         shat = _receive(rx, y, pf, N_d)
-        diff = shat[..., keep] - grid.symbols[..., keep]
+        diff = shat[..., keep] - s[..., keep]
         return np.mean(diff ** 2) / P_SYM
 
     return float(np.mean(_map_trials(one_burst, cfg.trials, threads)))

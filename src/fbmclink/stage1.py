@@ -27,14 +27,9 @@ _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singula
 class HighRateEqualizer:
     """Matrix FIR equalizer G[l], shape (N_t, N_r, L_g), with target delay alpha*M/2."""
 
-    def __init__(self, taps, alpha, M):
+    def __init__(self, taps, alpha):
         self.taps = np.asarray(taps, dtype=complex)
         self.alpha = int(alpha)
-        self.M = int(M)
-
-    @property
-    def L_g(self):
-        return self.taps.shape[2]
 
 
 class SingleTapEqualizer:
@@ -42,10 +37,6 @@ class SingleTapEqualizer:
 
     def __init__(self, W):
         self.W = np.asarray(W, dtype=complex)
-
-    @property
-    def M(self):
-        return self.W.shape[0]
 
 
 def _ridge(criterion, sigma_z2, P_s):
@@ -103,14 +94,13 @@ def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.
     delay = np.arange(L_g) * (alpha * M // 2) % L_g
     G *= np.exp(-2j * np.pi * delay / L_g)[:, None, None]
     G = np.fft.ifft(G, axis=0)                          # (L_g, N_t, N_r)
-    return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha, M)
+    return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha)
 
 
 def apply_highrate(y, eq):
-    """x-hat[l] = (G conv y)[l]; output length = input length + L_g - 1."""
+    """x-hat[l] = (G conv y)[l] for antenna streams y (N_r, T); shape (N_t,
+    T + L_g - 1)."""
     y = np.asarray(y, dtype=complex)
-    if y.ndim == 1:
-        y = y[None]
     if y.shape[0] != eq.taps.shape[1]:
         raise ConfigError(f"{y.shape[0]} antenna streams for N_r={eq.taps.shape[1]}")
     return _fir(eq.taps, y)

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigError
 from .fbmc import _J_POW, _afb
 from .stage1 import design_highrate
+from .theory import _rows
 
 # bytes of analysis-bank output per chunk of `equalize_lowrate`: each chunk
 # costs a few batched products per subcarrier, so chunks much smaller than
@@ -82,13 +83,10 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     rows = N_f + Lg_prime - 1
     p = pf.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
     # Toeplitz F0[i, k] = p[i - k], zero off the window's support
-    d = np.arange(rows)[:, None] - np.arange(Lg_prime)
-    F0 = np.where((d >= 0) & (d < N_f), p[np.clip(d, 0, N_f - 1)], 0.0)
+    F0 = _rows(p, np.arange(rows)[:, None] - np.arange(Lg_prime))
     # P[t, k] = p[t + L_f - (k+1) D1], zero off the prototype's support
     t = np.arange(L)
-    idx = t[:, None] + L_f - (np.arange(rows) + 1) * D1
-    P = np.where((idx >= 0) & (idx < L_f), pf.coeffs[np.clip(idx, 0, L_f - 1)],
-                 0.0)
+    P = _rows(pf.coeffs, t[:, None] + L_f - (np.arange(rows) + 1) * D1)
     # row phase of A_m and the D_w ramp, arguments reduced exactly
     m = np.asarray(subcarriers)[:, None]
     phase = np.exp(-2j * np.pi * (m * t % M) / M)
@@ -111,10 +109,6 @@ class LowRateEqualizerBank:
         self.subcarriers = list(subcarriers)
         self.plan = plan
         self.alpha = int(alpha)
-
-    @property
-    def Lg_prime(self):
-        return self.gbar.shape[-1]
 
     def taps_for(self, m):
         return self.gbar[self.subcarriers.index(m)]
@@ -153,7 +147,7 @@ def equalize_lowrate(y, bank, pf):
 
     Parameters
     ----------
-    y : ndarray (N_r, n_samples) or (n_samples,)
+    y : ndarray (N_r, n_samples)
     bank : LowRateEqualizerBank
     pf : PrototypeFilter
 
@@ -164,8 +158,6 @@ def equalize_lowrate(y, bank, pf):
     appears at nu = n + alpha and needs Re{. e^{-j theta_{m,n}}}.
     """
     y = np.asarray(y, dtype=complex)
-    if y.ndim == 1:
-        y = y[None]
     D1, D2, M = bank.plan.D1, bank.plan.D2, bank.plan.M
     n_sub, N_t, N_r, Lgp = bank.gbar.shape
     if y.shape[0] != N_r:

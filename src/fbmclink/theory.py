@@ -50,7 +50,7 @@ read by every SNR point of a sweep, by `sir_upper_bound` and by every Monte
 Carlo trial of `metrics`, and with it `average_power`'s table-only weights
 (`_weights`: Gram bands of 150 KB at M=256, then per alpha, n, m, own pair).
 One `error_stats` geometry (`_GEOMETRY`, keyed by the bytes of both PDPs'
-taps, M, alpha, own pair and exact) is held and dropped before a miss builds
+taps, M, alpha, own pair and user count) is held and dropped before a miss builds
 the next, so an N_r or SNR axis of one PDP builds it once.
 """
 
@@ -151,12 +151,13 @@ class ErrorStats:
     eps_check = property(lambda self: self._dense(self.check_band, 1))
 
 
-def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
+def error_stats(profiles, M, N_r, alpha, pair):
     """Closed-form eps / eps-check / Psi-check / mean for user pair (u, u').
 
-    profiles: sequence of PdpProfile (one per user). The equalized user u
-    supplies the bin correlations; the source user u' supplies the PDP and
-    the lag ranges R(l) = [max(0, l-M+1), min(l, L_h-1)].
+    profiles: sequence of PdpProfile, one per user (N_t of them; N_r <= N_t
+    raises ConfigError). The equalized user u supplies the bin
+    correlations; the source user u' supplies the PDP and the lag ranges
+    R(l) = [max(0, l-M+1), min(l, L_h-1)].
 
     With the bin-domain partial sums h-hat_m(l) = sum_{ell in R(l)} h[ell]
     e^{-j2pi m ell/M} split as Q(l) h~_m + b_m(l) (b independent of h~), the
@@ -172,15 +173,15 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
                    sum_d U_d(l') V_d(l) e^{-j2pi d(l'-A)/M}   (u = u' only),
       U_d(l') = conj(S_d(l')) - Q(l') t[d],  V_d(l) = S_d(l) - Q(l) conj(t[d]).
 
-    Each covariance is one block over its support pairs.  The default kernel
-    is this leading-order closed form, exact to O(1/N_r) with an explicit
-    1/N_r factor (n_eff substitutes another normalization, e.g. N_r - N_t).
-    exact=True (own pair, single stream) replaces the kernels t[d]/N_r and
-    1/N_r by the exact Wishart ratio moments, which pick up the O(1/N_r^2)
-    residue that dominates once the leading sums cancel; the divided
-    differences (K2 - rho^2)/s^2 and (g3 - |rho|^2)/s^4 come from
-    `_ratio_moments` in closed form, so nothing cancels as |rho| -> 1, and
-    bins with s^2 = 1 - |rho|^2 < 1e-8 are left out.  All but the kernels
+    Each covariance is one block over its support pairs.  The user count
+    selects the kernels.  For N_t > 1 they are this leading-order closed
+    form, exact to O(1/N_r), with the normalization 1/(N_r - N_t) in place
+    of 1/N_r.  For a single stream the kernels t[d]/N_r and 1/N_r are the
+    exact Wishart ratio moments, which pick up the O(1/N_r^2) residue that
+    dominates once the leading sums cancel; the divided differences
+    (K2 - rho^2)/s^2 and (g3 - |rho|^2)/s^4 come from `_ratio_moments` in
+    closed form, so nothing cancels as |rho| -> 1, and bins with
+    s^2 = 1 - |rho|^2 < 1e-8 are left out.  All but the kernels
     (`_geometry`) is held for the last key (see the module docstring).
 
     Lags with a full range R(l) (l in [L_h-1, M-1]) have b = 0, so the
@@ -188,8 +189,11 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
     the aliasing identities psi[l] = -psi[l +- M].
     """
     u, up = pair
-    if exact and u != up:
-        raise ConfigError("exact statistics cover the own-user pair only")
+    N_t = len(profiles)
+    if N_r <= N_t:
+        raise ConfigError(f"need N_r > N_t for ZF error statistics, "
+                          f"got N_r={N_r}, N_t={N_t}")
+    exact = N_t == 1
     key = (M, alpha, u == up, exact) + tuple(
         np.asarray(profiles[i].taps, dtype=float).tobytes() for i in pair)
     entry = _GEOMETRY[0]                    # one read: threads may swap it
@@ -203,10 +207,7 @@ def error_stats(profiles, M, N_r, alpha, pair, exact=False, n_eff=None):
         eps_band = (Gp @ (k2 * ph1 * ph1 * keep) + Cp @ (ph1 * g1)) / M
         check_band = Vp @ (k3 * keep) / M
     else:
-        if n_eff is not None and n_eff < 1:
-            raise ConfigError(f"need a positive combiner normalization, "
-                              f"got n_eff={n_eff}")
-        scale = 1.0 / (M * (N_r if n_eff is None else n_eff))
+        scale = 1.0 / (M * (N_r - N_t))
         eps_band, check_band = scale * held[0], scale * held[1]
     return ErrorStats(pair, alpha, M, eps_band, check_band, mu.copy())
 
@@ -308,8 +309,8 @@ def _dn_range(M, L_f, alpha, n):
 
 def _rows(Ft, i):
     """Rows i of a lag-major table, zero where i falls outside it: the
-    scattered reads (mean peaks, the noise-gain Toeplitz form).  Runs of
-    lags are read through `_windows`."""
+    scattered reads (mean peaks, the noise-gain Toeplitz form, the stage-2
+    fit matrices).  Runs of lags are read through `_windows`."""
     X = np.take(Ft, i, axis=0, mode="clip")
     X[(i < 0) | (i >= len(Ft))] = 0.0
     return X
@@ -495,9 +496,7 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0):
     for up in range(N_t):
         key = (up == u, np.asarray(profiles[up].taps, dtype=float).tobytes())
         if key not in seen:
-            stats = error_stats(profiles, M, N_r, alpha, (u, up),
-                                exact=(N_t == 1),
-                                n_eff=None if N_t == 1 else N_r - N_t)
+            stats = error_stats(profiles, M, N_r, alpha, (u, up))
             rest, entry = average_power(stats, F, m, P_s)
             if up == u:     # another user's (m, 0) entry is interference
                 desired, entry = entry, 0.0

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from fbmclink.fbmc import OqamGrid
-
 
 def _gauss_gamma(n, a):
     """Nodes and unit-sum weights for averages over Gamma(a+1) variables.
@@ -82,5 +80,5 @@ def window(F, m, alpha, dn, L_h):
 
 def oqam_to_qam(grid):
     """Inverse of `qam_to_oqam` (exact round trip)."""
-    s = grid.symbols if isinstance(grid, OqamGrid) else np.asarray(grid)
+    s = np.asarray(grid)
     return s[..., 0::2] + 1j * s[..., 1::2]

@@ -154,6 +154,24 @@ def test_malformed_custom_profile_exits_2(tmp_path, capsys):
                          f"M = 16\ntrials = 2\nchannels = {pdp}\n")
         _assert_config_error(code, capsys, f"bad.pdp:3: {text} {row!r}")
         assert not (out / "fig6.csv").exists()
+    binary = tmp_path / "binary.pdp"
+    binary.write_bytes(b"0 0.0\n\xff 1\n")
+    # a directory, and a file whose bytes are not UTF-8
+    for path in (tmp_path, binary):
+        code, out = _run(tmp_path, "fig6",
+                         f"M = 16\ntrials = 2\nchannels = {path}\n")
+        _assert_config_error(code, capsys,
+                             f"cannot read profile file {str(path)!r}")
+        assert not (out / "fig6.csv").exists()
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe" + "M = 16\n".encode("utf-16-le"))
+    code = main(["run", "fig7", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")])
+    _assert_config_error(code, capsys, f"cannot read config file {str(cfg)!r}")
+    assert not (tmp_path / "out" / "fig7.csv").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fbmclink import (OqamGrid, demodulate, design_prototype, modulate,
-                      qam_to_oqam)
+from fbmclink import demodulate, design_prototype, modulate, qam_to_oqam
 from fbmclink.fbmc import _afb, _tx_phases
 
 from fbmclink import fbmc
@@ -130,22 +129,16 @@ def test_phase_factor_is_exact_unit_modulus():
 def test_qam_oqam_round_trip():
     rng = np.random.default_rng(7)
     q = rng.normal(size=(2, 16, 9)) + 1j * rng.normal(size=(2, 16, 9))
-    grid = qam_to_oqam(q, 0.5)
-    assert grid.symbols.shape == (2, 16, 18)
+    grid = qam_to_oqam(q)
+    assert grid.shape == (2, 16, 18)
     back = oqam_to_qam(grid)
     assert np.abs(back - q).max() == 0.0
 
 
 def test_qam_staggering_layout():
     q = np.array([[1 + 2j, 3 - 4j]])[None]   # (1, 1, 2)
-    grid = qam_to_oqam(q, 0.5)
-    assert_allclose(grid.symbols[0, 0], [1.0, 2.0, 3.0, -4.0])
-
-
-def test_oqam_grid_promotes_2d():
-    g = OqamGrid(np.zeros((8, 4)), 0.5)
-    assert g.symbols.shape == (1, 8, 4)
-    assert g.P_s == 0.5
+    grid = qam_to_oqam(q)
+    assert_allclose(grid[0, 0], [1.0, 2.0, 3.0, -4.0])
 
 
 def test_oqam_power_convention():
@@ -153,8 +146,8 @@ def test_oqam_power_convention():
     lv = np.array([-3, -1, 1, 3]) / np.sqrt(10.0)
     const = (lv[:, None] + 1j * lv[None, :]).ravel()     # full 16-QAM
     assert abs(np.mean(np.abs(const) ** 2) - 1.0) < 1e-12
-    grid = qam_to_oqam(const[None, None, :], 0.5)
-    assert abs(np.mean(grid.symbols ** 2) - 0.5) < 1e-12
+    grid = qam_to_oqam(const[None, None, :])
+    assert abs(np.mean(grid ** 2) - 0.5) < 1e-12
 
 
 # -------------------------------------------------------------- modulation
@@ -164,7 +157,7 @@ def test_modulate_single_symbol_is_the_atom(pf64):
     for m0 in (0, 5, 32, 63):
         s = np.zeros((64, 1))
         s[m0, 0] = 1.0
-        y = modulate(OqamGrid(s, 0.5), pf64)
+        y = modulate(s[None], pf64)
         want = phase_factor(m0, 0) * pf64.subcarrier_filter(m0)
         assert y.shape == (1, pf64.L_f)
         assert np.abs(y[0] - want).max() < 1e-12
@@ -174,9 +167,9 @@ def test_modulate_frame_length_and_linearity(pf32):
     rng = np.random.default_rng(3)
     a = rng.normal(size=(2, 32, 7))
     b = rng.normal(size=(2, 32, 7))
-    ya = modulate(OqamGrid(a, 0.5), pf32)
-    yb = modulate(OqamGrid(b, 0.5), pf32)
-    yab = modulate(OqamGrid(a + b, 0.5), pf32)
+    ya = modulate(a, pf32)
+    yb = modulate(b, pf32)
+    yab = modulate(a + b, pf32)
     assert ya.shape == (2, 6 * 16 + pf32.L_f)
     assert np.abs(ya + yb - yab).max() < 1e-12
 
@@ -184,11 +177,11 @@ def test_modulate_frame_length_and_linearity(pf32):
 def _modulate_loop(grid, pf):
     """Synthesis bank one user and one instant at a time."""
     M, L_f, half = pf.M, pf.L_f, pf.M // 2
-    N_t, _, N_d = grid.symbols.shape
+    N_t, _, N_d = grid.shape
     phases = _tx_phases(M, N_d, pf)
     out = np.zeros((N_t, (N_d - 1) * half + L_f), dtype=complex)
     for u in range(N_t):
-        b = M * np.fft.ifft(grid.symbols[u] * phases, axis=0)
+        b = M * np.fft.ifft(grid[u] * phases, axis=0)
         seg = np.tile(b, (pf.kappa, 1)) * pf.coeffs[:, None]
         for n in range(N_d):
             out[u, n * half:n * half + L_f] += seg[:, n]
@@ -202,13 +195,12 @@ def test_modulate_matches_the_loop_oracle(kappa, M, N_t):
     # same sums in the same order, so the same float64
     pf = design_prototype(kappa, M)
     s = np.random.default_rng(10 * M + kappa).normal(size=(N_t, M, 10))
-    grid = OqamGrid(s, 0.5)
-    assert np.array_equal(modulate(grid, pf), _modulate_loop(grid, pf))
+    assert np.array_equal(modulate(s, pf), _modulate_loop(s, pf))
 
 
 def test_modulate_checks_grid_size(pf32):
     with pytest.raises(ValueError, match="grid has M=16 but prototype has M=32"):
-        modulate(OqamGrid(np.zeros((16, 3)), 0.5), pf32)
+        modulate(np.zeros((1, 16, 3)), pf32)
 
 
 # ------------------------------------------------------------ demodulation
@@ -333,7 +325,7 @@ def test_loopback_floor_by_kappa():
     for kappa, want in frozen.items():
         pf = design_prototype(kappa, 64)
         s = np.ones((64, 3))
-        y = modulate(OqamGrid(s, 0.5), pf)[0]
+        y = modulate(s[None], pf)[0]
         D = demodulate(y, pf, n_out=3)
         ph = np.array([[phase_factor(m, n) for n in range(3)]
                        for m in range(64)])
@@ -349,7 +341,7 @@ def test_loopback_floor_by_kappa():
 def test_loopback_random_burst(pf64):
     rng = np.random.default_rng(0)
     s = rng.integers(0, 2, size=(64, 3)) * 2.0 - 1.0
-    y = modulate(OqamGrid(s, 0.5), pf64)[0]
+    y = modulate(s[None], pf64)[0]
     D = demodulate(y, pf64, n_out=3)
     ph = np.array([[phase_factor(m, n) for n in range(3)] for m in range(64)])
     assert np.abs((D * np.conj(ph)).real - s).max() < 1e-3
@@ -397,7 +389,7 @@ def test_transmux_matches_atom_inner_products(pf8):
         for n in range(n_span):
             s = np.zeros((M, n_span))
             s[m, n] = 1.0
-            atoms[(m, n)] = modulate(OqamGrid(s, 0.5), pf8)[0]
+            atoms[(m, n)] = modulate(s[None], pf8)[0]
     for m in range(M):
         fm_atom = atoms[(m, 2)]
         for mp in range(M):
@@ -424,5 +416,5 @@ def test_phase_factor_periodicity(m, n):
                 min_size=8, max_size=8))
 def test_oqam_round_trip_property(vals):
     q = (np.array(vals[:4]) + 1j * np.array(vals[4:]))[None, None, :]
-    grid = qam_to_oqam(q, 0.5)
+    grid = qam_to_oqam(q)
     assert np.abs(oqam_to_qam(grid) - q).max() == 0.0

@@ -17,7 +17,7 @@ from fbmclink import theory
 from fbmclink.channel import apply_channel, draw_channel, freq_csi, make_rng
 from fbmclink.config import SimConfig, fingerprint
 from fbmclink.errors import ConfigError
-from fbmclink.fbmc import OqamGrid, design_prototype, modulate
+from fbmclink.fbmc import design_prototype, modulate
 from fbmclink.metrics import (SchemeSpec, _collect, _equalized_channel,
                               _measure_many, _receive, _specs, _taps, run_mse,
                               sweep)
@@ -55,8 +55,8 @@ def _oracle_measure(H, scheme, pf, m, u):
     Fmat = pf.coeffs[None, :] * np.exp(
         2j * np.pi * np.arange(M)[:, None] * (t[None, :] - pf.centre) / M)
     C = 0
-    for r in range(H.N_r):
-        A_r = fftconvolve(Fmat[None, :, :], H.taps[r][:, None, :], axes=2)
+    for r in range(H.shape[0]):
+        A_r = fftconvolve(Fmat[None, :, :], H[r][:, None, :], axes=2)
         C = C + fftconvolve(A_r, K[r, ::-1][None, None, :], axes=2)
     half, L_C = M // 2, C.shape[2]
     dns, cols = [], []
@@ -98,11 +98,11 @@ def _scheme(kind, csi, pf, alpha, subcarriers):
 def test_measure_matches_brute_force_oracle(M, kappa, kind, alpha, eva, peda):
     pf = design_prototype(kappa, M)
     H = draw_channel([eva, peda], 5, 100 * M + kappa)
-    assert alpha <= alpha_bound(H.L_h, M, M)
+    assert alpha <= alpha_bound(H.shape[2], M, M)
     edges = [0, M // 2, M - 1]
     scheme = _scheme(kind, freq_csi(H, M), pf, alpha, edges)
     for m in edges:
-        for u in range(H.N_t):
+        for u in range(H.shape[1]):
             got, = _measure_many(H, [scheme], pf, m, u)
             want = _oracle_measure(H, scheme, pf, m, u)
             _assert_matches(got, want)
@@ -118,13 +118,13 @@ def test_equalized_channel_of_zf_is_the_delay_modulo_m(N_t, alpha, eva, peda,
     # c_{u,u'} folded modulo M is delta_{uu'} delta[(l - alpha M/2) mod M]
     M = 16
     H = draw_channel([eva, peda, uni4, eva][:N_t], 3 * N_t, 10 * N_t + alpha)
-    assert alpha <= alpha_bound(H.L_h, M, M)
+    assert alpha <= alpha_bound(H.shape[2], M, M)
     scheme = design_highrate(freq_csi(H, M), L_g=M, alpha=alpha)
     for u in range(N_t):
         g, D1, a = _taps(scheme, M // 2, u)
         assert (D1, a) == (1, alpha)
         c = _equalized_channel(H, g, D1)
-        assert c.shape == (N_t, M + H.L_h - 1)
+        assert c.shape == (N_t, M + H.shape[2] - 1)
         folded = np.zeros((N_t, M), dtype=complex)
         np.add.at(folded, (slice(None), np.arange(c.shape[1]) % M), c)
         want = np.zeros((N_t, M))
@@ -138,12 +138,12 @@ def _check_chain(kind, H, rng, pf, N_d, subcarriers):
     # noiseless burst: on every interior instant the receiver output is
     # sum_{u', m', dn} R[u', m', dn] s[u', m', n - dn]
     M, alpha = pf.M, 1
-    s = rng.standard_normal((H.N_t, M, N_d))
-    y = apply_channel(modulate(OqamGrid(s, 0.5), pf), H)
+    s = rng.standard_normal((H.shape[1], M, N_d))
+    y = apply_channel(modulate(s, pf), H)
     scheme = _scheme(kind, freq_csi(H, M), pf, alpha, None)
     shat = _receive(scheme, y, pf, N_d)
     for m in subcarriers:
-        for u in range(H.N_t):
+        for u in range(H.shape[1]):
             c, = _measure_many(H, [scheme], pf, m, u)
             n = np.arange(c.dn.max(), N_d + c.dn.min())
             assert n.size >= 8
@@ -254,6 +254,12 @@ def test_string_scheme_in_sweep_is_a_config_error():
 def test_string_scheme_in_run_mse_is_a_config_error():
     with pytest.raises(ConfigError, match="SchemeSpec"):
         run_mse(_small_cfg(), "two_stage")
+
+
+def test_sweep_rejects_an_unknown_csi_mode():
+    with pytest.raises(ConfigError, match="'estimatd'"):
+        sweep(_small_cfg(), "N_r", [4], [SchemeSpec("single_tap")],
+              csi_mode="estimatd")
 
 
 def test_run_mse_rejects_bad_input():

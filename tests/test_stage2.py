@@ -12,8 +12,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 from fbmclink import stage2
-from fbmclink.channel import (ChannelRealization, draw_channel, freq_csi,
-                              make_rng)
+from fbmclink.channel import draw_channel, freq_csi, make_rng
 from fbmclink.errors import ConfigError
 from fbmclink.fbmc import design_prototype, modulate, qam_to_oqam
 from fbmclink.stage1 import design_highrate, single_tap
@@ -365,7 +364,7 @@ def test_fit_of_any_stage1_length_matches_oracle(kappa, L_g, eva):
 
 
 def test_bank_rejects_bad_lg_prime(eva, pf16):
-    csi = freq_csi(draw_channel(eva, 2, 1), 16)
+    csi = freq_csi(draw_channel([eva], 2, 1), 16)
     with pytest.raises(ConfigError, match="Lg_prime"):
         build_lowrate_receiver(csi, pf16, DecimationPlan(16, 4), Lg_prime=0)
 
@@ -383,10 +382,9 @@ def test_polyphase_split_round_trip():
 
 
 def test_bank_branches_match_split(eva, pf32):
-    csi = freq_csi(draw_channel(eva, 4, 7), 32)
+    csi = freq_csi(draw_channel([eva], 4, 7), 32)
     bank = build_lowrate_receiver(csi, pf32, DecimationPlan(32, 8),
                                   Lg_prime=5)
-    assert bank.Lg_prime == 5
     assert bank.gbar.shape == (32, 1, 4, 5)
     rebuilt = np.zeros_like(bank.gbar)
     for l, br in enumerate(polyphase_split(bank.gbar, bank.plan.D2)):
@@ -396,7 +394,7 @@ def test_bank_branches_match_split(eva, pf32):
 
 
 def test_bank_subcarrier_subset(eva, pf32):
-    csi = freq_csi(draw_channel(eva, 4, 7), 32)
+    csi = freq_csi(draw_channel([eva], 4, 7), 32)
     full = build_lowrate_receiver(csi, pf32, DecimationPlan(32, 8), Lg_prime=4)
     sub = build_lowrate_receiver(csi, pf32, DecimationPlan(32, 8), Lg_prime=4,
                                  subcarriers=[3, 17])
@@ -408,7 +406,7 @@ def test_flat_channel_alpha0_reduces_to_single_tap():
     # with a one-tap channel and no delay the LS fit returns the bin combiner
     rng = make_rng(8)
     taps = rng.standard_normal((2, 1, 1)) + 1j * rng.standard_normal((2, 1, 1))
-    csi = freq_csi(ChannelRealization(taps), 16)
+    csi = freq_csi(taps, 16)
     pf = design_prototype(4, 16)
     bank = build_lowrate_receiver(csi, pf, DecimationPlan(16, 8), alpha=0,
                                   Lg_prime=3)
@@ -424,15 +422,15 @@ def test_lowrate_loopback(pf16):
     N_d = 12
     qam = ((rng.integers(0, 2, (16, N_d // 2)) * 2 - 1)
            + 1j * (rng.integers(0, 2, (16, N_d // 2)) * 2 - 1)) * np.sqrt(0.25)
-    grid = qam_to_oqam(qam, 0.5)
+    grid = qam_to_oqam(qam[None])
     s = modulate(grid, pf16)
-    csi = freq_csi(ChannelRealization(np.ones((1, 1, 1))), 16)
+    csi = freq_csi(np.ones((1, 1, 1)), 16)
     bank = build_lowrate_receiver(csi, pf16, DecimationPlan(16, 4), alpha=1,
                                   Lg_prime=5)
     out = equalize_lowrate(s, bank, pf16)
     est = recover_symbols(out, 1, N_d)
     # residual sits at the intrinsic filter-bank floor, way below symbol scale
-    assert np.abs(est[0] - grid.symbols[0]).max() < 5e-3
+    assert np.abs(est[0] - grid[0]).max() < 5e-3
 
 
 def test_equalize_lowrate_sums_antennas(pf16, eva):
@@ -561,7 +559,7 @@ def test_equalize_lowrate_peak_memory_does_not_grow_with_the_burst(D1, eva):
 
 
 def test_equalize_lowrate_errors(pf16, eva):
-    csi = freq_csi(draw_channel(eva, 2, 1), 16)
+    csi = freq_csi(draw_channel([eva], 2, 1), 16)
     bank = build_lowrate_receiver(csi, pf16, DecimationPlan(16, 4))
     with pytest.raises(ValueError, match="antenna streams"):
         equalize_lowrate(np.zeros((3, 200)), bank, pf16)

@@ -32,7 +32,7 @@ RATE = 7.68e6
 def equivalent_channel(eq, H):
     """Cascade H_eq[l] = (G conv H)[l], shape (N_t, N_t_users, L_g + L_h - 1)."""
     G = eq.taps[:, None, :, :]                       # (N_t, 1, N_r, L_g)
-    Hm = np.moveaxis(H.taps, 0, 1)[None, :, :, :]    # (1, N_t', N_r, L_h)
+    Hm = np.moveaxis(H, 0, 1)[None, :, :, :]         # (1, N_t', N_r, L_h)
     return fftconvolve(G, Hm, axes=3).sum(axis=2)
 
 
@@ -116,7 +116,7 @@ def _wick_oracle(q_src, q_eq, M, N_r, alpha, own):
 def test_leading_stats_own_pair_oracle():
     q = [0.5, 0.3, 0.15, 0.05]
     p = PdpProfile("q4", q, RATE)
-    st = error_stats([p], 8, 4, 1, (0, 0))
+    st = error_stats([p, p], 8, 6, 1, (0, 0))       # 1/(N_r - N_t) = 1/4
     eps, chk, mu = _wick_oracle(q, q, 8, 4, 1, own=True)
     assert np.abs(eps).max() > 1e-4            # non-vacuous comparison
     np.testing.assert_allclose(st.eps, eps, atol=1e-12)
@@ -129,7 +129,7 @@ def test_leading_stats_spilling_pdp_oracle(alpha):
     # support past M/2 turns on the pseudo-covariance and the alias rays of mu
     q = [0.35, 0.0, 0.25, 0.2, 0.1, 0.1]
     p = PdpProfile("q6", q, RATE)
-    st = error_stats([p], 8, 4, alpha, (0, 0))
+    st = error_stats([p, p], 8, 6, alpha, (0, 0))
     eps, chk, mu = _wick_oracle(q, q, 8, 4, alpha, own=True)
     assert np.abs(chk).max() > 1e-3 and np.abs(mu).max() > 0.05
     np.testing.assert_allclose(st.eps, eps, atol=1e-12)
@@ -141,7 +141,7 @@ def test_leading_stats_cross_pair_oracle():
     qa = [0.5, 0.3, 0.15, 0.05]
     qb = [0.6, 0.25, 0.1, 0.05]
     pa, pb = PdpProfile("a", qa, RATE), PdpProfile("b", qb, RATE)
-    st = error_stats([pa, pb], 8, 4, 1, (0, 1))
+    st = error_stats([pa, pb], 8, 6, 1, (0, 1))
     eps, _, _ = _wick_oracle(qb, qa, 8, 4, 1, own=False)
     assert np.abs(eps).max() > 1e-4
     np.testing.assert_allclose(st.eps, eps, atol=1e-12)
@@ -153,18 +153,18 @@ def test_leading_stats_cross_pair_oracle():
 def test_leading_own_pair_cancellation(uni4):
     # when the support stays within M/2 the O(1/N_r) own-pair terms cancel;
     # the surviving error is the O(1/N_r^2) part carried by the exact kernels
-    st = error_stats([uni4], 16, 8, 1, (0, 0))
+    st = error_stats([uni4, uni4], 16, 10, 1, (0, 0))
     assert np.abs(st.eps).max() < 1e-15
     assert np.abs(st.eps_check).max() < 1e-15
-    ex = error_stats([uni4], 16, 8, 1, (0, 0), exact=True)
+    ex = error_stats([uni4], 16, 8, 1, (0, 0))
     assert np.abs(ex.eps).max() > 1e-6
 
 
 def test_case1_window_zeros(uni4):
     # full-range lags have b = 0: no error mass on l in [L_h-1, M-1]
     M, L_h = 16, uni4.L_h
-    for exact in (False, True):
-        st = error_stats([uni4], M, 8, 1, (0, 0), exact=exact)
+    for users in (2, 1):    # the leading order, then the exact kernels
+        st = error_stats([uni4] * users, M, 8, 1, (0, 0))
         win = slice(L_h - 1, M)
         assert np.abs(st.eps[win, win]).max() < 1e-14
         assert np.abs(st.mu[win]).max() < 1e-14
@@ -173,7 +173,7 @@ def test_case1_window_zeros(uni4):
 def test_alias_identities(uni4):
     # psi[l] = -psi[l + M] ties the wrap lags to the leading-edge lags
     M = 16
-    st = error_stats([uni4], M, 8, 1, (0, 0), exact=True)
+    st = error_stats([uni4], M, 8, 1, (0, 0))
     for l in range(uni4.L_h - 1):
         assert abs(st.eps[l, l] - st.eps[l + M, l + M]) < 1e-15
         assert abs(st.eps[l + M, l] + st.eps[l, l]) < 1e-15
@@ -182,24 +182,24 @@ def test_alias_identities(uni4):
 def test_error_stats_validation(uni4, eva):
     with pytest.raises(ValueError, match="L_h-1 < M"):
         error_stats([eva], 16, 8, 1, (0, 0))
-    with pytest.raises(ValueError, match="own-user pair"):
-        error_stats([uni4, uni4], 16, 8, 1, (0, 1), exact=True)
-    with pytest.raises(ValueError, match="positive combiner normalization"):
-        error_stats([uni4, uni4], 16, 8, 1, (0, 1), n_eff=0)
+    with pytest.raises(ValueError, match="need N_r > N_t"):
+        error_stats([uni4, uni4], 16, 2, 1, (0, 1))
+    with pytest.raises(ValueError, match="need N_r > N_t"):
+        error_stats([uni4], 16, 1, 1, (0, 0))
     with pytest.raises(ValueError, match="N_r >= 2"):
         _ratio_moments([0.5], 1)
 
 
 def test_leading_scale_factors():
-    # leading kernels carry the explicit 1/(M n_eff) normalization
+    # leading kernels carry the explicit 1/(M (N_r - N_t)) normalization
     qa = [0.5, 0.3, 0.15, 0.05]
     qb = [0.6, 0.25, 0.1, 0.05]
     pro = [PdpProfile("a", qa, RATE), PdpProfile("b", qb, RATE)]
     e8 = error_stats(pro, 8, 8, 1, (0, 1)).eps
     e16 = error_stats(pro, 8, 16, 1, (0, 1)).eps
-    np.testing.assert_allclose(e16 * 16, e8 * 8, atol=1e-15)
-    en = error_stats(pro, 8, 16, 1, (0, 1), n_eff=12).eps
-    np.testing.assert_allclose(en * 12, e8 * 8, atol=1e-15)
+    np.testing.assert_allclose(e16 * 14, e8 * 6, atol=1e-15)
+    e3 = error_stats(pro + pro[:1], 8, 15, 1, (0, 1)).eps     # three users
+    np.testing.assert_allclose(e3 * 12, e8 * 6, atol=1e-15)
 
 
 def _psi_cov(stats):
@@ -212,8 +212,8 @@ def _psi_cov(stats):
 
 
 def test_psi_cov_positive_semidefinite(uni4, peda):
-    for st in (error_stats([uni4], 16, 8, 1, (0, 0), exact=True),
-               error_stats([peda], 32, 8, 1, (0, 0), exact=True)):
+    for st in (error_stats([uni4], 16, 8, 1, (0, 0)),
+               error_stats([peda], 32, 8, 1, (0, 0))):
         cov = _psi_cov(st)
         ev = np.linalg.eigvalsh(cov)
         assert np.allclose(cov, cov.T, atol=1e-15)
@@ -349,11 +349,11 @@ def test_exact_stats_match_channel_simulation(eva):
     # mean |psi[l]|^2 of the real frequency-sampled ZF chain
     M, N_r, alpha, T = 64, 16, 1, 600
     A = alpha * M // 2
-    st = error_stats([eva], M, N_r, alpha, (0, 0), exact=True)
+    st = error_stats([eva], M, N_r, alpha, (0, 0))
     th = np.real(np.diag(st.eps)) + np.abs(st.mu) ** 2
     acc = np.zeros(st.n)
     for tr in range(T):
-        H = draw_channel(eva, N_r, trial_rng(777, tr))
+        H = draw_channel([eva], N_r, trial_rng(777, tr))
         eq = design_highrate(freq_csi(H, M), alpha=alpha)
         psi = equivalent_channel(eq, H)[0, 0]
         psi[A] -= 1.0
@@ -400,7 +400,7 @@ def test_noise_power_against_simulation(eva, pf32):
     vals = []
     for tr in range(60):
         rng = trial_rng(55, tr)
-        H = draw_channel(eva, 8, rng)
+        H = draw_channel([eva], 8, rng)
         eq = design_highrate(freq_csi(H, 32), alpha=1)
         zlen = pf32.L_f + 160 * 16
         z = np.sqrt(s2 / 2) * (rng.standard_normal((8, zlen))
@@ -533,16 +533,16 @@ def test_error_stats_sequence_equals_evaluations_with_holds_cleared(peda,
                                                                    eva):
     # each call differs from the one before in one part of the geometry's
     # key: the equalized PDP of a cross pair, own pair against a twin,
-    # exact, alpha, M
-    calls = [([peda, eva], 64, 1, (0, 1), False),
-             ([eva, eva], 64, 1, (0, 1), False),
-             ([eva], 64, 1, (0, 0), False),
-             ([eva], 64, 1, (0, 0), True),
-             ([eva], 64, 0, (0, 0), True),
-             ([eva], 128, 0, (0, 0), True)]
+    # exact (one user), alpha, M
+    calls = [([peda, eva], 64, 1, (0, 1)),
+             ([eva, eva], 64, 1, (0, 1)),
+             ([eva, eva], 64, 1, (0, 0)),
+             ([eva], 64, 1, (0, 0)),
+             ([eva], 64, 0, (0, 0)),
+             ([eva], 128, 0, (0, 0))]
 
-    def run(pro, M, alpha, pair, exact):
-        st = error_stats(pro, M, 16, alpha, pair, exact=exact)
+    def run(pro, M, alpha, pair):
+        st = error_stats(pro, M, 16, alpha, pair)
         return st.eps_band, st.check_band, st.mu
 
     _clear_holds()
@@ -574,7 +574,7 @@ def test_held_gram_bands_are_read_only(peda, eva):
     pf = design_prototype(4, 32)
     F = interference_table(pf, 16)
     for prof in (peda, eva):    # two n: own-pair weights for each
-        st = error_stats([prof], 32, 8, 1, (0, 0), exact=True)
+        st = error_stats([prof], 32, 8, 1, (0, 0))
         want = average_power(st, F.copy("K"), 16, 0.5)      # nothing held
         for _ in range(2):      # the weights built, then read
             assert average_power(st, F, 16, 0.5) == want
@@ -587,7 +587,7 @@ def test_held_gram_bands_are_read_only(peda, eva):
 
 def test_held_gram_bands_are_freed_with_their_prototype(peda):
     pf = design_prototype(4, 16)
-    st = error_stats([peda], 16, 8, 1, (0, 0), exact=True)
+    st = error_stats([peda], 16, 8, 1, (0, 0))
     average_power(st, interference_table(pf, 8), 8, 1.0)
     held = [weakref.ref(w) for w in _held_weights(pf)]
     assert len(held) == 5 and all(h() is not None for h in held)
@@ -636,9 +636,7 @@ def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
     N_t = len(profiles)
     interference, exact_eq = 0.0, True
     for up in range(N_t):
-        stats = error_stats(profiles, M, N_r, alpha, (u, up),
-                            exact=(N_t == 1),
-                            n_eff=None if N_t == 1 else N_r - N_t)
+        stats = error_stats(profiles, M, N_r, alpha, (u, up))
         exact_eq &= not (stats.eps.any() or stats.eps_check.any()
                          or stats.mu.any())
         rest, entry = average_power(stats, F, m, P_s)
@@ -726,7 +724,7 @@ def test_flat_channels_orthogonal_bank_with_noise():
     got = theoretical_sinr([flat], pf, 64, 8, 1, 32, 0, 0.01, P_s=0.5)
     assert np.isfinite(got)
     _, desired = average_power(
-        error_stats([flat], 64, 8, 1, (0, 0), exact=True),
+        error_stats([flat], 64, 8, 1, (0, 0)),
         interference_table(pf, 32), 32, 0.5)
     assert abs(got - 10 * np.log10(desired / noise)) < 1e-12
     assert theoretical_sinr([flat, flat], pf, 64, 8, 1, 32, 0, 0.0,
@@ -900,12 +898,12 @@ def _ratio_moments_reference(bvals, N_r, nx, nt, nh):
     return np.array(out).T
 
 
-def _error_stats_oracle(profiles, M, N_r, alpha, pair, exact=False,
-                        n_eff=None):
+def _error_stats_oracle(profiles, M, N_r, alpha, pair, exact, n_eff):
     """(eps, eps_check, mu) from the per-lag loops over every l and the lags
     l' = l, l +- M (eps) and l' = 2A - l (mod M) (eps_check); the exact
     kernels (g1, k2, k3) come from `_ratio_moments`, which has its own
-    oracles above and below."""
+    oracles above and below, and the leading order is scaled by
+    1/(M n_eff)."""
     u, up = pair
     q = np.asarray(profiles[up].taps, dtype=float)
     q = q / q.sum()
@@ -939,7 +937,7 @@ def _error_stats_oracle(profiles, M, N_r, alpha, pair, exact=False,
         k_chk = np.where(s2 < 1e-8, 0.0, k3)
         k_j1 = ph1 * g1
     else:
-        scale = 1.0 / (M * (N_r if n_eff is None else n_eff))
+        scale = 1.0 / (M * n_eff)
     eps = np.zeros((n, n), dtype=complex)
     for l in range(n):
         for lp in (l - M, l, l + M):
@@ -1050,19 +1048,28 @@ def _oracle_profiles(M):
             else PdpProfile("q", q, RATE) for q in _ORACLE_PDPS[M]]
 
 
-_KINDS = {"own": ((0, 0), False, None), "own-exact": ((0, 0), True, None),
-          "cross": ((1, 0), False, None), "cross-n_eff": ((0, 1), False, 3)}
+# (pair, users, N_r): one user gets the exact kernels, more users the
+# leading order at n_eff = N_r - users (6, or 3 for three users)
+_KINDS = {"own": ((0, 0), 2, 8), "own-exact": ((0, 0), 1, 6),
+          "cross": ((1, 0), 2, 8), "cross-n_eff": ((0, 1), 3, 6)}
+
+
+def _kind_args(M, kind):
+    """(profiles, N_r, pair) of an oracle case; the third user repeats the
+    first, the two PDPs of `_ORACLE_PDPS` serve every pair."""
+    pair, users, N_r = _KINDS[kind]
+    return (_oracle_profiles(M) * 2)[:users], N_r, pair
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 @pytest.mark.parametrize("alpha", [0, 1])
 @pytest.mark.parametrize("M", [8, 16, 32])
 def test_error_stats_matches_lag_loop_oracle(M, alpha, kind):
-    pair, exact, n_eff = _KINDS[kind]
-    profiles = _oracle_profiles(M)
-    st = error_stats(profiles, M, 6, alpha, pair, exact=exact, n_eff=n_eff)
-    eps, chk, mu = _error_stats_oracle(profiles, M, 6, alpha, pair,
-                                       exact=exact, n_eff=n_eff)
+    profiles, N_r, pair = _kind_args(M, kind)
+    st = error_stats(profiles, M, N_r, alpha, pair)
+    users = len(profiles)
+    eps, chk, mu = _error_stats_oracle(profiles, M, N_r, alpha, pair,
+                                       exact=users == 1, n_eff=N_r - users)
     _assert_close(st.eps, eps)
     if pair[0] == pair[1]:
         _assert_close(st.eps_check, chk)
@@ -1085,9 +1092,9 @@ def test_interference_table_matches_transmux_oracle(M, kappa):
 @pytest.mark.parametrize("kappa", [2, 3, 4])
 @pytest.mark.parametrize("M", [8, 16, 32])
 def test_average_power_matches_row_oracle(M, kappa, alpha, kind):
-    pair, exact, n_eff = _KINDS[kind]
+    profiles, N_r, pair = _kind_args(M, kind)
     pf = design_prototype(kappa, M)
-    st = error_stats(_oracle_profiles(M), M, 6, alpha, pair, exact=exact)
+    st = error_stats(profiles, M, N_r, alpha, pair)
     dns = _dn_range(M, pf.L_f, alpha, st.n).tolist()
     for m in (0, M // 2, M - 1):
         rest, entry = average_power(st, interference_table(pf, m), m, 0.5)
@@ -1174,7 +1181,7 @@ def test_sir_upper_bound_orthogonal_bank_every_size():
 def test_theory_input_errors_are_config_errors(uni4, eva, pf32):
     # ConfigError is a ValueError, so older callers still catch these
     cases = [lambda: error_stats([eva], 16, 8, 1, (0, 0)),
-             lambda: error_stats([uni4, uni4], 16, 8, 1, (0, 1), n_eff=0),
+             lambda: error_stats([uni4, uni4], 16, 2, 1, (0, 1)),
              lambda: _ratio_moments([0.5], 1),
              lambda: noise_power(uni4, pf32, 32, 4, 0.3, N_t=4),
              lambda: theoretical_sinr([uni4] * 4, pf32, 32, 4, 1, 16, 0, 0.1)]
