@@ -388,8 +388,12 @@ def main(argv=None):
         elif args.command == "plot-script":
             text = emit_plot_script(args.csv)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                try:
+                    with open(args.out, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                except OSError as e:
+                    raise ConfigError(
+                        f"cannot write plot script {args.out!r}: {e}") from None
                 print(args.out)
             else:
                 print(text)

@@ -8,16 +8,13 @@ one tap W[m, u] (single-tap, alpha = 0), the L_g high-rate taps (D1 = 1) or
 the two-stage g-bar of subcarrier m. The matrix-FIR convolution `channel._fir`
 (which also applies the channel and the high-rate filter) sums the antennas
 into each user's equalized channel c_{u'} = sum_r g^r * h^{r,u'}, and the
-real symbol s_{m',n'} of user u' reaches the phase-compensated output with
-the coefficient (F the table `theory.interference_table(pf, m)`, entry i at
-lag i - (L_f - 1); indices from 0)
-
-    R[u', m', dn] = Re{ j^{(m'-m-dn) mod 4} sum_l F[m', i0 - l] c_{u'}[l] },
-    i0 = (dn + alpha) M/2 + L_f - 1,      dn = n - n',
-
-the closed form's Re{v^T psi} with c in place of psi. It is exact (a full
-transmit/receive chain gives the same numbers, without edge effects), so
-SIR/SINR estimates need no symbol averaging. The noise power per trial is
+real symbol s_{m',n-dn} of user u' reaches the phase-compensated output
+(m, n) with the coefficient R[u', m', dn] that `theory._lattice` reads from
+c_{u'} and the table F = `theory.interference_table(pf, m)` (entry i at lag
+i - (L_f - 1)): the closed form's Re{v^T psi} with c in place of psi. It is
+exact (a full transmit/receive chain gives the same numbers, without edge
+effects), so SIR/SINR estimates need no symbol averaging, and a trial keeps
+only its desired and interference powers and noise gain. The noise power is
 sigma_z^2 / 2 times sum_r ||conj f_m * flip g^r||^2, a quadratic form in the
 table's row m (the autocorrelation of f_m):
 
@@ -48,7 +45,7 @@ from .stage1 import (HighRateEqualizer, SingleTapEqualizer, design_highrate,
 from .stage2 import (DecimationPlan, LowRateEqualizerBank,
                      build_lowrate_receiver, equalize_lowrate, recover_symbols)
 from . import theory    # where bench/layers.py wraps interference_table
-from .theory import _J, _dn_range, _rows, _windows
+from .theory import _rows
 
 log = logging.getLogger(__name__)
 
@@ -151,33 +148,17 @@ class CoeffSet:
     def interference_power(self):
         return self.P_s * float(np.sum(self.R ** 2)) - self.desired_power()
 
-    def noise_power(self, sigma_z2):
-        return 0.5 * sigma_z2 * self.noise_gain
-
 
 def _measure_many(h, schemes, pf, m, u):
     """CoeffSets of several scheme objects on one channel draw h (N_r, N_t,
-    L_h): per scheme, c_{u'} of every user, then per dn of every lattice
-    offset that F_{mm'} * c_{u'} reaches one product of the reversed c with
-    the table window of columns i0 - l (`theory._windows`)."""
-    M, L_f, half = pf.M, pf.L_f, pf.M // 2
+    L_h): `theory._lattice` of each user's c_{u'}, and the noise gain."""
     F = theory.interference_table(pf, m)
-    jm = np.arange(M) - m
     out = []
     for scheme in schemes:
         g, D1, a_s = _taps(scheme, m, u)
-        c = _equalized_channel(h, g, D1)
-        L_c = c.shape[1]
-        cr = c[:, ::-1].copy()      # BLAS takes no negative strides
-        dns = _dn_range(M, L_f, a_s, L_c)
-        R = np.empty((h.shape[1], M, dns.size))
-        for j, dn in enumerate(dns):
-            i0 = (dn + a_s) * half + L_f - 1
-            a, b, (W,) = _windows(F, 0, L_c - 1, i0)
-            R[:, :, j] = (cr[:, L_c - 1 - b:L_c - a] @ W.T
-                          * _J[(jm - dn) % 4]).real
+        dns, R = theory._lattice(F, m, a_s, _equalized_channel(h, g, D1))
         pos = np.arange(g.shape[1]) * D1
-        T = _rows(F[m], L_f - 1 + pos[:, None] - pos)   # noise-gain form
+        T = _rows(F[m], pf.L_f - 1 + pos[:, None] - pos)   # noise-gain form
         out.append(CoeffSet(R=R, dn=dns, m=m, u=u, alpha=a_s,
                             noise_gain=float(np.vdot(g, g @ T.T).real)))
     return out
@@ -188,6 +169,8 @@ def _jackknife_ratio_db(num, den):
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     T = num.size
+    if not den.any():       # zero on every trial: +inf, with no spread
+        return np.inf, 0.0
     est = 10.0 * np.log10(num.sum() / den.sum())
     if T < 2:
         return float(est), 0.0
@@ -233,7 +216,7 @@ def _map_trials(fn, trials, threads):
 
 
 def _collect(cfg, specs, csi_mode, threads, pf):
-    """Per-trial coefficient sets for every spec: {spec: [CoeffSet] * trials}."""
+    """{spec: (3, trials)}: desired, interference power, noise gain per trial."""
     profiles = [load_pdp(nm, cfg.sample_rate) for nm in channel_assignment(cfg)]
     m, u = cfg.subcarrier, cfg.user
     theory.interference_table(pf, m)  # held before the trials read it
@@ -247,20 +230,18 @@ def _collect(cfg, specs, csi_mode, threads, pf):
         if csi_mode == "estimated":
             csi = estimate_csi_mmse(csi, P_p, sigma_d, rng)
         built = [_build_scheme(sp, csi, pf, cfg, sigma_d, [m]) for sp in specs]
-        return _measure_many(h, built, pf, m, u)
+        return [(c.desired_power(), c.interference_power(), c.noise_gain)
+                for c in _measure_many(h, built, pf, m, u)]
 
-    rows = _map_trials(one_trial, cfg.trials, threads)
-    return {sp: [row[i] for row in rows] for i, sp in enumerate(specs)}
+    rows = np.array(_map_trials(one_trial, cfg.trials, threads))
+    return {sp: rows[:, i].T for i, sp in enumerate(specs)}
 
 
-def _report(cfg, spec, label, sets, csi_mode):
-    """Aggregate per-trial coefficient sets into SIR/SINR (ratio of mean
-    powers) with jackknife standard errors on the dB values, at the SNR of
-    `cfg`."""
-    sigma_z2 = cfg.noise_var()
-    des = np.array([c.desired_power() for c in sets])
-    intf = np.array([c.interference_power() for c in sets])
-    nz = np.array([c.noise_power(sigma_z2) for c in sets])
+def _report(cfg, spec, label, powers, csi_mode):
+    """SIR/SINR (ratio of mean powers) of `_collect`'s per-trial powers, with
+    jackknife standard errors on the dB values, at the SNR of `cfg`."""
+    des, intf, gain = powers
+    nz = 0.5 * cfg.noise_var() * gain
     sir_db, sir_se = _jackknife_ratio_db(des, intf)
     sinr_db, sinr_se = _jackknife_ratio_db(des, intf + nz)
     return SinrReport(

@@ -309,25 +309,47 @@ def _dn_range(M, L_f, alpha, n):
 
 def _rows(Ft, i):
     """Rows i of a lag-major table, zero where i falls outside it: the
-    scattered reads (mean peaks, the noise-gain Toeplitz form, the stage-2
-    fit matrices).  Runs of lags are read through `_windows`."""
+    scattered reads (row m of the (m, 0) weights, the noise-gain Toeplitz
+    form, the stage-2 fit matrices).  Runs of lags go through `_windows`."""
     X = np.take(Ft, i, axis=0, mode="clip")
     X[(i < 0) | (i >= len(Ft))] = 0.0
     return X
 
 
-def _windows(F, lo, hi, *i0s):
-    """Table columns i0 - l for l in [lo, hi], one view per i0 in i0s.
+def _windows(F, lo, hi, i0):
+    """Table columns i0 - l for l in [lo, hi]: (a, b, view), [a, b] the part
+    of [lo, hi] whose columns lie in the table (a = b + 1 when none does)
+    and the view the contiguous slice F[:, i0 - b : i0 - a + 1], whose
+    column j holds l = b - j.  Beyond the table F is zero, so sums over l
+    need only [a, b]."""
+    a = max(lo, i0 - F.shape[1] + 1)
+    b = max(min(hi, i0), a - 1)
+    return a, b, F[:, i0 - b:i0 - a + 1]
 
-    Returns (a, b, views): [a, b] is the part of [lo, hi] at which every
-    column i0 - l lies in the table (a = b + 1 when none does), and each
-    view is the contiguous slice F[:, i0 - b : i0 - a + 1], whose column j
-    holds l = b - j.  Beyond the table F is zero, so sums over l need only
-    [a, b].
+
+def _lattice(F, m, alpha, c):
+    """(dns, R), dns = `_dn_range`: the coefficient R (..., M, dns.size) with
+    which s_{m', n - dn} reaches the phase-compensated output (m, n) through
+    the equalized channel c (..., L), lag 0 first; F the table of m:
+
+      R[..., m', j] = Re{j^((m'-m-dn) mod 4) sum_l F[m', i0 - l] c[..., l]},
+      i0 = (dn + alpha) M/2 + L_f - 1,      dn = dns[j].
+
+    Per dn, one product of the reversed c with the `_windows` view over the
+    lags where c is nonzero; an all-zero c gives zeros without reading F.
     """
-    a = max(lo, max(i0s) - F.shape[1] + 1)
-    b = max(min(hi, min(i0s)), a - 1)
-    return a, b, [F[:, i0 - b:i0 - a + 1] for i0 in i0s]
+    M, L, L_f = F.shape[0], c.shape[-1], (F.shape[1] + 1) // 2
+    dns = _dn_range(M, L_f, alpha, L)
+    Z = np.zeros(c.shape[:-1] + (M, dns.size), dtype=complex)
+    nz = np.flatnonzero(c.reshape(-1, L).any(axis=0)).tolist()
+    if not nz:
+        return dns, Z.real
+    cr = c[..., ::-1].copy()        # BLAS takes no negative strides
+    for j, dn in enumerate(dns.tolist()):
+        i0 = (dn + alpha) * (M // 2) + L_f - 1
+        a, b, W = _windows(F, nz[0], nz[-1], i0)
+        Z[..., j] = cr[..., L - 1 - b:L - a] @ W.T
+    return dns, (Z * _J[(np.arange(M)[:, None] - m - dns) & 3]).real  # mod 4
 
 
 def _weights(F, m, alpha, n, own):
@@ -360,8 +382,8 @@ def _weights(F, m, alpha, n, own):
                 sel = np.flatnonzero(cl + clp == S)
                 lo, hi = cl[sel[0]], cl[sel[-1]]
                 for dn, i in zip(dns.tolist(), i0.tolist()):
-                    a, b, (Z,) = _windows(F, max(lo, S - i),
-                                          min(hi, S - i + W - 1), i)
+                    a, b, Z = _windows(F, max(lo, S - i),
+                                       min(hi, S - i + W - 1), i)
                     h = (b - a + 2) // 2        # the product is symmetric
                     p = (-1) ** dn * (sign @ (Z[:, :h] * Z[:, ::-1][:, :h]))
                     out[2][sel[a - lo:b - lo + 1]] += np.r_[
@@ -380,8 +402,9 @@ def average_power(stats, F, m, P_s):
     summed over every lattice offset (m', dn) != (m, 0), and the (m, 0)
     entry (for the own pair, the desired power).  An entry is the variance
     (1/2) Re{v^T eps v^* + v^T eps_check v}, v[l] = F[m', i0 - l] j^(m'-m-dn)
-    and i0 = (dn + alpha) M/2 + L_f - 1, plus the squared mean amplitude
-    (filter-bank peak and error rays, own pair only).  Linear in the bands,
+    and i0 = (dn + alpha) M/2 + L_f - 1, plus the squared mean amplitude:
+    `_lattice` of E{H_eq} = mu + delta[l - alpha M/2] (the filter-bank peak
+    and error rays), zero for a cross pair.  Linear in the bands,
     the variance sums to (1/2) Re{<eps_band, K_eps> + <check_band, K_chk>}:
     the phase of v cancels in eps, so K_eps[l, l'] = sum_dn g_{l'-l}[i0 - l]
     (column Gram bands g_d), and squares to (-1)^(m'-m-dn) in eps_check, so
@@ -395,15 +418,9 @@ def average_power(stats, F, m, P_s):
     w = _weights(F, m, alpha, n, own)
     quad = 0.5 * (stats.eps_band @ w[0] + stats.check_band @ w[2]).real
     quad0 = 0.5 * (stats.eps_band @ w[1] + stats.check_band @ w[3]).real
-    dns = _dn_range(M, (F.shape[1] + 1) // 2, alpha, n)
-    amp = np.zeros((dns.size, M))
-    if own:
-        i0 = (dns + alpha) * (M // 2) + (F.shape[1] - 1) // 2
-        peaks = np.flatnonzero(stats.mu)        # the mean rays, then the peak
-        amp = (np.tensordot(stats.mu[peaks], _rows(F.T, i0 - peaks[:, None]),
-                            1) + _rows(F.T, i0 - alpha * M // 2))
-        amp = (amp * _J[(np.arange(M) - m - dns[:, None]) % 4]).real
-    amp0, amp[-dns[0], m] = amp[-dns[0], m], 0.0      # dns[-dns[0]] = 0
+    mean = stats.mu + own * (np.arange(n) == alpha * M // 2)      # E{H_eq}
+    dns, amp = _lattice(F, m, alpha, mean)
+    amp0, amp[m, -dns[0]] = amp[m, -dns[0]], 0.0      # dns[-dns[0]] = 0
     return (P_s * (quad - quad0 + np.sum(amp * amp)),
             P_s * (quad0 + amp0 * amp0))
 
@@ -459,14 +476,12 @@ def sir_upper_bound(pf, M, alpha, m):
     round-off bound n_terms * (L_f * eps)^2 of `_roundoff_floor` (n_terms
     summed coefficients), the bank is orthogonal to within float64 precision
     and the bound is +inf; this is the case for kappa=2, whose PHYDYAS pulse
-    reconstructs exactly.  The coefficients are columns of the table held for
-    (pf, m).
+    reconstructs exactly.  The coefficients are `_lattice` of the unit
+    impulse on the table held for (pf, m).
     """
     if M != pf.M:
         raise ConfigError(f"need the prototype's M={pf.M}, got M={M}")
-    dns = np.arange(1 - 2 * pf.kappa, 2 * pf.kappa)    # |dn| M/2 < L_f
-    F = interference_table(pf, m)[:, dns * (M // 2) + pf.L_f - 1]
-    c = (F * _J[(np.arange(M)[:, None] - m - dns) % 4]).real
+    dns, c = _lattice(interference_table(pf, m), m, 0, np.ones(1))
     c[m, dns == 0] = 0.0
     den = np.sum(c * c)
     if den <= _roundoff_floor(c.size - 1, pf.L_f):

@@ -60,6 +60,16 @@ def test_plot_script_title_is_the_csv_stem(tmp_path):
     assert "fig7" not in script
 
 
+def test_plot_script_out_to_a_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "fig8.csv"
+    path.write_text("gamma_db,scheme,Lg_prime,sinr_db,sinr_se_db,"
+                    "sir_upper_bound_db\n0.0,highrate,0,1.0,0.1,60.0\n",
+                    encoding="utf-8")
+    code = main(["plot-script", str(path), "--out", str(tmp_path)])
+    _assert_config_error(code, capsys,
+                         f"cannot write plot script {str(tmp_path)!r}")
+
+
 def test_python_m_fbmclink_starts_without_warning():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

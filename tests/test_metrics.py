@@ -19,8 +19,8 @@ from fbmclink.config import SimConfig, fingerprint
 from fbmclink.errors import ConfigError
 from fbmclink.fbmc import design_prototype, modulate
 from fbmclink.metrics import (SchemeSpec, _collect, _equalized_channel,
-                              _measure_many, _receive, _specs, _taps, run_mse,
-                              sweep)
+                              _jackknife_ratio_db, _measure_many, _receive,
+                              _specs, _taps, run_mse, sweep)
 from fbmclink.stage1 import (SingleTapEqualizer, alpha_bound, design_highrate,
                              single_tap)
 from fbmclink.stage2 import (DecimationPlan, LowRateEqualizerBank,
@@ -197,9 +197,23 @@ def test_trial_coefficients_do_not_depend_on_trial_count():
     few = _collect(replace(cfg, trials=2), specs, "estimated", 1, pf)
     many = _collect(cfg, specs, "estimated", 2, pf)
     for sp in specs:
-        for a, b in zip(few[sp], many[sp][:2]):
-            assert np.array_equal(a.R, b.R) and np.array_equal(a.dn, b.dn)
-            assert a.noise_gain == b.noise_gain
+        # desired power, interference power and noise gain of each trial
+        assert few[sp].shape == (3, 2)
+        assert np.array_equal(few[sp], many[sp][:, :2])
+
+
+def test_no_interference_reads_inf_sir_with_zero_error(tmp_path):
+    assert _jackknife_ratio_db([1.0, 2.0, 3.0], [0.0] * 3) == (np.inf, 0.0)
+    # one flat tap on the orthogonal kappa=2 bank: every trial's
+    # interference is exactly 0
+    pdp = tmp_path / "flat.pdp"
+    pdp.write_text("0 0\n", encoding="utf-8")
+    cfg = SimConfig(M=64, kappa=2, N_t=1, N_r=4, trials=20,
+                    channels=(str(pdp),), gamma_db=300)
+    res = sweep(cfg, "N_r", [4, 8], [SchemeSpec("highrate")])
+    for rep in res.reports.values():
+        assert (rep.sir_db, rep.sir_se_db) == (np.inf, 0.0)
+        assert np.isfinite(rep.sinr_db) and np.isfinite(rep.sinr_se_db)
 
 
 def test_sweep_builds_one_transmultiplexer_table(monkeypatch):

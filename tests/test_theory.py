@@ -439,6 +439,38 @@ def test_dn_range_matches_window_oracle(M, kappa):
             np.testing.assert_array_equal(_dn_range(M, L_f, alpha, n), want)
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_lattice_matches_triple_sum_oracle(alpha):
+    # R[k, m', j] = Re{j^((m'-m-dn) mod 4) sum_l F[m', i0 - l] c[k, l]},
+    # summed term by term with F zero beyond the table
+    M, kappa, m, L = 16, 4, 5, 40
+    pf = design_prototype(kappa, M)
+    F, W = interference_table(pf, m), 2 * pf.L_f - 1
+    rng = np.random.default_rng(alpha)
+    c = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
+    c[:, [0, -1]] = 0.0             # the read span is lags 1 .. L-2
+    dns, R = theory._lattice(F, m, alpha, c)
+    np.testing.assert_array_equal(dns, _dn_range(M, pf.L_f, alpha, L))
+    i0s = ((dns + alpha) * (M // 2) + pf.L_f - 1).tolist()
+    assert i0s[0] - (L - 2) < 0 and i0s[-1] - 1 >= W   # clipped at both ends
+    want = np.zeros((2, M, dns.size))
+    for k in range(2):
+        for mp in range(M):
+            for j, (dn, i0) in enumerate(zip(dns.tolist(), i0s)):
+                acc = sum(F[mp, i0 - l] * c[k, l] for l in range(L)
+                          if 0 <= i0 - l < W)
+                want[k, mp, j] = (1j ** ((mp - m - dn) % 4) * acc).real
+    np.testing.assert_allclose(R, want, rtol=0, atol=1e-13 * abs(want).max())
+    zero = theory._lattice(F, m, alpha, np.zeros((2, L), dtype=complex))
+    assert np.array_equal(zero[0], dns) and zero[1].shape == R.shape
+    assert not zero[1].any()
+    if alpha == 0:      # the unit impulse reads the loopback columns exactly
+        dns, R = theory._lattice(F, m, 0, np.ones(1))
+        np.testing.assert_array_equal(dns, np.arange(1 - 2 * kappa, 2 * kappa))
+        ph = np.array([1, 1j, -1, -1j])[(np.arange(M)[:, None] - m - dns) % 4]
+        assert np.array_equal(R, (F[:, dns * (M // 2) + pf.L_f - 1] * ph).real)
+
+
 @pytest.mark.parametrize("M", [4, 8, 16, 64, 256])
 def test_support_matches_mask_oracle(M):
     for alpha in (0, 1, 2):
