@@ -27,6 +27,12 @@ demodulates all antennas in one call and combines the bins in one batched
 product, high-rate filters at the full rate (the overlap-add `_fir`) and
 demodulates all users in one call, and the two-stage bank runs
 `equalize_lowrate`, one batched product per low-rate tap.
+
+A trial's schemes share its stage-1 solve: `stage1` holds it per CSI object
+(read-only, while the CSI lives), so a sweep trial solves its bins once for
+the single-tap and every two-stage or high-rate scheme at L_g = M, and
+`stage2` holds each fit map per prototype. `run_mse` drops its CSI once the
+receiver is built, which frees the held solve before the receive pass.
 """
 
 import logging
@@ -165,7 +171,8 @@ def _measure_many(h, schemes, pf, m, u):
 
 
 def _jackknife_ratio_db(num, den):
-    """10 log10(sum num / sum den) and its leave-one-out standard error."""
+    """10 log10(sum num / sum den) and its leave-one-out standard error; the
+    error is +inf when leaving out one trial empties either sum."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     T = num.size
@@ -174,7 +181,10 @@ def _jackknife_ratio_db(num, den):
     est = 10.0 * np.log10(num.sum() / den.sum())
     if T < 2:
         return float(est), 0.0
-    loo = 10.0 * np.log10((num.sum() - num) / (den.sum() - den))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loo = 10.0 * np.log10((num.sum() - num) / (den.sum() - den))
+    if not np.isfinite(loo).all():  # one trial holds a whole sum: unbounded
+        return float(est), np.inf
     se = np.sqrt((T - 1) / T * np.sum((loo - loo.mean()) ** 2))
     return float(est), float(se)
 
@@ -358,6 +368,7 @@ def run_mse(config, scheme, csi_mode="perfect", threads=1):
         if csi_mode == "estimated":
             csi = estimate_csi_mmse(csi, P_p, sigma_z2, rng)
         rx = _build_scheme(spec, csi, pf, cfg, sigma_z2, None)
+        del csi         # frees the held stage-1 solve before the receive pass
         shat = _receive(rx, y, pf, N_d)
         diff = shat[..., keep] - s[..., keep]
         return np.mean(diff ** 2) / P_SYM

@@ -12,9 +12,16 @@ noise). No explicit inverse or normal matrix is formed. A ZF bin is singular
 when N_r < N_t, when its smallest singular value is zero, or when the
 condition number of H~^H H~, (s_max/s_min)^2, exceeds ``_COND_CUTOFF``; the
 error names the first such bin and its omega.
+
+Held between calls, per live CSI object (`_SOLVES`, weakly keyed by the
+``FreqCsi``): the solve of each (n, lam), read-only, so `single_tap` and every
+`design_highrate` of one trial at L_g = M share one batched SVD. An entry
+lives as long as its ``FreqCsi`` and is read, not rebuilt, on later calls,
+so a ``FreqCsi`` is not to be changed once a design has read it.
 """
 
 import warnings
+import weakref
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from .channel import _fir, bin_response
 from .errors import ConfigError, SingularChannelError
 
 _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singular
+_SOLVES = weakref.WeakKeyDictionary()   # FreqCsi -> {(n, lam): held solve}
 
 
 class HighRateEqualizer:
@@ -33,7 +41,11 @@ class HighRateEqualizer:
 
 
 class SingleTapEqualizer:
-    """Per-subcarrier combining matrices W_m, shape (M, N_t, N_r)."""
+    """Per-subcarrier combining matrices W_m, shape (M, N_t, N_r).
+
+    From `single_tap`, W is the read-only solve held for its CSI (see the
+    module docstring), shared with the high-rate designs of that CSI.
+    """
 
     def __init__(self, W):
         self.W = np.asarray(W, dtype=complex)
@@ -69,6 +81,18 @@ def _solve_bins(A, lam):
     return (Vh.conj().swapaxes(1, 2) * d[:, None, :]) @ U.conj().swapaxes(1, 2)
 
 
+def _held_solve(csi, n, lam):
+    """`_solve_bins` of the CSI's bins on the n-point grid, held read-only
+    for (csi, n, lam) while csi lives; shape (n, N_t, N_r)."""
+    held = _SOLVES.setdefault(csi, {})
+    G = held.get((n, lam))
+    if G is None:
+        G = _solve_bins(bin_response(csi.time_taps, n), lam)
+        G.flags.writeable = False
+        held[(n, lam)] = G
+    return G
+
+
 def alpha_bound(L_h, L_g, M):
     """Largest admissible delay index: ceil(2(L_h+L_g-1)/M) - 1."""
     return int(np.ceil(2 * (L_h + L_g - 1) / M)) - 1
@@ -90,10 +114,9 @@ def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.
     lam = _ridge(criterion, sigma_z2, P_s)
     if L_g < M:
         warnings.warn(f"L_g={L_g} below the minimum sampling count M={M}")
-    G = _solve_bins(bin_response(csi.time_taps, L_g), lam)
     delay = np.arange(L_g) * (alpha * M // 2) % L_g
-    G *= np.exp(-2j * np.pi * delay / L_g)[:, None, None]
-    G = np.fft.ifft(G, axis=0)                          # (L_g, N_t, N_r)
+    phase = np.exp(-2j * np.pi * delay / L_g)[:, None, None]
+    G = np.fft.ifft(_held_solve(csi, L_g, lam) * phase, axis=0)
     return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha)
 
 
@@ -113,4 +136,4 @@ def single_tap(csi, criterion="zf", sigma_z2=0.0, P_s=1.0):
     bins, so alpha = 0 for this scheme).
     """
     lam = _ridge(criterion, sigma_z2, P_s)
-    return SingleTapEqualizer(_solve_bins(bin_response(csi.time_taps, csi.M), lam))
+    return SingleTapEqualizer(_held_solve(csi, csi.M, lam))

@@ -30,7 +30,14 @@ with p zero outside [0, L_f). Only the final D_w ramp remains, so every
 P[t, k] = p[t + L_f - (k+1) D1] under a row phase, so the (L_g, L'_g) matrix
 B_m is the real P pinv(F_0)^T with that row phase and the column ramp D_w,
 and the stage-1 taps meet all listed subcarriers in one matrix product.
+
+Held between calls, per live PrototypeFilter (`_MAPS`, weakly keyed): the
+real (L, L'_g) map P pinv(F_0)^T of each (D1, L'_g, L), read-only, so every
+fit of a sweep builds it once. The row phase and the D_w ramp are formed per
+call: the complex B_m of all M subcarriers would hold M times as much.
 """
+
+import weakref
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from .theory import _rows
 # costs a few batched products per subcarrier, so chunks much smaller than
 # this spend more time in product set-up than they save in memory
 _BANK_BYTES = 1 << 21
+_MAPS = weakref.WeakKeyDictionary()     # PrototypeFilter -> {(D1, L'_g, L): Q}
 
 
 class DecimationPlan:
@@ -63,6 +71,27 @@ class DecimationPlan:
                 and (self.M, self.D1) == (other.M, other.D1))
 
 
+def _held_map(pf, D1, Lg_prime, L):
+    """The real (L, Lg_prime) map P pinv(F_0)^T of `_fit`, held read-only
+    for (pf, D1, Lg_prime, L) while pf lives."""
+    held = _MAPS.setdefault(pf, {})
+    Q = held.get((D1, Lg_prime, L))
+    if Q is None:
+        L_f = pf.L_f
+        N_f = L_f // D1
+        rows = N_f + Lg_prime - 1
+        p = pf.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
+        # Toeplitz F0[i, k] = p[i - k], zero off the window's support
+        F0 = _rows(p, np.arange(rows)[:, None] - np.arange(Lg_prime))
+        # P[t, k] = p[t + L_f - (k+1) D1], zero off the prototype's support
+        P = _rows(pf.coeffs, np.arange(L)[:, None] + L_f
+                  - (np.arange(rows) + 1) * D1)
+        Q = P @ np.linalg.pinv(F0).T
+        Q.flags.writeable = False
+        held[(D1, Lg_prime, L)] = Q
+    return Q
+
+
 def _fit(g, pf, subcarriers, D1, Lg_prime):
     """Least-squares low-rate equalizers of the streams g (..., L) for every m
     in `subcarriers`; returns shape (len(subcarriers), ..., Lg_prime).
@@ -78,20 +107,12 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     if pf.L_f % D1 != 0:
         raise ConfigError(f"D1={D1} does not divide L_f={pf.L_f}")
     g = np.asarray(g)
-    M, L_f, L = pf.M, pf.L_f, g.shape[-1]
-    N_f = L_f // D1
-    rows = N_f + Lg_prime - 1
-    p = pf.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
-    # Toeplitz F0[i, k] = p[i - k], zero off the window's support
-    F0 = _rows(p, np.arange(rows)[:, None] - np.arange(Lg_prime))
-    # P[t, k] = p[t + L_f - (k+1) D1], zero off the prototype's support
-    t = np.arange(L)
-    P = _rows(pf.coeffs, t[:, None] + L_f - (np.arange(rows) + 1) * D1)
+    M, L = pf.M, g.shape[-1]
     # row phase of A_m and the D_w ramp, arguments reduced exactly
-    m = np.asarray(subcarriers)[:, None]
+    m, t = np.asarray(subcarriers)[:, None], np.arange(L)
     phase = np.exp(-2j * np.pi * (m * t % M) / M)
     ramp = np.exp(2j * np.pi * (m * np.arange(Lg_prime) * D1 % M) / M)
-    B = phase[:, :, None] * (P @ np.linalg.pinv(F0).T) * ramp[:, None, :]
+    B = phase[:, :, None] * _held_map(pf, D1, Lg_prime, L) * ramp[:, None, :]
     x = g.reshape(-1, L) @ np.moveaxis(B, 0, 1).reshape(L, -1)
     x = x.reshape(g.shape[:-1] + (len(m), Lg_prime))
     return np.moveaxis(x, -2, 0)

@@ -335,20 +335,29 @@ def _lattice(F, m, alpha, c):
       R[..., m', j] = Re{j^((m'-m-dn) mod 4) sum_l F[m', i0 - l] c[..., l]},
       i0 = (dn + alpha) M/2 + L_f - 1,      dn = dns[j].
 
-    Per dn, one product of the reversed c with the `_windows` view over the
-    lags where c is nonzero; an all-zero c gives zeros without reading F.
+    Per dn, one product of the reversed c with the `_windows` view for each
+    run of lags where c is nonzero, runs split only at gaps of over M/2
+    lags (E{H_eq} at alpha = 0 has two rays, M lags apart); an all-zero c
+    gives zeros without reading F.
     """
     M, L, L_f = F.shape[0], c.shape[-1], (F.shape[1] + 1) // 2
     dns = _dn_range(M, L_f, alpha, L)
-    Z = np.zeros(c.shape[:-1] + (M, dns.size), dtype=complex)
-    nz = np.flatnonzero(c.reshape(-1, L).any(axis=0)).tolist()
-    if not nz:
-        return dns, Z.real
+    Z = np.zeros((dns.size,) + c.shape[:-1] + (M,), dtype=complex)
+    nz = np.flatnonzero(c.reshape(-1, L).any(axis=0))
+    # runs of nonzero lags, split where a gap of over M/2 zero lags would
+    # cost more to read than a product of its own
+    cut = (np.flatnonzero(np.diff(nz) > M // 2) + 1).tolist()
+    runs = [(int(nz[a]), int(nz[b - 1]))
+            for a, b in zip([0] + cut, cut + [nz.size])] if nz.size else []
     cr = c[..., ::-1].copy()        # BLAS takes no negative strides
     for j, dn in enumerate(dns.tolist()):
         i0 = (dn + alpha) * (M // 2) + L_f - 1
-        a, b, W = _windows(F, nz[0], nz[-1], i0)
-        Z[..., j] = cr[..., L - 1 - b:L - a] @ W.T
+        for lo, hi in runs:
+            a, b, W = _windows(F, lo, hi, i0)
+            if a <= b:                  # the run reaches the table
+                Z[j] += np.dot(cr[..., L - 1 - b:L - a], W.T)
+    # C-contiguous (..., M, dns) again, so that sums over R keep their order
+    Z = np.ascontiguousarray(np.moveaxis(Z, 0, -1))
     return dns, (Z * _J[(np.arange(M)[:, None] - m - dns) & 3]).real  # mod 4
 
 

@@ -190,6 +190,14 @@ def test_sweep_does_not_depend_on_thread_count():
     assert one.reports == two.reports
 
 
+def test_perfect_zf_sweep_does_not_depend_on_thread_count():
+    # every scheme of a trial reads the stage-1 solve held for its CSI
+    cfg = replace(_small_cfg(), criterion="zf")
+    one = sweep(cfg, "N_r", [4, 6], _SCHEMES, threads=1)
+    two = sweep(cfg, "N_r", [4, 6], _SCHEMES, threads=2)
+    assert one.reports == two.reports
+
+
 def test_trial_coefficients_do_not_depend_on_trial_count():
     cfg = _small_cfg()
     specs = _specs(cfg, _SCHEMES)
@@ -200,6 +208,14 @@ def test_trial_coefficients_do_not_depend_on_trial_count():
         # desired power, interference power and noise gain of each trial
         assert few[sp].shape == (3, 2)
         assert np.array_equal(few[sp], many[sp][:, :2])
+
+
+def test_one_trial_holding_the_whole_denominator_has_an_unbounded_error():
+    # its leave-one-out denominator is 0; no divide-by-zero warning, no NaN
+    est, se = _jackknife_ratio_db([1.0, 1.0, 1.0], [0.0, 0.0, 1.0])
+    assert est == pytest.approx(10 * np.log10(3.0)) and se == np.inf
+    assert _jackknife_ratio_db([0.0, 0.0, 2.0], [1.0, 1.0, 1.0])[1] == np.inf
+    assert _jackknife_ratio_db([1.0, 2.0], [1.0, 3.0])[1] < np.inf
 
 
 def test_no_interference_reads_inf_sir_with_zero_error(tmp_path):

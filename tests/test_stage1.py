@@ -1,5 +1,6 @@
 """High-rate ZF/MMSE equalizer design and the single-tap baseline."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -338,3 +339,56 @@ def test_single_tap_mmse(eva):
         np.testing.assert_allclose(st.W[m], want, atol=1e-12)
     with pytest.raises(ConfigError, match="zf|mmse"):
         single_tap(csi, criterion="ml")
+
+
+# ------------------------------------------------------ the held bin solve
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = stage1._solve_bins
+
+    def counted(A, lam):
+        calls.append((A.shape[0], lam))
+        return solve(A, lam)
+    monkeypatch.setattr(stage1, "_solve_bins", counted)
+    return calls
+
+
+def test_single_tap_and_highrate_share_one_solve(monkeypatch, eva, peda):
+    calls = _count_solves(monkeypatch)
+    csi = _csi([eva, peda], 6, 32)
+    st = single_tap(csi)
+    design_highrate(csi, L_g=32, alpha=1)
+    design_highrate(csi, L_g=32, alpha=2)
+    assert calls == [(32, 0.0)]
+    # another ridge or another grid is another solve
+    single_tap(csi, "mmse", 0.3, 0.5)
+    design_highrate(csi, L_g=64, alpha=1)
+    assert calls == [(32, 0.0), (32, 0.6), (64, 0.0)]
+    # another CSI object with the same taps is solved again
+    single_tap(freq_csi(csi.time_taps, 32))
+    assert len(calls) == 4
+    # the held solve is single_tap's W, and it rejects writes
+    assert st.W is single_tap(csi).W
+    with pytest.raises(ValueError, match="read-only"):
+        st.W[0, 0, 0] = 1.0
+
+
+def test_held_solve_is_dropped_with_its_csi(eva):
+    csi = _csi([eva], 4, 16)
+    single_tap(csi)
+    held = stage1._SOLVES[csi]
+    del csi
+    gc.collect()
+    assert all(v is not held for v in stage1._SOLVES.values())
+
+
+@pytest.mark.parametrize("criterion,s2", _CASES, ids=["zf", "mmse", "mmse0"])
+def test_solve_order_does_not_change_the_bits(criterion, s2, eva, peda):
+    first, second = (_oracle_csi([eva, peda], True, 5) for _ in range(2))
+    st = single_tap(first, criterion, s2, 0.5)
+    hr = design_highrate(first, 16, 1, criterion, s2, 0.5)
+    hr2 = design_highrate(second, 16, 1, criterion, s2, 0.5)
+    st2 = single_tap(second, criterion, s2, 0.5)
+    assert np.array_equal(st.W, st2.W)
+    assert np.array_equal(hr.taps, hr2.taps)

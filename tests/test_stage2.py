@@ -5,6 +5,7 @@ split are oracles defined here; the receiver itself uses `stage2._fit`.
 """
 
 import contextlib
+import gc
 import tracemalloc
 
 import numpy as np
@@ -307,16 +308,16 @@ def test_fit_matches_brute_force_oracle(M, D1, Lgp, eva):
 
 @pytest.mark.parametrize("D1, N_f", [(8, 8), (4, 16), (2, 32)])
 @pytest.mark.parametrize("Lgp", [1, 5, 9])
-def test_fit_regression_matrix_is_scipy_toeplitz(D1, N_f, Lgp, pf16,
-                                                 monkeypatch):
+def test_fit_regression_matrix_is_scipy_toeplitz(D1, N_f, Lgp, monkeypatch):
     # the F0 that `_fit` pseudo-inverts, exactly scipy's Toeplitz matrix of
-    # the D1-decimated window
+    # the D1-decimated window; a fresh prototype, since its map is held
+    pf = design_prototype(4, 16)
     seen = []
     pinv = np.linalg.pinv
     monkeypatch.setattr(stage2.np.linalg, "pinv",
                         lambda a: seen.append(a) or pinv(a))
-    _fit(np.ones(7), pf16, [0], D1, Lgp)
-    p = pf16.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
+    _fit(np.ones(7), pf, [0], D1, Lgp)
+    p = pf.coeffs[(N_f - 1 - np.arange(N_f)) * D1]
     want = toeplitz(np.concatenate([p, np.zeros(Lgp - 1)]), np.zeros(Lgp))
     assert len(seen) == 1
     assert seen[0].dtype == want.dtype
@@ -325,10 +326,14 @@ def test_fit_regression_matrix_is_scipy_toeplitz(D1, N_f, Lgp, pf16,
 
 def test_one_subcarrier_bank_is_a_row_of_the_all_m_bank(eva, monkeypatch):
     # the fit reads the stage-1 taps by one matrix product, not through the
-    # analysis bank
+    # analysis bank, and the banks after the first read its held map
     def no_afb(*args, **kwargs):
         raise AssertionError("the fit called _afb")
     monkeypatch.setattr(stage2, "_afb", no_afb)
+    pinvs = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(stage2.np.linalg, "pinv",
+                        lambda a: pinvs.append(a.shape) or pinv(a))
     M = 64
     pf = design_prototype(4, M)
     plan = DecimationPlan(M, 16)
@@ -340,6 +345,26 @@ def test_one_subcarrier_bank_is_a_row_of_the_all_m_bank(eva, monkeypatch):
         assert one.gbar.shape == (1, 2, 3, 5)
         _assert_rel_close(one.gbar[0], full.taps_for(m), rel=1e-12)
         assert _rel_err(_bumped(one.gbar[0]), full.taps_for(m)) > 1e-12
+    assert len(pinvs) == 1 and len(stage2._MAPS[pf]) == 1
+
+
+def test_held_fit_map_gives_the_fresh_bits(eva):
+    M, D1, Lgp = 32, 8, 5
+    pf = design_prototype(4, M)
+    taps = design_highrate(freq_csi(draw_channel([eva, eva], 3, 4), M)).taps
+    ms = [0, 5, M - 1]
+    first = _fit(taps, pf, ms, D1, Lgp)
+    (Q,) = stage2._MAPS[pf].values()
+    assert Q.shape == (M, Lgp) and Q.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        Q[0, 0] = 1.0
+    again = _fit(taps, pf, ms, D1, Lgp)
+    fresh = _fit(taps, design_prototype(4, M), ms, D1, Lgp)
+    assert np.array_equal(again, first) and np.array_equal(fresh, first)
+    held = stage2._MAPS[pf]
+    del pf
+    gc.collect()
+    assert all(v is not held for v in stage2._MAPS.values())
 
 
 @pytest.mark.parametrize("kappa", [2, 3, 4])

@@ -449,18 +449,23 @@ def test_lattice_matches_triple_sum_oracle(alpha):
     rng = np.random.default_rng(alpha)
     c = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
     c[:, [0, -1]] = 0.0             # the read span is lags 1 .. L-2
-    dns, R = theory._lattice(F, m, alpha, c)
-    np.testing.assert_array_equal(dns, _dn_range(M, pf.L_f, alpha, L))
-    i0s = ((dns + alpha) * (M // 2) + pf.L_f - 1).tolist()
-    assert i0s[0] - (L - 2) < 0 and i0s[-1] - 1 >= W   # clipped at both ends
-    want = np.zeros((2, M, dns.size))
-    for k in range(2):
-        for mp in range(M):
-            for j, (dn, i0) in enumerate(zip(dns.tolist(), i0s)):
-                acc = sum(F[mp, i0 - l] * c[k, l] for l in range(L)
-                          if 0 <= i0 - l < W)
-                want[k, mp, j] = (1j ** ((mp - m - dn) % 4) * acc).real
-    np.testing.assert_allclose(R, want, rtol=0, atol=1e-13 * abs(want).max())
+    gapped = c.copy()               # two runs: a gap of over M/2 lags
+    gapped[:, 6:30] = 0.0
+    gapped[1, 30:] = 0.0
+    for c in (c, gapped):
+        dns, R = theory._lattice(F, m, alpha, c)
+        np.testing.assert_array_equal(dns, _dn_range(M, pf.L_f, alpha, L))
+        i0s = ((dns + alpha) * (M // 2) + pf.L_f - 1).tolist()
+        assert i0s[0] - (L - 2) < 0 and i0s[-1] - 1 >= W   # clipped at both ends
+        want = np.zeros((2, M, dns.size))
+        for k in range(2):
+            for mp in range(M):
+                for j, (dn, i0) in enumerate(zip(dns.tolist(), i0s)):
+                    acc = sum(F[mp, i0 - l] * c[k, l] for l in range(L)
+                              if 0 <= i0 - l < W)
+                    want[k, mp, j] = (1j ** ((mp - m - dn) % 4) * acc).real
+        np.testing.assert_allclose(R, want, rtol=0,
+                                   atol=1e-13 * abs(want).max())
     zero = theory._lattice(F, m, alpha, np.zeros((2, L), dtype=complex))
     assert np.array_equal(zero[0], dns) and zero[1].shape == R.shape
     assert not zero[1].any()
