@@ -8,9 +8,12 @@ value resolved from such a form reads as an int but keeps its divisor, so
 ``dataclasses.replace(cfg, M=...)`` resolves it again at the new M; a plain
 int given explicitly stays as given. The divisor travels with the value:
 ``replace(cfg, M=512, D1=cfg.D1)`` and ``SimConfig(M=512, D1=cfg.D1)`` resolve
-it again too, and ``int(cfg.D1)`` pins it. ``render_config`` writes the
-resolved ints, and ``parse_config(render_config(cfg)) == cfg`` holds for every
-valid config.
+it again too, and ``int(cfg.D1)`` pins it. ``render_config`` writes such a
+value in its M-relative form ("M/4", "M"), so a config read back from its
+text resolves again under ``replace(cfg, M=...)`` just as the original does,
+and ``parse_config(render_config(cfg)) == cfg`` holds for every valid config.
+``fingerprint`` hashes the text with the resolved ints, so a value given as
+"M/4" and the same value given as an int share a fingerprint.
 
 ``channels`` names one profile per user (cycled): EVA, ETU, PedA or PedB in
 any case, or the path of a ``delay_ns power_db`` text file (``#`` comments)
@@ -187,12 +190,15 @@ def parse_config(text):
     return SimConfig(**_parse_items(text))
 
 
-def render_config(cfg):
-    """Canonical text form; parse_config(render_config(cfg)) == cfg."""
+def _render(cfg, m_relative):
+    """key = value lines; M-relative values as "M/k" when m_relative, else
+    as their resolved ints."""
     lines = []
     for f in fields(SimConfig):
         v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
+        if m_relative and isinstance(v, _MRelative):
+            v = "M" if v.k == 1 else f"M/{v.k}"
+        elif isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
         elif isinstance(v, float):
             v = repr(v)
@@ -200,6 +206,13 @@ def render_config(cfg):
     return "\n".join(lines) + "\n"
 
 
+def render_config(cfg):
+    """Canonical text form; parse_config(render_config(cfg)) == cfg, and
+    M-relative values keep their "M/k" form."""
+    return _render(cfg, True)
+
+
 def fingerprint(cfg):
-    """Short stable hash of a config, for provenance columns in reports."""
-    return hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16]
+    """Short stable hash of a config (of its text with every value
+    resolved), for provenance columns in reports."""
+    return hashlib.sha256(_render(cfg, False).encode()).hexdigest()[:16]

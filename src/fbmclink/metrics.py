@@ -5,10 +5,10 @@ parameter sweeps.
 The coefficient path runs no sample streams. At the full rate, a scheme's
 equalizer of user u at subcarrier m is L taps g^r per antenna at stride D1:
 one tap W[m, u] (single-tap, alpha = 0), the L_g high-rate taps (D1 = 1) or
-the two-stage g-bar of subcarrier m. The matrix-FIR convolution `channel._fir`
-(which also applies the channel and the high-rate filter) sums the antennas
-into each user's equalized channel c_{u'} = sum_r g^r * h^{r,u'}, and the
-real symbol s_{m',n-dn} of user u' reaches the phase-compensated output
+the two-stage g-bar of subcarrier m. `_equalized_channel` sums the antennas
+into each user's equalized channel c_{u'} = sum_r g^r * h^{r,u'} with one
+antenna contraction and shifted adds, no FFT, and the real symbol
+s_{m',n-dn} of user u' reaches the phase-compensated output
 (m, n) with the coefficient R[u', m', dn] that `theory._lattice` reads from
 c_{u'} and the table F = `theory.interference_table(pf, m)` (entry i at lag
 i - (L_f - 1)): the closed form's Re{v^T psi} with c in place of psi. It is
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (_fir, draw_channel, apply_channel, add_awgn,
+from .channel import (draw_channel, apply_channel, add_awgn,
                       freq_csi, estimate_csi_mmse, trial_rng, load_pdp)
 from .config import P_SYM, channel_assignment, fingerprint
 from .errors import ConfigError
@@ -129,10 +129,26 @@ def _taps(scheme, m, u):
 
 def _equalized_channel(h, g, D1):
     """c_{u'} = sum_r g^r * h^{r,u'} for channel taps h (N_r, N_t, L_h) and
-    equalizer taps g (N_r, L) at stride D1."""
-    up = np.zeros((g.shape[0], (g.shape[1] - 1) * D1 + 1), dtype=complex)
-    up[:, ::D1] = g
-    return _fir(h.transpose(1, 0, 2), up)
+    equalizer taps g (N_r, K) at stride D1; shape (N_t, W), W = (K-1) D1 +
+    L_h.
+
+    c_{u'}[k D1 + l] sums P[k, u', l] = sum_r g^r[k] h^{r,u'}[l], one antenna
+    contraction, written into a zeroed (N_t, R, W + s) buffer as R rows
+    along the shorter of k and l: rows k of L_h taps (s = D1) when K <= L_h,
+    else rows l of K taps at stride D1 (s = 1). Read flat as rows of length
+    W, row i moves right by i s, so one sum over the R rows adds the shifted
+    copies.
+    """
+    (N_r, N_t, L_h), K = h.shape, g.shape[1]
+    W = (K - 1) * D1 + L_h
+    if K <= L_h:
+        A, B, s, step = g.T, h.transpose(1, 0, 2), D1, 1
+    else:
+        A, B, s, step = h.transpose(1, 2, 0), g, 1, D1
+    R, n = A.shape[-2], B.shape[-1]
+    Y = np.zeros((N_t, R, W + s), dtype=complex)
+    np.matmul(A, B, out=Y[..., :(n - 1) * step + 1:step])
+    return Y.reshape(N_t, -1)[:, :R * W].reshape(N_t, R, W).sum(axis=1)
 
 
 @dataclass
@@ -225,9 +241,9 @@ def _map_trials(fn, trials, threads):
     return [fn(t) for t in range(trials)]
 
 
-def _collect(cfg, specs, csi_mode, threads, pf):
-    """{spec: (3, trials)}: desired, interference power, noise gain per trial."""
-    profiles = [load_pdp(nm, cfg.sample_rate) for nm in channel_assignment(cfg)]
+def _collect(cfg, specs, csi_mode, threads, pf, profiles):
+    """{spec: (3, trials)}: desired, interference power, noise gain per trial,
+    with each user's channel drawn from its PdpProfile in `profiles`."""
     m, u = cfg.subcarrier, cfg.user
     theory.interference_table(pf, m)  # held before the trials read it
     sigma_d = cfg.noise_var()
@@ -247,9 +263,10 @@ def _collect(cfg, specs, csi_mode, threads, pf):
     return {sp: rows[:, i].T for i, sp in enumerate(specs)}
 
 
-def _report(cfg, spec, label, powers, csi_mode):
+def _report(cfg, spec, label, powers, csi_mode, config_fingerprint):
     """SIR/SINR (ratio of mean powers) of `_collect`'s per-trial powers, with
-    jackknife standard errors on the dB values, at the SNR of `cfg`."""
+    jackknife standard errors on the dB values, at the SNR of `cfg`, whose
+    fingerprint the caller passes."""
     des, intf, gain = powers
     nz = 0.5 * cfg.noise_var() * gain
     sir_db, sir_se = _jackknife_ratio_db(des, intf)
@@ -259,7 +276,7 @@ def _report(cfg, spec, label, powers, csi_mode):
         m=cfg.subcarrier, u=cfg.user, gamma_db=cfg.gamma_db,
         sir_db=sir_db, sir_se_db=sir_se, sinr_db=sinr_db, sinr_se_db=sinr_se,
         trials=cfg.trials, seed=cfg.master_seed,
-        config_fingerprint=fingerprint(cfg), csi=csi_mode)
+        config_fingerprint=config_fingerprint, csi=csi_mode)
 
 
 @dataclass
@@ -314,16 +331,20 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     shared = axis == "Lg_prime" or (axis == "gamma_db" and
                                     csi_mode == "perfect" and
                                     config.criterion == "zf")
-    pf = design_prototype(config.kappa, config.M)   # no axis changes it
+    # no axis changes the prototype, N_t or the channel assignment
+    pf = design_prototype(config.kappa, config.M)
+    profiles = [load_pdp(nm, config.sample_rate)
+                for nm in channel_assignment(config)]
     if shared:
         unique = list(dict.fromkeys(sp for _, _, v in plan for sp in v))
-        data = _collect(config, unique, csi_mode, threads, pf)
+        data = _collect(config, unique, csi_mode, threads, pf, profiles)
     reports = {}
     for pt, cfg, v in plan:
         if not shared:
-            data = _collect(cfg, v, csi_mode, threads, pf)
+            data = _collect(cfg, v, csi_mode, threads, pf, profiles)
+        fp = fingerprint(cfg)
         for sp, lab in zip(v, labels):
-            reports[(pt, lab)] = _report(cfg, sp, lab, data[sp], csi_mode)
+            reports[(pt, lab)] = _report(cfg, sp, lab, data[sp], csi_mode, fp)
     log.debug("sweep %s done (%d points)", axis, len(points))
     return SweepResult(axis, tuple(points), labels, reports, fingerprint(config))
 

@@ -2,20 +2,26 @@
 single-tap per-subcarrier baseline.
 
 Both designs are one batched solve over frequency bins. The CSI is read at
-omega_k = 2 pi k/n (``channel.bin_response``), every bin is factored by one
-batched SVD H~ = U diag(s) V^H, and the combiner is
+omega_k = 2 pi k/n (``channel.bin_response``), and the combiner of every bin
+is the normal-equation solve
 
-    G~_k = V diag(s / (s^2 + lam)) U^H = (H~^H H~ + lam I)^{-1} H~^H,
+    G~_k = (H~^H H~ + lam I)^{-1} H~^H = V diag(s / (s^2 + lam)) U^H,
 
 with lam = sigma_z2/P_s for MMSE and lam = 0 for ZF (and for MMSE without
-noise). No explicit inverse or normal matrix is formed. A ZF bin is singular
+noise). The N_t x N_t Gram H~^H H~ + lam I of every bin is formed and
+inverted by one batched call each. The inverse loses accuracy as
+cond(Gram) eps, so a bin whose Gram condition may reach ``_GRAM_COND`` (its
+Frobenius bound ||Gram|| ||Gram^{-1}||, which is at least cond_2), or whose
+Gram is not finite or not invertible, is solved instead from the SVD
+H~ = U diag(s) V^H. Only that path decides singularity: a ZF bin is singular
 when N_r < N_t, when its smallest singular value is zero, or when the
 condition number of H~^H H~, (s_max/s_min)^2, exceeds ``_COND_CUTOFF``; the
-error names the first such bin and its omega.
+error names the first such bin of the grid and its omega. A bin that passes
+the Gram test is never singular, since _GRAM_COND is far below the cutoff.
 
 Held between calls, per live CSI object (`_SOLVES`, weakly keyed by the
 ``FreqCsi``): the solve of each (n, lam), read-only, so `single_tap` and every
-`design_highrate` of one trial at L_g = M share one batched SVD. An entry
+`design_highrate` of one trial at L_g = M share one batched solve. An entry
 lives as long as its ``FreqCsi`` and is read, not rebuilt, on later calls,
 so a ``FreqCsi`` is not to be changed once a design has read it.
 """
@@ -29,6 +35,9 @@ from .channel import _fir, bin_response
 from .errors import ConfigError, SingularChannelError
 
 _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singular
+# bound on cond(Gram) from which a bin is solved by SVD: the Gram inverse's
+# error grows as cond(Gram) eps, so below it the error stays near 1e-13
+_GRAM_COND = 1e3
 _SOLVES = weakref.WeakKeyDictionary()   # FreqCsi -> {(n, lam): held solve}
 
 
@@ -60,25 +69,47 @@ def _ridge(criterion, sigma_z2, P_s):
     raise ConfigError(f"unknown criterion {criterion!r} (zf|mmse)")
 
 
-def _solve_bins(A, lam):
-    """V diag(s/(s^2+lam)) U^H for every bin A[k] = H~(2 pi k/n).
-
-    A has shape (n, N_r, N_t); the result has shape (n, N_t, N_r).
-    """
-    n, N_r, N_t = A.shape
+def _svd_solve(A, lam, k, n):
+    """V diag(s/(s^2+lam)) U^H for the bins A (b, N_r, N_t) at indices k of
+    the n-point grid; a singular ZF bin raises, named by its grid index."""
+    N_r, N_t = A.shape[1:]
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if lam == 0:
         # H~^H H~ is N_t x N_t; fewer rows than columns leaves it rank-deficient
         bad = ((N_r < N_t) | (s[:, -1] == 0)
                | (s[:, 0] ** 2 > _COND_CUTOFF * s[:, -1] ** 2))
         if bad.any():
-            k = int(np.argmax(bad))
+            b = int(k[np.argmax(bad)])
             raise SingularChannelError(
-                f"bin {k}: channel matrix singular at omega={2 * np.pi * k / n:.6g}")
+                f"bin {b}: channel matrix singular at omega={2 * np.pi * b / n:.6g}")
         d = 1.0 / s
     else:
         d = s / (s ** 2 + lam)
     return (Vh.conj().swapaxes(1, 2) * d[:, None, :]) @ U.conj().swapaxes(1, 2)
+
+
+def _solve_bins(A, lam):
+    """(A^H A + lam I)^{-1} A^H for every bin A[k] = H~(2 pi k/n), through
+    the Gram inverse, or `_svd_solve` where the Gram test fails.
+
+    A has shape (n, N_r, N_t); the result has shape (n, N_t, N_r). Each bin
+    is solved on its own, so a subset of the bins gives the same rows.
+    """
+    n, N_r, N_t = A.shape
+    Ah = A.conj().swapaxes(1, 2)
+    G = Ah @ A + lam * np.eye(N_t)
+    try:
+        Gi = np.linalg.inv(G)
+    except np.linalg.LinAlgError:       # one singular Gram fails the batch
+        return _svd_solve(A, lam, np.arange(n), n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        X = Gi @ Ah
+        ok = (np.linalg.norm(G, axis=(1, 2)) * np.linalg.norm(Gi, axis=(1, 2))
+              < _GRAM_COND)             # False for NaN
+    if not ok.all():
+        k = np.flatnonzero(~ok)
+        X[k] = _svd_solve(A[k], lam, k, n)
+    return X
 
 
 def _held_solve(csi, n, lam):

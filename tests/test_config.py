@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmclink.config import SimConfig, parse_config, render_config
+from fbmclink.config import SimConfig, fingerprint, parse_config, render_config
 from fbmclink.errors import ConfigError
 
 
@@ -85,9 +85,36 @@ def test_replace_m_keeps_explicit_ints_and_resolves_text_again():
     assert (cfg.D1, cfg.L_g, cfg.subcarrier) == (8, 64, 16)
     cfg = replace(cfg, M=256)
     assert (cfg.D1, cfg.L_g, cfg.subcarrier) == (32, 256, 64)
-    # the resolved values render as ints, so the fingerprint text is plain
-    assert "D1 = 32\nLg_prime" in render_config(cfg)
+    # the resolved values render in their M-relative form
+    assert "D1 = M/8\nLg_prime" in render_config(cfg)
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_a_file_round_trip_keeps_how_replace_treats_m():
+    a = SimConfig(M=64)
+    b = parse_config(render_config(a))
+    assert (replace(b, M=256).D1, replace(a, M=256).D1) == (64, 64)
+    assert replace(b, M=256) == replace(a, M=256)
+    # the fingerprint hashes the resolved ints: the text and the int forms
+    # share it, and it is the value that earlier CSVs carry
+    ints = SimConfig(M=64, D1=16, L_g=64, subcarrier=32)
+    assert "D1 = 16\n" in render_config(ints)
+    assert fingerprint(a) == fingerprint(b) == fingerprint(ints)
+    assert fingerprint(a) == "a701d668c9ed0188"
+    assert fingerprint(SimConfig()) == "de2054cbb2f30fa7"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs(), st.integers(2, 10))
+def test_replace_m_after_a_round_trip_matches_replace_m(cfg, log2M):
+    back = parse_config(render_config(cfg))
+    try:
+        want = replace(cfg, M=2 ** log2M)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            replace(back, M=2 ** log2M)
+        return
+    assert replace(back, M=2 ** log2M) == want
 
 
 def test_subcarrier_zero_is_a_bin_not_the_default():

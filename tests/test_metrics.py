@@ -1,7 +1,7 @@
 """Coefficient measurement against a brute-force oracle and against the full
 transmit/channel/receive chain that run_mse runs; the equalized channel's
-ZF identity; sweeps independent of thread count and sharing one table;
-run_mse's input checks and seeding."""
+ZF identity and its brute-force convolution oracle; sweeps independent of
+thread count and sharing one table; run_mse's input checks and seeding."""
 
 import os
 import subprocess
@@ -14,8 +14,9 @@ import pytest
 from scipy.signal import fftconvolve
 
 from fbmclink import theory
-from fbmclink.channel import apply_channel, draw_channel, freq_csi, make_rng
-from fbmclink.config import SimConfig, fingerprint
+from fbmclink.channel import (apply_channel, draw_channel, freq_csi, load_pdp,
+                              make_rng)
+from fbmclink.config import SimConfig, channel_assignment, fingerprint
 from fbmclink.errors import ConfigError
 from fbmclink.fbmc import design_prototype, modulate
 from fbmclink.metrics import (SchemeSpec, _collect, _equalized_channel,
@@ -132,6 +133,43 @@ def test_equalized_channel_of_zf_is_the_delay_modulo_m(N_t, alpha, eva, peda,
         assert np.abs(folded - want).max() <= 1e-12
 
 
+def _oracle_equalized_channel(h, g, D1):
+    """sum_r of np.convolve(g^r upsampled by D1, h^{r,u'}) for every u'."""
+    up = np.zeros((g.shape[0], (g.shape[1] - 1) * D1 + 1), dtype=complex)
+    up[:, ::D1] = g
+    return np.array([sum(np.convolve(up[r], h[r, v]) for r in range(len(h)))
+                     for v in range(h.shape[1])])
+
+
+@pytest.mark.parametrize("kind, K, D1", [
+    ("single_tap", 1, 1), ("random", 3, 4), ("random", 3, 16),
+    ("random", 5, 4), ("random", 5, 16), ("random", 16, 4),
+    ("highrate", 16, 1), ("highrate", 64, 1)])
+@pytest.mark.parametrize("users", ["eva,peda", "peda"])
+def test_equalized_channel_matches_brute_force_convolution(users, kind, K, D1,
+                                                           eva, peda):
+    # K below and above L_h (28 with EVA, 12 for PedA alone) take the two
+    # layouts of the shifted adds; high-rate taps are L_g = M, D1 = 1
+    profiles = [{"eva": eva, "peda": peda}[nm] for nm in users.split(",")]
+    rng = make_rng(K + D1)
+    H = draw_channel(profiles, 5, rng)
+    if kind == "random":
+        g = rng.standard_normal((5, K)) + 1j * rng.standard_normal((5, K))
+    else:
+        csi = freq_csi(H, max(K, 16))
+        if kind == "single_tap":
+            scheme = single_tap(csi)
+        else:
+            scheme = design_highrate(csi, L_g=K, alpha=1)
+        g, d, _ = _taps(scheme, 7, 0)
+        assert (g.shape[1], d) == (K, D1)
+    want = _oracle_equalized_channel(H, g, D1)
+    got = _equalized_channel(H, g, D1)
+    assert got.shape == want.shape == (len(profiles), (K - 1) * D1
+                                       + H.shape[2])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # -------------------------------------------------------------- full chain
 
 def _check_chain(kind, H, rng, pf, N_d, subcarriers):
@@ -202,8 +240,9 @@ def test_trial_coefficients_do_not_depend_on_trial_count():
     cfg = _small_cfg()
     specs = _specs(cfg, _SCHEMES)
     pf = design_prototype(cfg.kappa, cfg.M)
-    few = _collect(replace(cfg, trials=2), specs, "estimated", 1, pf)
-    many = _collect(cfg, specs, "estimated", 2, pf)
+    profiles = [load_pdp(nm, cfg.sample_rate) for nm in channel_assignment(cfg)]
+    few = _collect(replace(cfg, trials=2), specs, "estimated", 1, pf, profiles)
+    many = _collect(cfg, specs, "estimated", 2, pf, profiles)
     for sp in specs:
         # desired power, interference power and noise gain of each trial
         assert few[sp].shape == (3, 2)

@@ -392,3 +392,75 @@ def test_solve_order_does_not_change_the_bits(criterion, s2, eva, peda):
     st2 = single_tap(second, criterion, s2, 0.5)
     assert np.array_equal(st.W, st2.W)
     assert np.array_equal(hr.taps, hr2.taps)
+
+
+# ------------------------------------------- the Gram solve and its SVD path
+
+def _spy_svd(monkeypatch):
+    """Record the grid indices of every bin that `_svd_solve` gets."""
+    seen = []
+    svd_solve = stage1._svd_solve
+
+    def spied(A, lam, k, n):
+        seen.extend(int(i) for i in k)
+        return svd_solve(A, lam, k, n)
+    monkeypatch.setattr(stage1, "_svd_solve", spied)
+    return seen
+
+
+def _bin_with_gram_bound(bound, lam, rng, N_r=4):
+    """An (N_r, 2) bin whose Gram A^H A + lam I has the Frobenius condition
+    bound ||G|| ||G^{-1}|| = bound: eigenvalues e and t e with t + 1/t =
+    bound, so singular values 1 and sqrt((1 + lam) t - lam)."""
+    t = (bound + np.sqrt(bound ** 2 - 4)) / 2
+    s = np.array([1.0, np.sqrt((1 + lam) * t - lam)])
+    Z = rng.standard_normal((N_r + 2, 2)) + 1j * rng.standard_normal((N_r + 2, 2))
+    U, V = np.linalg.qr(Z[:N_r])[0], np.linalg.qr(Z[N_r:])[0]
+    return (U * s) @ V.conj().T
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_a_bin_past_the_gram_bound_is_solved_by_svd(monkeypatch, lam):
+    rng = make_rng(5)
+    c = stage1._GRAM_COND
+    A = np.stack([_bin_with_gram_bound(b, lam, rng)
+                  for b in (0.99 * c, 1.01 * c, 2.0)])
+    seen = _spy_svd(monkeypatch)
+    X = stage1._solve_bins(A, lam)
+    assert seen == [1]
+    for k in range(3):
+        assert _close(X[k], _regularized_solve(A[k], lam))
+
+
+@pytest.mark.parametrize("cond", [1e14, np.inf], ids=["near", "exact"])
+def test_a_singular_bin_after_an_ill_conditioned_one_is_named(monkeypatch,
+                                                              cond):
+    # bin 2 leaves the Gram path but is solvable; bin 5 is singular, nearly
+    # (the Gram test sends bins 2 and 5 to the SVD) or exactly (the batched
+    # inverse fails and every bin goes)
+    rng = make_rng(8)
+    n = 8
+    A = np.stack([_bin_with_gram_bound(3.0, 0.0, rng) for _ in range(n)])
+    A[2] = _bin_with_gram_bound(1e6, 0.0, rng)
+    A[5] = _bin_with_gram_bound(cond, 0.0, rng) if np.isfinite(cond) else 0
+    seen = _spy_svd(monkeypatch)
+    with pytest.raises(SingularChannelError,
+                       match=r"bin 5: .*omega=3\.92699"):
+        stage1._solve_bins(A, 0.0)
+    assert seen == ([2, 5] if np.isfinite(cond) else list(range(n)))
+    A[5] = A[4]
+    assert _close(stage1._solve_bins(A, 0.0)[2], _regularized_solve(A[2], 0.0))
+
+
+@pytest.mark.parametrize("criterion,s2", _CASES, ids=["zf", "mmse", "mmse0"])
+def test_a_subset_of_bins_solves_to_the_same_bits(monkeypatch, criterion, s2,
+                                                  eva, peda):
+    lam = stage1._ridge(criterion, s2, 0.5)
+    csi = _oracle_csi([eva, peda], True, 3, M=64)
+    A = bin_response(csi.time_taps, 64)
+    A[7] = _bin_with_gram_bound(1e5, lam, make_rng(2), N_r=3)
+    seen = _spy_svd(monkeypatch)
+    full = stage1._solve_bins(A, lam)
+    assert 7 in seen and len(seen) < 64            # both paths ran
+    for idx in (np.arange(1, 64, 3), [7], [7, 0, 63], np.arange(64)[::-1]):
+        assert np.array_equal(stage1._solve_bins(A[idx], lam), full[idx])
