@@ -227,22 +227,29 @@ def add_awgn(y, sigma_z2, seed):
     y = np.asarray(y, dtype=complex)
     if sigma_z2 == 0:
         return y.copy()
-    rng = make_rng(seed)
-    z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    return y + np.sqrt(sigma_z2 / 2.0) * z
+    rng, scale = make_rng(seed), np.sqrt(sigma_z2 / 2.0)
+    # the real parts, then the imaginary parts, drawn into one real buffer
+    out, z = y.copy(), rng.standard_normal(y.shape)
+    z *= scale
+    out.real += z
+    rng.standard_normal(out=z)
+    z *= scale
+    out.imag += z
+    return out
 
 
 def bin_response(taps, n):
     """H_tilde(2 pi k/n) = sum_l taps[..., l] e^{-j 2 pi k l/n}, shape (n, ...).
 
-    The taps are folded modulo n before a length-n DFT, which is the exact
-    DTFT on that grid for any tap length (``np.fft.fft(taps, n=n)`` would
-    drop the taps past n).
+    Taps longer than n are folded modulo n before a length-n DFT, which is
+    the exact DTFT on that grid for any tap length (``np.fft.fft(taps, n=n)``
+    would drop the taps past n); shorter ones are zero-padded by the DFT.
     """
     taps = np.asarray(taps, dtype=complex)
-    folded = np.pad(taps, [(0, 0)] * (taps.ndim - 1) + [(0, -taps.shape[-1] % n)])
-    folded = folded.reshape(taps.shape[:-1] + (-1, n)).sum(axis=-2)
-    return np.moveaxis(np.fft.fft(folded, axis=-1), -1, 0)
+    if taps.shape[-1] > n:
+        taps = np.pad(taps, [(0, 0)] * (taps.ndim - 1) + [(0, -taps.shape[-1] % n)])
+        taps = taps.reshape(taps.shape[:-1] + (-1, n)).sum(axis=-2)
+    return np.moveaxis(fft(taps, n, axis=-1), -1, 0)
 
 
 class FreqCsi:

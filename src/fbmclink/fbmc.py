@@ -150,15 +150,19 @@ def modulate(grid, pf):
     if M_grid != M:
         raise ConfigError(f"grid has M={M_grid} but prototype has M={M}")
     half, n_blk = M // 2, 2 * pf.kappa
-    c = np.swapaxes(grid * _tx_phases(M, N_d, pf), 1, 2)
-    b = (M * np.fft.ifft(c, axis=-1)).reshape(N_t, N_d, 2, half)
+    b = np.empty((N_t, N_d, M), dtype=complex)
+    np.multiply(np.swapaxes(grid, 1, 2), _tx_phases(M, N_d, pf).T, out=b)
+    # the unnormalized inverse DFT, M times numpy's default
+    b = np.fft.ifft(b, axis=-1, norm="forward").reshape(N_t, N_d, 2, half)
     p = pf.coeffs.reshape(n_blk, half)
     out = np.zeros((N_t, N_d - 1 + n_blk, half), dtype=complex)
+    prod = np.empty((N_t, N_d, half), dtype=complex)
     # pulse block j (the periodic IFFT's half j mod 2) of instant n lands on
     # output block n + j; running j downward sums every output block's
     # instants in increasing n
     for j in range(n_blk - 1, -1, -1):
-        out[:, j:j + N_d] += b[:, :, j % 2] * p[j]
+        np.multiply(b[:, :, j % 2], p[j], out=prod)
+        out[:, j:j + N_d] += prod
     return out.reshape(N_t, -1)
 
 

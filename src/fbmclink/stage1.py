@@ -21,9 +21,13 @@ the Gram test is never singular, since _GRAM_COND is far below the cutoff.
 
 Held between calls, per live CSI object (`_SOLVES`, weakly keyed by the
 ``FreqCsi``): the solve of each (n, lam), read-only, so `single_tap` and every
-`design_highrate` of one trial at L_g = M share one batched solve. An entry
-lives as long as its ``FreqCsi`` and is read, not rebuilt, on later calls,
-so a ``FreqCsi`` is not to be changed once a design has read it.
+`design_highrate` of one trial at L_g = M share one batched solve; and,
+under (L_g, lam, alpha), the read-only taps of each `design_highrate`, so
+the two-stage specs of one trial that share a delay run one inverse FFT.
+The taps are as large as the solve they come from, so holding them doubles
+a trial's held bytes while its CSI lives. An entry lives as long as its
+``FreqCsi`` and is read, not rebuilt, on later calls, so a ``FreqCsi`` is
+not to be changed once a design has read it.
 """
 
 import warnings
@@ -38,11 +42,16 @@ _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singula
 # bound on cond(Gram) from which a bin is solved by SVD: the Gram inverse's
 # error grows as cond(Gram) eps, so below it the error stays near 1e-13
 _GRAM_COND = 1e3
-_SOLVES = weakref.WeakKeyDictionary()   # FreqCsi -> {(n, lam): held solve}
+# FreqCsi -> {(n, lam): held solve, (L_g, lam, alpha): held taps}
+_SOLVES = weakref.WeakKeyDictionary()
 
 
 class HighRateEqualizer:
-    """Matrix FIR equalizer G[l], shape (N_t, N_r, L_g), with target delay alpha*M/2."""
+    """Matrix FIR equalizer G[l], shape (N_t, N_r, L_g), with target delay alpha*M/2.
+
+    From `design_highrate`, taps are the read-only taps held for its CSI
+    (see the module docstring), shared by every design of the same key.
+    """
 
     def __init__(self, taps, alpha):
         self.taps = np.asarray(taps, dtype=complex)
@@ -145,10 +154,15 @@ def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.
     lam = _ridge(criterion, sigma_z2, P_s)
     if L_g < M:
         warnings.warn(f"L_g={L_g} below the minimum sampling count M={M}")
-    delay = np.arange(L_g) * (alpha * M // 2) % L_g
-    phase = np.exp(-2j * np.pi * delay / L_g)[:, None, None]
-    G = np.fft.ifft(_held_solve(csi, L_g, lam) * phase, axis=0)
-    return HighRateEqualizer(np.moveaxis(G, 0, 2), alpha)
+    held = _SOLVES.setdefault(csi, {})
+    taps = held.get((L_g, lam, alpha))
+    if taps is None:
+        delay = np.arange(L_g) * (alpha * M // 2) % L_g
+        phase = np.exp(-2j * np.pi * delay / L_g)[:, None, None]
+        G = np.fft.ifft(_held_solve(csi, L_g, lam) * phase, axis=0)
+        G.flags.writeable = False
+        taps = held[(L_g, lam, alpha)] = np.moveaxis(G, 0, 2)
+    return HighRateEqualizer(taps, alpha)
 
 
 def apply_highrate(y, eq):

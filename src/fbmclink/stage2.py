@@ -9,9 +9,9 @@ every multiplication happens at the lowest possible rate; with the D1-rate
 bank outputs taken phase-major, the g-bar taps that read one block of them
 form one batched product.
 
-The least-squares fit is one path for every subcarrier. The D1-decimated
-analysis filter of subcarrier m is the real m = 0 filter times a unit-modulus
-phase ramp,
+The least-squares fits of all subcarriers share one factorization. The
+D1-decimated analysis filter of subcarrier m is the real m = 0 filter times
+a unit-modulus phase ramp,
 
     b_m[k] = f_m^*[(N_f-1-k) D1] = c_m p[(N_f-1-k) D1] w_m^k,
     c_m = e^{-j 2 pi m ((N_f-1) D1 - centre) / M},  w_m = e^{j 2 pi m D1 / M},
@@ -28,13 +28,20 @@ shows that c_m and D_w^{-1} cancel against its phase,
 with p zero outside [0, L_f). Only the final D_w ramp remains, so every
 (m, u, r) fit is g @ B_m, B_m = A_m pinv(F_0)^T D_w. A_m is the real window
 P[t, k] = p[t + L_f - (k+1) D1] under a row phase, so the (L_g, L'_g) matrix
-B_m is the real P pinv(F_0)^T with that row phase and the column ramp D_w,
-and the stage-1 taps meet all listed subcarriers in one matrix product.
+B_m is the real map Q = P pinv(F_0)^T with that row phase and the column
+ramp D_w:
+
+    x_m[k] = w_m^k sum_t g[t] Q[t, k] e^{-j 2 pi (m t mod M) / M},
+
+the M-point DFT over t (folded modulo M) of the real-weighted taps g Q,
+under the ramp. A bank of all M subcarriers in order, as `run_mse` builds,
+is that DFT: one length-M FFT of g Q along t. A bank of a few
+subcarriers, as a sweep builds, is one product of the taps with their B_m.
 
 Held between calls, per live PrototypeFilter (`_MAPS`, weakly keyed): the
-real (L, L'_g) map P pinv(F_0)^T of each (D1, L'_g, L), read-only, so every
-fit of a sweep builds it once. The row phase and the D_w ramp are formed per
-call: the complex B_m of all M subcarriers would hold M times as much.
+real (L, L'_g) map Q of each (D1, L'_g, L), read-only, so every fit of a
+sweep builds it once. The row phase and the D_w ramp are formed per call:
+the complex B_m of all M subcarriers would hold M times as much.
 """
 
 import weakref
@@ -99,8 +106,14 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     Row k of the fit is low-rate lag k - (N_f-1), N_f = L_f/D1: the target
     e[k] = (g conv f_m^*[-.])[D1-1 + k D1], and the solution of F_m x = e is
     x = D_w pinv(F_0) conj(c_m) D_w^{-1} e = D_w pinv(F_0) (g @ A_m) (see the
-    module docstring). All of it is one product g @ B_m per subcarrier, with
-    B_m = A_m pinv(F_0)^T D_w built from the real P pinv(F_0)^T.
+    module docstring), that is x_m = ramp_m * (DFT over t of g Q at m).
+
+    When `subcarriers` lists all M in order, the real-weighted taps g Q are
+    formed once as (..., Lg_prime, M), contiguous along the DFT axis and
+    folded modulo M (or zero-padded) when L != M, and one FFT over that axis
+    gives every subcarrier. Any other list goes through one product of g
+    with the listed subcarriers' B_m = A_m pinv(F_0)^T D_w: the FFT path
+    holds g Q whole, N_t N_r L'_g M entries, however few rows it keeps.
     """
     if Lg_prime < 1:
         raise ConfigError(f"Lg_prime must be >= 1, got {Lg_prime}")
@@ -108,11 +121,25 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
         raise ConfigError(f"D1={D1} does not divide L_f={pf.L_f}")
     g = np.asarray(g)
     M, L = pf.M, g.shape[-1]
-    # row phase of A_m and the D_w ramp, arguments reduced exactly
-    m, t = np.asarray(subcarriers)[:, None], np.arange(L)
-    phase = np.exp(-2j * np.pi * (m * t % M) / M)
+    Q = _held_map(pf, D1, Lg_prime, L)
+    m = np.asarray(subcarriers)[:, None]
+    # D_w ramp, argument reduced exactly
     ramp = np.exp(2j * np.pi * (m * np.arange(Lg_prime) * D1 % M) / M)
-    B = phase[:, :, None] * _held_map(pf, D1, Lg_prime, L) * ramp[:, None, :]
+    if np.array_equal(m[:, 0], np.arange(M)):
+        Qt = Q.T
+        W = np.empty(g.shape[:-1] + (Lg_prime, M), dtype=complex)
+        n = min(L, M)
+        np.multiply(g[..., None, :n], Qt[:, :n], out=W[..., :n])
+        W[..., n:] = 0
+        for t0 in range(M, L, M):           # fold the taps past M
+            n = min(M, L - t0)
+            W[..., :n] += g[..., None, t0:t0 + n] * Qt[:, t0:t0 + n]
+        x = np.fft.fft(W, axis=-1)
+        x *= ramp.T
+        return np.moveaxis(x, -1, 0)
+    # row phase of A_m, argument reduced exactly
+    phase = np.exp(-2j * np.pi * (m * np.arange(L) % M) / M)
+    B = phase[:, :, None] * Q * ramp[:, None, :]
     x = g.reshape(-1, L) @ np.moveaxis(B, 0, 1).reshape(L, -1)
     x = x.reshape(g.shape[:-1] + (len(m), Lg_prime))
     return np.moveaxis(x, -2, 0)
@@ -140,9 +167,10 @@ def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
     """Full two-stage design: Stage-1 filter, then the per-(m,r,u) LS fits.
 
     `subcarriers` restricts the bank to a subset of m values (default: all M).
-    All N_t*N_r stage-1 taps go through one matrix product with the listed
-    subcarriers' B_m, and since F_m = c_m D_w F_0 D_w^{-1}, one factorization
-    of F_0 fits every subcarrier.
+    Since F_m = c_m D_w F_0 D_w^{-1}, one factorization of F_0 fits every
+    subcarrier: the default bank is one length-M FFT of the real-weighted
+    stage-1 taps, a subset one matrix product of all N_t*N_r taps with the
+    listed subcarriers' B_m (see `_fit`).
     """
     eq = design_highrate(csi, L_g=L_g, alpha=alpha, criterion=criterion,
                          sigma_z2=sigma_z2, P_s=P_s)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from fbmclink.fbmc import _tx_phases
+
 
 def _gauss_gamma(n, a):
     """Nodes and unit-sum weights for averages over Gamma(a+1) variables.
@@ -49,6 +51,21 @@ def afb_reference(y, pf, offsets):
     D = np.fft.fft(folded, axis=-1)
     D *= np.exp(1j * np.pi * (np.arange(M) * (L_f - 1) % (2 * M)) / M)
     return np.swapaxes(D, -1, -2)
+
+
+def modulate_reference(grid, pf):
+    """The synthesis bank with whole-burst temporaries: the phased grid, M
+    times numpy's normalized IFFT, and one product per pulse block. Same
+    contract as `fbmc.modulate`, and the same sums in the same order."""
+    M, half, n_blk = pf.M, pf.M // 2, 2 * pf.kappa
+    N_t, _, N_d = grid.shape
+    c = np.swapaxes(grid * _tx_phases(M, N_d, pf), 1, 2)
+    b = (M * np.fft.ifft(c, axis=-1)).reshape(N_t, N_d, 2, half)
+    p = pf.coeffs.reshape(n_blk, half)
+    out = np.zeros((N_t, N_d - 1 + n_blk, half), dtype=complex)
+    for j in range(n_blk - 1, -1, -1):
+        out[:, j:j + N_d] += b[:, :, j % 2] * p[j]
+    return out.reshape(N_t, -1)
 
 
 def transmux_response(pf, m, m_prime):

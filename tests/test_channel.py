@@ -290,6 +290,20 @@ def test_add_awgn():
         add_awgn(y, -1.0, 11)
 
 
+def test_add_awgn_is_the_complex_draw_formula():
+    # real parts, then imaginary parts, from one stream: the bits of
+    # y + sqrt(sigma_z2/2) (a + jb), and y itself is left as it was
+    rng = make_rng(3)
+    y = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
+    before = y.copy()
+    rng = make_rng(11)
+    a, b = rng.standard_normal(y.shape), rng.standard_normal(y.shape)
+    assert np.array_equal(add_awgn(y, 0.3, 11), y + np.sqrt(0.15) * (a + 1j * b))
+    assert np.array_equal(y, before)
+    real = np.arange(6.0)
+    assert np.array_equal(add_awgn(real, 0.3, 11), add_awgn(real + 0j, 0.3, 11))
+
+
 # ---------------------------------------------------------------- CSI
 
 def test_freq_csi_matches_dft(eva, uni4):
@@ -326,6 +340,23 @@ def test_bin_response_is_the_dtft_on_the_grid(eva, n):
     got = bin_response(taps, n)
     assert got.shape == (n, 2, 1)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _bin_response_padded(taps, n):
+    """Every tap length padded to a multiple of n and folded, then one
+    length-n DFT; shape (n, ...)."""
+    taps = np.asarray(taps, dtype=complex)
+    folded = np.pad(taps, [(0, 0)] * (taps.ndim - 1) + [(0, -taps.shape[-1] % n)])
+    folded = folded.reshape(taps.shape[:-1] + (-1, n)).sum(axis=-2)
+    return np.moveaxis(np.fft.fft(folded, axis=-1), -1, 0)
+
+
+@pytest.mark.parametrize("L", [9, 16, 17, 35])
+def test_bin_response_is_the_padded_fold(L):
+    # n = 16: shorter, as long, one tap longer and more than twice as long
+    rng = make_rng(L)
+    taps = rng.standard_normal((3, 2, L)) + 1j * rng.standard_normal((3, 2, L))
+    assert np.array_equal(bin_response(taps, 16), _bin_response_padded(taps, 16))
 
 
 def test_estimate_csi_noiseless(eva):

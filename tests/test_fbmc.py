@@ -14,7 +14,7 @@ from fbmclink.fbmc import _afb, _tx_phases
 from fbmclink import fbmc
 from fbmclink.channel import make_rng
 
-from oracles import (afb_reference, oqam_to_qam, phase_factor,
+from oracles import (afb_reference, modulate_reference, oqam_to_qam, phase_factor,
                      transmux_response)
 
 
@@ -196,6 +196,17 @@ def test_modulate_matches_the_loop_oracle(kappa, M, N_t):
     pf = design_prototype(kappa, M)
     s = np.random.default_rng(10 * M + kappa).normal(size=(N_t, M, 10))
     assert np.array_equal(modulate(s, pf), _modulate_loop(s, pf))
+
+
+@pytest.mark.parametrize("kappa, M, N_t, N_d", [(4, 256, 8, 21), (2, 16, 1, 1),
+                                                 (3, 64, 3, 10)])
+def test_modulate_is_the_whole_burst_formula(kappa, M, N_t, N_d):
+    # one phased buffer, the unscaled IFFT and one product buffer give the
+    # bits of the formula with whole-burst temporaries
+    pf = design_prototype(kappa, M)
+    s = np.random.default_rng(M + N_d).choice([-3.0, -1.0, 1.0, 3.0],
+                                               size=(N_t, M, N_d))
+    assert np.array_equal(modulate(s, pf), modulate_reference(s, pf))
 
 
 def test_modulate_checks_grid_size(pf32):

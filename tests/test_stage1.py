@@ -374,6 +374,27 @@ def test_single_tap_and_highrate_share_one_solve(monkeypatch, eva, peda):
         st.W[0, 0, 0] = 1.0
 
 
+def test_designs_of_one_key_share_one_inverse_fft(monkeypatch, eva, peda):
+    calls = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(stage1.np.fft, "ifft",
+                        lambda *a, **k: calls.append(1) or ifft(*a, **k))
+    csi = _csi([eva, peda], 6, 32)
+    first = design_highrate(csi, L_g=32, alpha=1)
+    again = design_highrate(csi, L_g=32, alpha=1)
+    assert len(calls) == 1 and again.taps is first.taps
+    # another delay, ridge or length is another inverse transform
+    design_highrate(csi, L_g=32, alpha=2)
+    assert len(calls) == 2
+    design_highrate(csi, L_g=32, alpha=1, criterion="mmse", sigma_z2=0.3)
+    design_highrate(csi, L_g=64, alpha=1)
+    assert len(calls) == 4
+    with pytest.raises(ValueError, match="read-only"):
+        first.taps[0, 0, 0] = 1.0
+    fresh = design_highrate(freq_csi(csi.time_taps, 32), L_g=32, alpha=1)
+    assert np.array_equal(fresh.taps, first.taps)
+
+
 def test_held_solve_is_dropped_with_its_csi(eva):
     csi = _csi([eva], 4, 16)
     single_tap(csi)

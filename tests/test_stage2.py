@@ -325,8 +325,10 @@ def test_fit_regression_matrix_is_scipy_toeplitz(D1, N_f, Lgp, monkeypatch):
 
 
 def test_one_subcarrier_bank_is_a_row_of_the_all_m_bank(eva, monkeypatch):
-    # the fit reads the stage-1 taps by one matrix product, not through the
-    # analysis bank, and the banks after the first read its held map
+    # the fit reads the stage-1 taps directly, not through the analysis
+    # bank, and the banks after the first read its held map; the all-M bank
+    # is one FFT over t and a one-subcarrier bank the direct sum over t, so
+    # a row agrees to round-off, not bit for bit
     def no_afb(*args, **kwargs):
         raise AssertionError("the fit called _afb")
     monkeypatch.setattr(stage2, "_afb", no_afb)
@@ -365,6 +367,55 @@ def test_held_fit_map_gives_the_fresh_bits(eva):
     del pf
     gc.collect()
     assert all(v is not held for v in stage2._MAPS.values())
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("L", [8, 16, 32, 29])
+@pytest.mark.parametrize("Lgp", [1, 3, 5, 9])
+@pytest.mark.parametrize("D1", [8, 2])
+def test_all_m_fit_is_the_per_subcarrier_product(kappa, L, Lgp, D1,
+                                                 monkeypatch):
+    # M=16: taps of length M/2, M, 2M and M+13, fitted at D1 = M/2 and M/8;
+    # all M in order take one FFT, every other list the product
+    M = 16
+    pf = design_prototype(kappa, M)
+    rng = make_rng(100 * L + 10 * Lgp + D1)
+    g = rng.standard_normal((2, 3, L)) + 1j * rng.standard_normal((2, 3, L))
+    ffts = []
+    fft = np.fft.fft
+    monkeypatch.setattr(stage2.np.fft, "fft",
+                        lambda *a, **k: ffts.append(1) or fft(*a, **k))
+    got = _fit(g, pf, range(M), D1, Lgp)
+    assert len(ffts) == 1 and got.shape == (M, 2, 3, Lgp)
+    want = np.stack([_fit(g, pf, [m], D1, Lgp)[0] for m in range(M)])
+    assert len(ffts) == 1
+    _assert_rel_close(got, want, rel=1e-12)
+    assert _rel_err(_bumped(got), want) > 1e-12
+    # the same subcarriers out of order are the product's rows too
+    rev = _fit(g, pf, range(M - 1, -1, -1), D1, Lgp)
+    assert len(ffts) == 1
+    _assert_rel_close(rev[::-1], got, rel=1e-12)
+
+
+def test_all_m_fit_peak_memory():
+    # the chain_mse shape: M=256, N_t=8, N_r=16, D1=64, L'_g=5, L = M; the
+    # fit holds g Q and its FFT, not the (M, L, L'_g) matrices B_m
+    M, D1, Lgp = 256, 64, 5
+    pf = design_prototype(4, M)
+    rng = make_rng(27)
+    g = np.moveaxis(rng.standard_normal((M, 8, 16))
+                    + 1j * rng.standard_normal((M, 8, 16)), 0, 2)
+    _fit(g[:1, :1], pf, range(M), D1, Lgp)          # hold the map
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x = _fit(g, pf, range(M), D1, Lgp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (M, 8, 16, Lgp)
+    assert peak < 2.5 * x.nbytes
 
 
 @pytest.mark.parametrize("kappa", [2, 3, 4])
