@@ -8,7 +8,9 @@ Conventions used throughout the package:
   in the real domain (see module tests for the measured residual floor);
 * transmit atom F_{m,n}[l] = f_m[l - n*M/2] * j^{m+n};
 * the analysis bank output for instant n is the matched-filter output
-  (y conv f_m^*[-.]) sampled at lag n*M/2, i.e. sum_t y[n*M/2 + t] f_m^*[t].
+  (y conv f_m^*[-.]) sampled at lag n*M/2, i.e. sum_t y[n*M/2 + t] f_m^*[t];
+  `_afb` lays it out subcarrier-major, (M, offsets, streams...), and
+  `demodulate` views that as (streams..., M, instants).
 
 A burst of N_d symbol instants occupies (N_d-1)*M/2 + L_f samples.
 """
@@ -16,6 +18,7 @@ A burst of N_d symbol instants occupies (N_d-1)*M/2 + L_f samples.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 
@@ -29,9 +32,9 @@ _PHYDYAS = {
 
 _J_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
-# bytes of folded analysis windows per chunk of `_afb` offsets: the fold, one
-# prototype block, the fold's FFT and at most a padded span of samples are
-# live at once besides the output, whatever the offset count
+# bytes of folded analysis windows per chunk of `_afb` offsets: the fold, its
+# FFT and at most a padded span of samples are live at once besides the
+# output, whatever the offset count
 _CHUNK_BYTES = 1 << 20
 
 
@@ -133,7 +136,8 @@ def modulate(grid, pf):
     The adjoint of `_afb` at offsets n*M/2: one IFFT over every (user,
     instant) column, the kappa-fold periodic extension under the pulse, then
     an overlap-add of the 2*kappa blocks of M/2 samples that each instant
-    spans.
+    spans, as one einsum over a strided float view of the zero-padded IFFT
+    output.
 
     Parameters
     ----------
@@ -149,48 +153,48 @@ def modulate(grid, pf):
     N_t, M_grid, N_d = grid.shape
     if M_grid != M:
         raise ConfigError(f"grid has M={M_grid} but prototype has M={M}")
-    half, n_blk = M // 2, 2 * pf.kappa
-    b = np.empty((N_t, N_d, M), dtype=complex)
-    np.multiply(np.swapaxes(grid, 1, 2), _tx_phases(M, N_d, pf).T, out=b)
+    half, kappa, P = M // 2, pf.kappa, 2 * pf.kappa - 1
+    # P zero instants at each end, whose IFFT is zero, pad the overlap-add
+    b = np.zeros((N_t, N_d + 2 * P, M), dtype=complex)
+    np.multiply(np.swapaxes(grid, 1, 2), _tx_phases(M, N_d, pf).T,
+                out=b[:, P:P + N_d])
     # the unnormalized inverse DFT, M times numpy's default
-    b = np.fft.ifft(b, axis=-1, norm="forward").reshape(N_t, N_d, 2, half)
-    p = pf.coeffs.reshape(n_blk, half)
-    out = np.zeros((N_t, N_d - 1 + n_blk, half), dtype=complex)
-    prod = np.empty((N_t, N_d, half), dtype=complex)
-    # pulse block j (the periodic IFFT's half j mod 2) of instant n lands on
-    # output block n + j; running j downward sums every output block's
-    # instants in increasing n
-    for j in range(n_blk - 1, -1, -1):
-        np.multiply(b[:, :, j % 2], p[j], out=prod)
-        out[:, j:j + N_d] += prod
-    return out.reshape(N_t, -1)
+    f = np.fft.ifft(b, axis=-1, norm="forward").view(float)
+    # pulse block j = 2 kappa - 1 - 2a - e of output block i is half 1 - e
+    # of padded instant i + 2a + e; the sum runs a, then e, upward, so every
+    # output block sums its pulse blocks j downward (its instants upward)
+    win = as_strided(f[:, :, M:], (N_t, N_d + P, kappa, 2, M),
+                     (f.strides[0], 16 * M, 32 * M, 8 * M, 8), writeable=False)
+    p = np.repeat(pf.coeffs.reshape(2 * kappa, half)[::-1], 2, axis=-1)
+    out = np.einsum("tiaec,aec->tic", win, p.reshape(kappa, 2, M))
+    return out.view(complex).reshape(N_t, -1)
 
 
 def _afb(y, pf, offsets):
-    """Analysis bank at arbitrary sample offsets, over any leading stream axes.
+    """Analysis bank at a `range` of sample offsets (any step, negative
+    offsets included), over any leading stream axes.
 
-    Returns D[..., m, k] = sum_t y[..., offsets[k] + t] f_m^*[t], shape
-    (..., M, len(offsets)); offsets may be negative, the streams are zero
-    outside their support. The offsets go in chunks of about _CHUNK_BYTES of
-    folded windows. Each chunk reads only the span of samples its offsets
-    cover (a view of y, or a zero-padded copy where the span leaves the
-    support), gathers the kappa length-M prototype blocks of its windows
-    from a sliding-window view of that span, folds them, and FFTs and phases
-    the fold into its rows of the one preallocated output. Besides the
-    output, only chunk-sized buffers are live, whatever the offset count.
+    Returns D[m, k, ...] = sum_t y[..., offsets[k] + t] f_m^*[t], shape
+    (M, len(offsets)) + lead: subcarrier-major, each subcarrier's block one
+    contiguous matrix. The streams are zero outside their support. The
+    offsets go in chunks of about _CHUNK_BYTES of folded windows; a chunk
+    reads only the span of samples it covers (a view of y, or a zero-padded
+    copy), prototype block q of its windows is one strided float view of
+    that span, and the fold is one einsum, summed in q order. Besides the
+    output, only chunk-sized buffers are live.
     """
     y = np.asarray(y)
-    M, L_f, n = pf.M, pf.L_f, y.shape[-1]
-    lead = y.shape[:-1]
-    offsets = np.asarray(offsets, dtype=int)
-    p = pf.coeffs.reshape(pf.kappa, M)
+    c = 2 if np.iscomplexobj(y) else 1          # floats per sample
+    y = np.ascontiguousarray(y, dtype=complex if c == 2 else float)
+    M, L_f, n, lead = pf.M, pf.L_f, y.shape[-1], y.shape[:-1]
+    w = np.repeat(pf.coeffs.reshape(pf.kappa, M), c, axis=1)
     # e^{j 2 pi m centre / M}, argument reduced exactly (2 centre = L_f - 1)
     phase = np.exp(1j * np.pi * (np.arange(M) * (L_f - 1) % (2 * M)) / M)
-    D = np.empty(lead + (offsets.size, M), dtype=complex)
+    D = np.empty((M, len(offsets)) + lead, dtype=complex)
     rows = max(1, _CHUNK_BYTES // (16 * M * max(1, math.prod(lead))))
-    for k0 in range(0, offsets.size, rows):
+    for k0 in range(0, len(offsets), rows):
         o = offsets[k0:k0 + rows]
-        lo, hi = int(o.min()), int(o.max()) + L_f
+        lo, hi = min(o[0], o[-1]), max(o[0], o[-1]) + L_f
         if lo >= 0 and hi <= n:
             span = y[..., lo:hi]
         else:
@@ -198,16 +202,14 @@ def _afb(y, pf, offsets):
             a, b = max(lo, 0), min(hi, n)
             if a < b:
                 span[..., a - lo:b - lo] = y[..., a:b]
-        win = np.lib.stride_tricks.sliding_window_view(span, M, axis=-1)
-        folded = win[..., o - lo, :]
-        folded *= p[0]
-        for q in range(1, pf.kappa):
-            part = win[..., o - lo + q * M, :]
-            part *= p[q]
-            folded += part
-        np.multiply(np.fft.fft(folded, axis=-1), phase,
-                    out=D[..., k0:k0 + o.size, :])
-    return np.swapaxes(D, -1, -2)
+        f = span.view(float)[..., (o[0] - lo) * c:]     # from window 0 on
+        win = as_strided(f, lead + (len(o), pf.kappa, c * M),
+                         f.strides[:-1] + (8 * c * o.step, 8 * c * M, 8),
+                         writeable=False)
+        fold = np.fft.fft(np.einsum("...kqc,qc->...kc", win, w).view(y.dtype))
+        fold *= phase
+        D[:, k0:k0 + len(o)] = np.moveaxis(fold, (-1, -2), (0, 1))
+    return D
 
 
 def demodulate(stream, pf, n_out=None):
@@ -227,7 +229,8 @@ def demodulate(stream, pf, n_out=None):
 
     Returns
     -------
-    ndarray, complex, shape (..., M, n_out)
+    ndarray, complex, shape (..., M, n_out): a view of `_afb`'s
+    subcarrier-major (M, n_out, ...) output.
     """
     y = np.asarray(stream)
     M, L_f = pf.M, pf.L_f
@@ -235,5 +238,5 @@ def demodulate(stream, pf, n_out=None):
         raise ConfigError(f"stream too short: {y.shape[-1]} < L_f={L_f}")
     if n_out is None:
         n_out = (y.shape[-1] - L_f) // (M // 2) + 1
-    offsets = np.arange(n_out) * (M // 2)
-    return _afb(y, pf, offsets)
+    D = _afb(y, pf, range(0, n_out * (M // 2), M // 2))
+    return np.moveaxis(D, (0, 1), (-2, -1))

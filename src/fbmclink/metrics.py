@@ -24,9 +24,10 @@ table's row m (the autocorrelation of f_m):
 receivers with `_build_scheme`, and `_receive` is the one receive path that
 turns the received streams into real symbol estimates: single-tap
 demodulates all antennas in one call and combines the bins in one batched
-product, high-rate filters at the full rate (the overlap-add `_fir`) and
-demodulates all users in one call, and the two-stage bank runs
-`equalize_lowrate`, one batched product per low-rate tap.
+product over the subcarrier-major bank, high-rate filters at the full rate
+(the overlap-add `_fir`) and demodulates all users in one call, and the
+two-stage bank runs `equalize_lowrate`, one batched product per chunk of
+instants.
 
 A trial's schemes share its stage-1 solve: `stage1` holds it per CSI object
 (read-only, while the CSI lives), so a sweep trial solves its bins once for

@@ -4,10 +4,9 @@ equalizers.
 The production path is the two-step decimation: the analysis filter output is
 decimated by D1, a short equalizer g-bar (least-squares fit, length L'_g) runs
 at the intermediate rate, and a final D2-fold decimation brings the stream to
-the symbol rate (D1*D2 = M/2). g-bar is realized as D2 polyphase branches so
-every multiplication happens at the lowest possible rate; with the D1-rate
-bank outputs taken phase-major, the g-bar taps that read one block of them
-form one batched product.
+the symbol rate (D1*D2 = M/2). g-bar runs at symbol instants only, the
+lowest possible rate: the taps of an instant read one contiguous run of each
+subcarrier's rows of the subcarrier-major bank (see `equalize_lowrate`).
 
 The least-squares fits of all subcarriers share one factorization. The
 D1-decimated analysis filter of subcarrier m is the real m = 0 filter times
@@ -47,6 +46,7 @@ the complex B_m of all M subcarriers would hold M times as much.
 import weakref
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError
 from .fbmc import _J_POW, _afb
@@ -54,8 +54,8 @@ from .stage1 import design_highrate
 from .theory import _rows
 
 # bytes of analysis-bank output per chunk of `equalize_lowrate`: each chunk
-# costs a few batched products per subcarrier, so chunks much smaller than
-# this spend more time in product set-up than they save in memory
+# costs one bank call and one batched product, so chunks much smaller than
+# this spend more time in set-up than they save in memory
 _BANK_BYTES = 1 << 21
 _MAPS = weakref.WeakKeyDictionary()     # PrototypeFilter -> {(D1, L'_g, L): Q}
 
@@ -181,17 +181,16 @@ def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
 
 
 def equalize_lowrate(y, bank, pf):
-    """Run the low-rate receiver: AFB at rate 1/D1, polyphase branches, sum.
+    """Run the low-rate receiver: AFB at rate 1/D1, the g-bar taps, sum.
 
     Tap j of instant nu reads the bank output at low-rate index nu D2 - j
-    (sample offset (nu D2 - j) D1). With the bank outputs taken phase-major,
-    low-rate index c D2 + p at phase p of block c, tap j = a D2 - p reads
-    phase p of block nu - a, so the taps of one a read one contiguous
-    (n_sub, phases x N_r, instants) slice and meet their g-bar columns in
-    one batched product. The bank runs over chunks of blocks, sized from
-    `_BANK_BYTES` of bank output and written straight into a (n_sub, D2,
-    N_r, chunk) buffer; each chunk's blocks are added into every instant
-    that reads them, so no chunk is held past its own products and the
+    (sample offset (nu D2 - j) D1). With the taps reversed into G (n_sub,
+    N_t, L'_g N_r), (j', r) fastest for j' = L'_g - 1 - j, instant nu reads
+    rows nu D2 - L'_g + 1 ... nu D2 of the subcarrier-major bank, one
+    contiguous run per subcarrier. The runs of a chunk of instants are one
+    strided view, and the product one matrix-vector product per (subcarrier,
+    instant), so no output depends on the chunking. Chunks are sized from
+    `_BANK_BYTES` of bank output and recompute the rows they share, so the
     buffers stay the same size whatever the burst length.
 
     Parameters
@@ -214,30 +213,21 @@ def equalize_lowrate(y, bank, pf):
     if y.shape[1] < pf.L_f:
         raise ConfigError("stream too short for one analysis window")
     n_inst = (y.shape[1] - 1) // (M // 2) + 1
-    # taps j = a D2 - p, phases p in [p0, p1), as (n_sub, N_t, phases x N_r)
-    a_max = (Lgp + D2 - 2) // D2
-    groups = []
-    for a in range(a_max + 1):
-        p0, p1 = max(0, a * D2 - Lgp + 1), min(a * D2, D2 - 1) + 1
-        G = np.concatenate([bank.gbar[..., a * D2 - p] for p in range(p0, p1)],
-                           axis=-1)
-        groups.append((a, p0, p1, G))
-    step = min(n_inst + a_max, max(1, _BANK_BYTES // (16 * N_r * M * D2)))
+    G = np.ascontiguousarray(bank.gbar[..., ::-1].transpose(0, 1, 3, 2))
+    G = G.reshape(n_sub, N_t, Lgp * N_r)
+    step = max(1, _BANK_BYTES // (16 * N_r * M * D2))
     every = bank.subcarriers == list(range(M))      # no gather of rows
-    V = np.empty((n_sub, D2, N_r, step), dtype=complex)
-    out = np.zeros((n_sub, N_t, n_inst), dtype=complex)
-    for c0 in range(-a_max, n_inst, step):
-        c1 = min(c0 + step, n_inst)
-        k = np.arange(D2)[:, None] + np.arange(c0, c1) * D2
-        B = _afb(y, pf, k.ravel() * D1).reshape(N_r, M, D2, c1 - c0)
-        B = B.transpose(1, 2, 0, 3)
-        V[..., :c1 - c0] = B if every else B[bank.subcarriers]
-        for a, p0, p1, G in groups:
-            lo, hi = max(c0 + a, 0), min(c1 + a, n_inst)
-            if lo < hi:
-                X = V[:, p0:p1, :, lo - a - c0:hi - a - c0]
-                out[..., lo:hi] += G @ X.reshape(n_sub, -1, hi - lo)
-    return np.moveaxis(out, 1, 0)
+    out = np.empty((n_sub, n_inst, N_t, 1), dtype=complex)
+    for v0 in range(0, n_inst, step):
+        v1 = min(v0 + step, n_inst)
+        k0 = v0 * D2 - Lgp + 1                      # first row the chunk reads
+        B = _afb(y, pf, range(k0 * D1, ((v1 - 1) * D2 + 1) * D1, D1))
+        if not every:
+            B = B[bank.subcarriers]
+        X = as_strided(B, (n_sub, v1 - v0, Lgp * N_r, 1),
+                       (B.strides[0], D2 * N_r * 16, 16, 16), writeable=False)
+        np.matmul(G[:, None], X, out=out[:, v0:v1])
+    return out[..., 0].transpose(2, 0, 1)
 
 
 def recover_symbols(dgrid, alpha, N_d):

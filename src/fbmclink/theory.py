@@ -280,9 +280,13 @@ def _geometry(profiles, M, alpha, pair, exact):
 
 
 def _transmux(pf, m, lags):
-    """F_{mm'}[lag], (m', lag), from one analysis-bank pass over f_m:
-    `_afb(f_m, offsets=o)[m']` is F_{m'm}[o] = conj(F_{mm'}[-o])."""
-    return np.conj(_afb(pf.subcarrier_filter(m), pf, -np.asarray(lags)))
+    """F_{mm'}[lag], (m', lag), for a `range` of lags, from one
+    analysis-bank pass over f_m: `_afb(f_m, offsets=o)[m']` is F_{m'm}[o] =
+    conj(F_{mm'}[-o]). Stored lag-major, so `_lattice`'s runs of lags are
+    contiguous blocks (read across M rows, they were slower and unsteady)."""
+    F = np.ascontiguousarray(_afb(pf.subcarrier_filter(m), pf, range(
+        -lags.start, -lags.stop, -lags.step)).T)
+    return np.conj(F, out=F).T
 
 
 def interference_table(pf, m):
@@ -294,7 +298,7 @@ def interference_table(pf, m):
     if m_held != m:
         if not 0 <= m < pf.M:
             raise ConfigError(f"need a subcarrier in [0, {pf.M}), got m={m}")
-        F = _transmux(pf, m, np.arange(1 - pf.L_f, pf.L_f))
+        F = _transmux(pf, m, range(1 - pf.L_f, pf.L_f))
         F.flags.writeable = False
         _TABLES[pf] = (m, F, {})    # weights held with F, see average_power
     return F

@@ -201,8 +201,9 @@ def test_modulate_matches_the_loop_oracle(kappa, M, N_t):
 @pytest.mark.parametrize("kappa, M, N_t, N_d", [(4, 256, 8, 21), (2, 16, 1, 1),
                                                  (3, 64, 3, 10)])
 def test_modulate_is_the_whole_burst_formula(kappa, M, N_t, N_d):
-    # one phased buffer, the unscaled IFFT and one product buffer give the
-    # bits of the formula with whole-burst temporaries
+    # the zero-padded phased buffer, the unscaled IFFT and one einsum over
+    # its pulse blocks give the bits of the formula with whole-burst
+    # temporaries
     pf = design_prototype(kappa, M)
     s = np.random.default_rng(M + N_d).choice([-3.0, -1.0, 1.0, 3.0],
                                                size=(N_t, M, N_d))
@@ -242,24 +243,29 @@ def test_demodulate_is_the_matched_filter(pf16):
             assert abs(D[m, k] - want) < 1e-10
 
 
+def _reference(streams, pf, offsets):
+    """`afb_reference` in `_afb`'s subcarrier-major layout (M, offsets, ...)."""
+    return np.moveaxis(afb_reference(streams, pf, offsets), (-2, -1), (0, 1))
+
+
 def test_afb_batched_streams(pf16):
     # leading stream axes: each stream as if analysed alone, zero outside
     # the support, and demodulate on one stream
     rng = np.random.default_rng(12)
     y = rng.normal(size=(2, 3, 150)) + 1j * rng.normal(size=(2, 3, 150))
-    offsets = np.array([-70, -3, 0, 8, 40, 100, 149])
+    offsets = range(-70, 150, 31)
     D = _afb(y, pf16, offsets)
-    assert D.shape == (2, 3, 16, offsets.size)
+    assert D.shape == (16, len(offsets), 2, 3)
     for i in range(2):
         for j in range(3):
-            assert_allclose(D[i, j], _afb(y[i, j], pf16, offsets),
+            assert_allclose(D[..., i, j], _afb(y[i, j], pf16, offsets),
                             rtol=0, atol=1e-12)
     ypad = np.concatenate([np.zeros(70), y[1, 2], np.zeros(pf16.L_f)])
     for m in (0, 5, 15):
         f_m = np.conj(pf16.subcarrier_filter(m))
         want = [np.sum(ypad[o + 70:o + 70 + pf16.L_f] * f_m) for o in offsets]
-        assert_allclose(D[1, 2, m], want, rtol=0, atol=1e-12)
-    assert_allclose(_afb(y[0, 1], pf16, np.arange(12) * 8),
+        assert_allclose(D[m, :, 1, 2], want, rtol=0, atol=1e-12)
+    assert_allclose(_afb(y[0, 1], pf16, range(0, 96, 8)),
                     demodulate(y[0, 1], pf16, n_out=12), rtol=0, atol=1e-12)
 
 
@@ -267,25 +273,24 @@ def test_afb_batched_streams(pf16):
 def test_afb_matches_the_reference_fold_bit_for_bit(M):
     # the chunked bank against the whole-array fold, on leading stream axes,
     # for ascending (demodulate), descending (theory's -lags), negative and
-    # out-of-support offsets, and a sawtooth across several chunks
+    # out-of-support offsets, a step that does not divide M, a range across
+    # several chunks and real streams
     pf = design_prototype(4, M)
     rng = make_rng(M)
     n = 6 * M + 5
     y = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
     rows = fbmc._CHUNK_BYTES // (16 * M * 6)
-    lags = np.arange(1 - pf.L_f, pf.L_f)
     cases = [
-        (y, np.arange(-(pf.L_f // 2), n, M // 4)),
-        (y[1, 2], -lags),
-        (y, np.arange(-pf.L_f - 3 * M, -M, 5)),
-        (y, np.array([-pf.L_f - 5, -3, 0, n - 1, n + 40])),
-        (y, np.resize(np.arange(-2 * M, n + M), 3 * rows + 7)),
-        (y.real, np.arange(-M, n, 3)),
+        (y, range(-(pf.L_f // 2), n, M // 4)),
+        (y[1, 2], range(pf.L_f - 1, -pf.L_f, -1)),
+        (y, range(-pf.L_f - 3 * M, -M, 5)),
+        (y, range(n + M - 3 * rows - 7, n + M)),
+        (y.real, range(-M, n, 3)),
     ]
     for streams, offsets in cases:
         got = _afb(streams, pf, offsets)
-        assert got.shape == streams.shape[:-1] + (M, offsets.size)
-        assert np.array_equal(got, afb_reference(streams, pf, offsets))
+        assert got.shape == (M, len(offsets)) + streams.shape[:-1]
+        assert np.array_equal(got, _reference(streams, pf, offsets))
 
 
 @pytest.mark.parametrize("M", [16, 64])
@@ -300,7 +305,8 @@ def test_afb_peak_memory_does_not_grow_with_the_offsets(M, D2):
     extra = []
     for K in (2 * rows + 5, 4 * rows + 10):
         y = make_rng(K).standard_normal((3, K * D1 + 7)) + 0j
-        offsets = (np.arange(K) - pf.L_f // D1 - 3) * D1
+        k0 = -pf.L_f // D1 - 3
+        offsets = range(k0 * D1, (k0 + K) * D1, D1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -311,6 +317,21 @@ def test_afb_peak_memory_does_not_grow_with_the_offsets(M, D2):
             tracemalloc.stop()
     assert extra[1] <= extra[0] + 4096
     assert extra[1] <= 5 * fbmc._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("M", [16, 64])
+def test_afb_does_not_depend_on_the_chunk_size(M, monkeypatch):
+    # one-offset chunks and a few offsets per chunk give the bits of the
+    # default chunking, ascending and descending
+    pf = design_prototype(4, M)
+    y = make_rng(M + 1).standard_normal((3, 9 * M)) + 0j
+    y += 1j * make_rng(M + 2).standard_normal((3, 9 * M))
+    cases = [range(-pf.L_f, 10 * M, M // 8), range(9 * M, -pf.L_f, -3)]
+    want = [_afb(y, pf, offsets) for offsets in cases]
+    for chunk in (1, 16 * M * 3 * 5):
+        monkeypatch.setattr(fbmc, "_CHUNK_BYTES", chunk)
+        for offsets, w in zip(cases, want):
+            assert np.array_equal(_afb(y, pf, offsets), w)
 
 
 def test_demodulate_noise_variance(pf32):

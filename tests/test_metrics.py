@@ -18,14 +18,14 @@ from fbmclink.channel import (apply_channel, draw_channel, freq_csi, load_pdp,
                               make_rng)
 from fbmclink.config import SimConfig, channel_assignment, fingerprint
 from fbmclink.errors import ConfigError
-from fbmclink.fbmc import design_prototype, modulate
+from fbmclink.fbmc import demodulate, design_prototype, modulate
 from fbmclink.metrics import (SchemeSpec, _collect, _equalized_channel,
                               _jackknife_ratio_db, _measure_many, _receive,
                               _specs, _taps, run_mse, sweep)
 from fbmclink.stage1 import (SingleTapEqualizer, alpha_bound, design_highrate,
                              single_tap)
 from fbmclink.stage2 import (DecimationPlan, LowRateEqualizerBank,
-                             build_lowrate_receiver)
+                             build_lowrate_receiver, recover_symbols)
 
 
 def _oracle_kernel(scheme, pf, m, u):
@@ -208,6 +208,23 @@ def test_coefficients_reproduce_a_multi_block_chain(kind, eva, peda, pf64):
     H = draw_channel([eva, peda], 4, rng)
     y = _check_chain(kind, H, rng, pf64, 64, (0, 32, 63))
     assert y.shape[1] >= 2048
+
+
+@pytest.mark.parametrize("M, N_t, N_r", [(16, 2, 6), (64, 3, 4), (256, 8, 16)])
+def test_single_tap_receive_is_the_per_bin_product(M, N_t, N_r, eva):
+    # the batched combine over the subcarrier-major bank gives the bits of
+    # one W[m] @ D[:, m] product per bin of the demodulated grid
+    pf = design_prototype(4, M)
+    rng = make_rng(M + N_r)
+    csi = freq_csi(draw_channel([eva] * N_t, N_r, rng), M)
+    scheme = single_tap(csi, "mmse", 0.05, 1.0)
+    N_d = 24
+    y = rng.standard_normal((N_r, (N_d + 9) * M // 2))
+    y = y + 1j * rng.standard_normal(y.shape)
+    D = demodulate(y, pf, N_d)
+    want = np.stack([scheme.W[m] @ D[:, m] for m in range(M)], axis=1)
+    assert np.array_equal(_receive(scheme, y, pf, N_d),
+                          recover_symbols(want, 0, N_d))
 
 
 # ----------------------------------------------------------- determinism

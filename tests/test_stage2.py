@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from fbmclink import stage2
+from fbmclink import fbmc, stage2
 from fbmclink.channel import draw_channel, freq_csi, make_rng
 from fbmclink.errors import ConfigError
 from fbmclink.fbmc import design_prototype, modulate, qam_to_oqam
@@ -632,6 +632,29 @@ def test_equalize_lowrate_peak_memory_does_not_grow_with_the_burst(D1, eva):
             tracemalloc.stop()
         size.append(out.nbytes)
     assert peak[1] - peak[0] <= size[1] - size[0] + 16384
+
+
+@pytest.mark.parametrize("M, D1, Lgp", [(16, 2, 2), (16, 4, 5), (64, 16, 5),
+                                        (64, 32, 1)])
+def test_equalize_lowrate_does_not_depend_on_the_chunk_size(M, D1, Lgp, eva,
+                                                            monkeypatch):
+    # one-instant receiver chunks of one-offset bank chunks, and a few
+    # instants per chunk, give the bits of the default chunking, for the
+    # all-M bank and a subset
+    pf = design_prototype(4, M)
+    plan = DecimationPlan(M, D1)
+    csi = freq_csi(draw_channel([eva, eva], 3, M + Lgp), M)
+    full = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp)
+    subset = [M - 1, 0, M // 2 + 1]
+    banks = [full, LowRateEqualizerBank(full.gbar[subset], subset, plan, 1)]
+    y = make_rng(D1).standard_normal((3, 12 * M + 5)) + 0j
+    want = [equalize_lowrate(y, bank, pf) for bank in banks]
+    for bank_bytes, chunk_bytes in ((1, 1), (16 * 3 * M * plan.D2 * 3,
+                                             16 * 3 * M * 2)):
+        monkeypatch.setattr(stage2, "_BANK_BYTES", bank_bytes)
+        monkeypatch.setattr(fbmc, "_CHUNK_BYTES", chunk_bytes)
+        for bank, w in zip(banks, want):
+            assert np.array_equal(equalize_lowrate(y, bank, pf), w)
 
 
 def test_equalize_lowrate_errors(pf16, eva):

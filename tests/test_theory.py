@@ -517,6 +517,8 @@ def test_sweep_and_bound_build_one_table_per_prototype(monkeypatch, peda):
     assert len(calls) == 2
     F = interference_table(pf, 16)
     assert not F.flags.writeable
+    # lag-major: a run of lags across all m' is one contiguous block
+    assert F.T.flags.c_contiguous
     with pytest.raises(ValueError):
         F[0, 0] = 0.0
     # one subcarrier per prototype: asking for another one replaces it
@@ -655,7 +657,8 @@ def test_bound_reads_the_held_table_bit_for_bit(M):
             F = interference_table(pf, m)
             np.testing.assert_array_equal(
                 F[:, dns * (M // 2) + pf.L_f - 1],
-                _transmux(pf, m, dns * (M // 2)))
+                _transmux(pf, m, range(dns[0] * (M // 2),
+                                       (dns[-1] + 1) * (M // 2), M // 2)))
             assert sir_upper_bound(pf, M, 1, m) == alone
 
 
