@@ -9,6 +9,7 @@ from numpy.fft import fft, ifft
 from numpy.random import Generator, Philox
 
 from .errors import ConfigError
+from .fbmc import Holder
 
 # Standard profiles as (delay ns, average power dB) anchor lists (3GPP TS 36.101
 # annex B for EVA/ETU, ITU-R M.1225 for the pedestrian profiles).
@@ -252,7 +253,7 @@ def bin_response(taps, n):
     return np.moveaxis(fft(taps, n, axis=-1), -1, 0)
 
 
-class FreqCsi:
+class FreqCsi(Holder):
     """Channel state on the M DFT bins, held as time taps.
 
     time_taps, shape (N_r, N_t, L), is what the equalizer designers read:
@@ -264,6 +265,7 @@ class FreqCsi:
     def __init__(self, time_taps, M):
         self.time_taps = np.asarray(time_taps, dtype=complex)
         self.M = M
+        self.held = {}
 
 
 def freq_csi(h, M):

@@ -38,7 +38,25 @@ _J_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 _CHUNK_BYTES = 1 << 20
 
 
-class PrototypeFilter:
+class Holder:
+    """Base of the objects that hold read-only arrays derived from them in
+    their dict `held` (`PrototypeFilter`, `channel.FreqCsi`): an array is
+    freed with its owner, which is not to be changed once one is held.
+    Threads that miss on one key each build the same array; one is kept."""
+
+    def hold(self, key, build):
+        """held[key], from build() on the first read: an array or a tuple of
+        arrays, each made read-only before it is held."""
+        out = self.held.get(key)
+        if out is None:
+            out = build()
+            for a in out if isinstance(out, tuple) else (out,):
+                a.flags.writeable = False
+            self.held[key] = out
+        return out
+
+
+class PrototypeFilter(Holder):
     """Designed prototype pulse plus the lattice geometry it implies.
 
     Attributes
@@ -55,6 +73,7 @@ class PrototypeFilter:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.M = int(M)
         self.kappa = int(kappa)
+        self.held = {}
 
     @property
     def L_f(self):

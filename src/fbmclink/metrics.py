@@ -10,15 +10,16 @@ into each user's equalized channel c_{u'} = sum_r g^r * h^{r,u'} with one
 antenna contraction and shifted adds, no FFT, and the real symbol
 s_{m',n-dn} of user u' reaches the phase-compensated output
 (m, n) with the coefficient R[u', m', dn] that `theory._lattice` reads from
-c_{u'} and the table F = `theory.interference_table(pf, m)` (entry i at lag
-i - (L_f - 1)): the closed form's Re{v^T psi} with c in place of psi. It is
-exact (a full transmit/receive chain gives the same numbers, without edge
-effects), so SIR/SINR estimates need no symbol averaging, and a trial keeps
-only its desired and interference powers and noise gain. The noise power is
-sigma_z^2 / 2 times sum_r ||conj f_m * flip g^r||^2, a quadratic form in the
-table's row m (the autocorrelation of f_m):
+c_{u'} and the table F = `theory.interference_table(pf)` of subcarrier 0
+(entry i at lag i - (L_f - 1)): the closed form's Re{v^T psi} with c in
+place of psi. It is exact (a full transmit/receive chain gives the same
+numbers, without edge effects), so SIR/SINR estimates need no symbol
+averaging, and a trial keeps only its desired and interference powers and
+noise gain. The noise power is sigma_z^2 / 2 times sum_r ||conj f_m * flip
+g^r||^2, a quadratic form in the autocorrelation of f_m: row 0 of F, with
+f_m's lag phase on the taps, g_m^r[a] = g^r[a] e^{-j2pi m a D1/M}:
 
-    sum_r sum_{a,b} conj(g^r[a]) F[m, L_f - 1 + (a - b) D1] g^r[b].
+    sum_r sum_{a,b} conj(g_m^r[a]) F[0, L_f - 1 + (a - b) D1] g_m^r[b].
 
 `run_mse` runs the sample streams instead. Sweeps and MSE runs build their
 receivers with `_build_scheme`, and `_receive` is the one receive path that
@@ -29,11 +30,11 @@ product over the subcarrier-major bank, high-rate filters at the full rate
 two-stage bank runs `equalize_lowrate`, one batched product per chunk of
 instants.
 
-A trial's schemes share its stage-1 solve: `stage1` holds it per CSI object
-(read-only, while the CSI lives), so a sweep trial solves its bins once for
-the single-tap and every two-stage or high-rate scheme at L_g = M, and
-`stage2` holds each fit map per prototype. `run_mse` drops its CSI once the
-receiver is built, which frees the held solve before the receive pass.
+A trial's schemes share its stage-1 solve, held on the CSI object
+(``fbmc.Holder``), so a sweep trial solves its bins once for the single-tap
+and every two-stage or high-rate scheme at L_g = M; the fit maps and the
+table are held on the prototype. `run_mse` drops its CSI once the receiver
+is built, which frees the held solve before the receive pass.
 """
 
 import logging
@@ -175,13 +176,15 @@ class CoeffSet:
 def _measure_many(h, schemes, pf, m, u):
     """CoeffSets of several scheme objects on one channel draw h (N_r, N_t,
     L_h): `theory._lattice` of each user's c_{u'}, and the noise gain."""
-    F = theory.interference_table(pf, m)
+    F = theory.interference_table(pf)
     out = []
     for scheme in schemes:
         g, D1, a_s = _taps(scheme, m, u)
         dns, R = theory._lattice(F, m, a_s, _equalized_channel(h, g, D1))
         pos = np.arange(g.shape[1]) * D1
-        T = _rows(F[m], pf.L_f - 1 + pos[:, None] - pos)   # noise-gain form
+        T = _rows(F[0], pf.L_f - 1 + pos[:, None] - pos)   # noise-gain form
+        if pos.size > 1 and m * D1 % pf.M:     # else every tap phase is 1
+            g = g * np.exp(-2j * np.pi * (m * pos % pf.M) / pf.M)
         out.append(CoeffSet(R=R, dn=dns, m=m, u=u, alpha=a_s,
                             noise_gain=float(np.vdot(g, g @ T.T).real)))
     return out
@@ -246,7 +249,7 @@ def _collect(cfg, specs, csi_mode, threads, pf, profiles):
     """{spec: (3, trials)}: desired, interference power, noise gain per trial,
     with each user's channel drawn from its PdpProfile in `profiles`."""
     m, u = cfg.subcarrier, cfg.user
-    theory.interference_table(pf, m)  # held before the trials read it
+    theory.interference_table(pf)     # held before the trials read it
     sigma_d = cfg.noise_var()
     P_p = 2.0 * P_SYM * cfg.L_p
 

@@ -19,19 +19,14 @@ condition number of H~^H H~, (s_max/s_min)^2, exceeds ``_COND_CUTOFF``; the
 error names the first such bin of the grid and its omega. A bin that passes
 the Gram test is never singular, since _GRAM_COND is far below the cutoff.
 
-Held between calls, per live CSI object (`_SOLVES`, weakly keyed by the
-``FreqCsi``): the solve of each (n, lam), read-only, so `single_tap` and every
-`design_highrate` of one trial at L_g = M share one batched solve; and,
-under (L_g, lam, alpha), the read-only taps of each `design_highrate`, so
-the two-stage specs of one trial that share a delay run one inverse FFT.
-The taps are as large as the solve they come from, so holding them doubles
-a trial's held bytes while its CSI lives. An entry lives as long as its
-``FreqCsi`` and is read, not rebuilt, on later calls, so a ``FreqCsi`` is
-not to be changed once a design has read it.
+Held on the ``FreqCsi`` (``fbmc.Holder``): the solve of each (n, lam), so
+`single_tap` and every `design_highrate` of one trial at L_g = M share one
+batched solve, and the taps of each (L_g, lam, alpha), so the two-stage
+specs of one trial that share a delay run one inverse FFT. The taps are as
+large as the solve, so they double a trial's held bytes while its CSI lives.
 """
 
 import warnings
-import weakref
 
 import numpy as np
 
@@ -42,8 +37,6 @@ _COND_CUTOFF = 1e12  # condition number of H~^H H~ beyond which a bin is singula
 # bound on cond(Gram) from which a bin is solved by SVD: the Gram inverse's
 # error grows as cond(Gram) eps, so below it the error stays near 1e-13
 _GRAM_COND = 1e3
-# FreqCsi -> {(n, lam): held solve, (L_g, lam, alpha): held taps}
-_SOLVES = weakref.WeakKeyDictionary()
 
 
 class HighRateEqualizer:
@@ -122,15 +115,9 @@ def _solve_bins(A, lam):
 
 
 def _held_solve(csi, n, lam):
-    """`_solve_bins` of the CSI's bins on the n-point grid, held read-only
-    for (csi, n, lam) while csi lives; shape (n, N_t, N_r)."""
-    held = _SOLVES.setdefault(csi, {})
-    G = held.get((n, lam))
-    if G is None:
-        G = _solve_bins(bin_response(csi.time_taps, n), lam)
-        G.flags.writeable = False
-        held[(n, lam)] = G
-    return G
+    """`_solve_bins` on the n-point grid, held on csi; (n, N_t, N_r)."""
+    return csi.hold(("solve", n, lam), lambda: _solve_bins(
+        bin_response(csi.time_taps, n), lam))
 
 
 def alpha_bound(L_h, L_g, M):
@@ -154,15 +141,13 @@ def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.
     lam = _ridge(criterion, sigma_z2, P_s)
     if L_g < M:
         warnings.warn(f"L_g={L_g} below the minimum sampling count M={M}")
-    held = _SOLVES.setdefault(csi, {})
-    taps = held.get((L_g, lam, alpha))
-    if taps is None:
+
+    def taps():
         delay = np.arange(L_g) * (alpha * M // 2) % L_g
         phase = np.exp(-2j * np.pi * delay / L_g)[:, None, None]
         G = np.fft.ifft(_held_solve(csi, L_g, lam) * phase, axis=0)
-        G.flags.writeable = False
-        taps = held[(L_g, lam, alpha)] = np.moveaxis(G, 0, 2)
-    return HighRateEqualizer(taps, alpha)
+        return np.moveaxis(G, 0, 2)
+    return HighRateEqualizer(csi.hold(("taps", L_g, lam, alpha), taps), alpha)
 
 
 def apply_highrate(y, eq):

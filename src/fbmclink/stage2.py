@@ -37,13 +37,11 @@ under the ramp. A bank of all M subcarriers in order, as `run_mse` builds,
 is that DFT: one length-M FFT of g Q along t. A bank of a few
 subcarriers, as a sweep builds, is one product of the taps with their B_m.
 
-Held between calls, per live PrototypeFilter (`_MAPS`, weakly keyed): the
-real (L, L'_g) map Q of each (D1, L'_g, L), read-only, so every fit of a
-sweep builds it once. The row phase and the D_w ramp are formed per call:
-the complex B_m of all M subcarriers would hold M times as much.
+Held on the PrototypeFilter (``fbmc.Holder``): the real (L, L'_g) map Q of
+each (D1, L'_g, L), so every fit of a sweep builds it once. The row phase
+and the D_w ramp are formed per call: the complex B_m of all M subcarriers
+would hold M times as much.
 """
-
-import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -57,7 +55,6 @@ from .theory import _rows
 # costs one bank call and one batched product, so chunks much smaller than
 # this spend more time in set-up than they save in memory
 _BANK_BYTES = 1 << 21
-_MAPS = weakref.WeakKeyDictionary()     # PrototypeFilter -> {(D1, L'_g, L): Q}
 
 
 class DecimationPlan:
@@ -79,11 +76,8 @@ class DecimationPlan:
 
 
 def _held_map(pf, D1, Lg_prime, L):
-    """The real (L, Lg_prime) map P pinv(F_0)^T of `_fit`, held read-only
-    for (pf, D1, Lg_prime, L) while pf lives."""
-    held = _MAPS.setdefault(pf, {})
-    Q = held.get((D1, Lg_prime, L))
-    if Q is None:
+    """The real (L, Lg_prime) map P pinv(F_0)^T of `_fit`, held on pf."""
+    def build():
         L_f = pf.L_f
         N_f = L_f // D1
         rows = N_f + Lg_prime - 1
@@ -93,10 +87,8 @@ def _held_map(pf, D1, Lg_prime, L):
         # P[t, k] = p[t + L_f - (k+1) D1], zero off the prototype's support
         P = _rows(pf.coeffs, np.arange(L)[:, None] + L_f
                   - (np.arange(rows) + 1) * D1)
-        Q = P @ np.linalg.pinv(F0).T
-        Q.flags.writeable = False
-        held[(D1, Lg_prime, L)] = Q
-    return Q
+        return P @ np.linalg.pinv(F0).T
+    return pf.hold(("map", D1, Lg_prime, L), build)
 
 
 def _fit(g, pf, subcarriers, D1, Lg_prime):

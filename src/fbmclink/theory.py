@@ -44,17 +44,15 @@ N_t > 1 the combiner rows of the multi-user ZF are treated like single-user
 ones at leading order with the inverse-Wishart normalization 1/(N_r - N_t),
 the exact mean E{[(H~^H H~)^{-1}]_{uu}} on the diagonal.
 
-Held between calls, per live PrototypeFilter (`_TABLES`, weakly keyed): the
-read-only table of one subcarrier (`interference_table`; 8.4 MB at M=256),
-read by every SNR point of a sweep, by `sir_upper_bound` and by every Monte
-Carlo trial of `metrics`, and with it `average_power`'s table-only weights
-(`_weights`: Gram bands of 150 KB at M=256, then per alpha, n, m, own pair).
+Held on the PrototypeFilter (``fbmc.Holder``): the table of subcarrier 0
+(`interference_table`, 8.4 MB at M=256), which `_lattice` reads for any m
+through a row shift, and `average_power`'s weights (`_weights`: Gram bands
+of 150 KB at M=256, then per alpha, n, own pair), formed at m = 0 since the
+shift's unit phases cancel in every power of the closed form.
 One `error_stats` geometry (`_GEOMETRY`, keyed by the bytes of both PDPs'
 taps, M, alpha, own pair and user count) is held and dropped before a miss builds
 the next, so an N_r or SNR axis of one PDP builds it once.
 """
-
-import weakref
 
 import numpy as np
 
@@ -62,7 +60,6 @@ from .errors import ConfigError, NumericalError
 from .fbmc import _J_POW, _afb
 
 _GEOMETRY = [None]                      # (key, geometry) of the last error_stats
-_TABLES = weakref.WeakKeyDictionary()   # PrototypeFilter -> (m, F, held)
 _J = np.array(_J_POW)
 
 
@@ -134,21 +131,12 @@ class ErrorStats:
 
     Only the band values are held: `eps_band` on the eps support pairs and
     `check_band` on the eps_check support pairs of `_support(n, M, A)`, in
-    its order, with the mean `mu` (length n = M + L_h - 1). The dense (n, n)
-    matrices `eps` and `eps_check` are built when read.
+    its order, with the mean `mu` (length n = M + L_h - 1).
     """
 
     def __init__(self, pair, alpha, M, eps_band, check_band, mu):
         self.pair, self.alpha, self.M, self.n = pair, alpha, M, mu.size
         self.eps_band, self.check_band, self.mu = eps_band, check_band, mu
-
-    def _dense(self, band, which):
-        out = np.zeros((self.n, self.n), dtype=complex)
-        out[_support(self.n, self.M, self.alpha * self.M // 2)[which]] = band
-        return out
-
-    eps = property(lambda self: self._dense(self.eps_band, 0))
-    eps_check = property(lambda self: self._dense(self.check_band, 1))
 
 
 def error_stats(profiles, M, N_r, alpha, pair):
@@ -279,29 +267,23 @@ def _geometry(profiles, M, alpha, pair, exact):
     return mu, (babs, ph1, keep, gg, C, VU)
 
 
-def _transmux(pf, m, lags):
-    """F_{mm'}[lag], (m', lag), for a `range` of lags, from one
-    analysis-bank pass over f_m: `_afb(f_m, offsets=o)[m']` is F_{m'm}[o] =
-    conj(F_{mm'}[-o]). Stored lag-major, so `_lattice`'s runs of lags are
+def _transmux(pf, lags):
+    """F_{0m'}[lag], (m', lag), for a `range` of lags, from one analysis-bank
+    pass over f_0 = p: `_afb(p, offsets=o)[m']` is F_{m'0}[o] =
+    conj(F_{0m'}[-o]). Stored lag-major, so `_lattice`'s runs of lags are
     contiguous blocks (read across M rows, they were slower and unsteady)."""
-    F = np.ascontiguousarray(_afb(pf.subcarrier_filter(m), pf, range(
+    F = np.ascontiguousarray(_afb(pf.coeffs, pf, range(
         -lags.start, -lags.stop, -lags.step)).T)
     return np.conj(F, out=F).T
 
 
-def interference_table(pf, m):
-    """The read-only table F held for (pf, m), built on a miss: row m' is
-    the full sequence F_{mm'}[l], entry i at lag i - (L_f - 1), shape
-    (M, 2 L_f - 1); ConfigError for m outside [0, M).  The phase
-    e^{j(theta'-theta)} = j^{m'-m-dn} is applied when powers are formed."""
-    m_held, F, _ = _TABLES.get(pf, (None, None, None))
-    if m_held != m:
-        if not 0 <= m < pf.M:
-            raise ConfigError(f"need a subcarrier in [0, {pf.M}), got m={m}")
-        F = _transmux(pf, m, range(1 - pf.L_f, pf.L_f))
-        F.flags.writeable = False
-        _TABLES[pf] = (m, F, {})    # weights held with F, see average_power
-    return F
+def interference_table(pf):
+    """The read-only table F of subcarrier 0, held on pf: row m' is the full
+    sequence F_{0m'}[l], entry i at lag i - (L_f - 1), shape (M, 2 L_f - 1).
+    As f_m is f_0 under e^{j2pi m(t - centre)/M}, subcarrier m's table is
+    F_m[m', l] = s e^{j2pi ml/M} F[(m' - m) mod M, l], s = -1 for m' < m
+    (the wrap, as 2 centre is odd) and +1 otherwise; `_lattice` reads it."""
+    return pf.hold("table", lambda: _transmux(pf, range(1 - pf.L_f, pf.L_f)))
 
 
 def _dn_range(M, L_f, alpha, n):
@@ -313,7 +295,7 @@ def _dn_range(M, L_f, alpha, n):
 
 def _rows(Ft, i):
     """Rows i of a lag-major table, zero where i falls outside it: the
-    scattered reads (row m of the (m, 0) weights, the noise-gain Toeplitz
+    scattered reads (row 0 of the (0, 0) weights, the noise-gain Toeplitz
     form, the stage-2 fit matrices).  Runs of lags go through `_windows`."""
     X = np.take(Ft, i, axis=0, mode="clip")
     X[(i < 0) | (i >= len(Ft))] = 0.0
@@ -334,15 +316,18 @@ def _windows(F, lo, hi, i0):
 def _lattice(F, m, alpha, c):
     """(dns, R), dns = `_dn_range`: the coefficient R (..., M, dns.size) with
     which s_{m', n - dn} reaches the phase-compensated output (m, n) through
-    the equalized channel c (..., L), lag 0 first; F the table of m:
+    the equalized channel c (..., L), lag 0 first; F the table of
+    subcarrier 0, F_m that of m (`interference_table`):
 
-      R[..., m', j] = Re{j^((m'-m-dn) mod 4) sum_l F[m', i0 - l] c[..., l]},
+      R[..., m', j] = Re{j^((m'-m-dn) mod 4) sum_l F_m[m', i0 - l] c[..., l]},
       i0 = (dn + alpha) M/2 + L_f - 1,      dn = dns[j].
 
-    Per dn, one product of the reversed c with the `_windows` view for each
-    run of lags where c is nonzero, runs split only at gaps of over M/2
-    lags (E{H_eq} at alpha = 0 has two rays, M lags apart); an all-zero c
-    gives zeros without reading F.
+    At lag (dn + alpha) M/2 - l, F_m's phase is (-1)^{m(dn+alpha)}
+    e^{-j2pi ml/M}: the second factor goes on c, the first and s = j^2 into
+    the power of j. Per dn, one product of the reversed c with the
+    `_windows` view for each run of lags where c is nonzero, runs split only
+    at gaps of over M/2 lags (E{H_eq} at alpha = 0 has two rays, M lags
+    apart); an all-zero c gives zeros without reading F.
     """
     M, L, L_f = F.shape[0], c.shape[-1], (F.shape[1] + 1) // 2
     dns = _dn_range(M, L_f, alpha, L)
@@ -353,26 +338,33 @@ def _lattice(F, m, alpha, c):
     cut = (np.flatnonzero(np.diff(nz) > M // 2) + 1).tolist()
     runs = [(int(nz[a]), int(nz[b - 1]))
             for a, b in zip([0] + cut, cut + [nz.size])] if nz.size else []
-    cr = c[..., ::-1].copy()        # BLAS takes no negative strides
+    # reversed, as BLAS takes no negative strides, under the lag phase
+    cr = c[..., ::-1] * np.exp(np.arange(L - 1, -1, -1) * m % M
+                               * (-2j * np.pi / M))
     for j, dn in enumerate(dns.tolist()):
         i0 = (dn + alpha) * (M // 2) + L_f - 1
         for lo, hi in runs:
             a, b, W = _windows(F, lo, hi, i0)
             if a <= b:                  # the run reaches the table
                 Z[j] += np.dot(cr[..., L - 1 - b:L - a], W.T)
-    # C-contiguous (..., M, dns) again, so that sums over R keep their order
-    Z = np.ascontiguousarray(np.moveaxis(Z, 0, -1))
-    return dns, (Z * _J[(np.arange(M)[:, None] - m - dns) & 3]).real  # mod 4
+    # row (m' - m) mod M to row m', in C order again: sums over R keep order
+    Z = np.moveaxis(Z, 0, -1)
+    R = np.empty(Z.shape, dtype=complex)
+    R[..., m:, :], R[..., :m, :] = Z[..., :M - m, :], Z[..., M - m:, :]
+    k = np.arange(M)
+    k[:m] += 2                                  # the wrap sign s = j^2
+    R *= _J[(k[:, None] + ((2 * m - 1) * dns + 2 * m * alpha - m)) & 3]
+    return dns, R.real
 
 
-def _weights(F, m, alpha, n, own):
-    """`average_power`'s weights for (alpha, n, m, own), held read-only with
-    F when it is a held table: (K_eps, v[l] conj(v[l']), K_chk or 0 for a
-    cross pair, v[l] v[l']), v of (m, 0); before them the Gram bands g_d[c]
+def _weights(F, alpha, n, own, held):
+    """`average_power`'s weights for (alpha, n, own), held by `held` (the
+    `Holder.hold` of F's owner): (K_eps, v[l] conj(v[l']), K_chk or 0 for a
+    cross pair, v[l] v[l']), v of (0, 0); before them the Gram bands g_d[c]
     = sum_m' F[m', c] conj(F[m', c-d]), row d/M + 1, column c + 2M, 0 off F."""
-    key, (M, W), P = (alpha, n, m, own), F.shape, 2 * F.shape[0]
-    held = next((h for _, G, h in _TABLES.values() if G is F), {})
-    if "gram" not in held:                      # views: no table-sized copy
+    (M, W), P = F.shape, 2 * F.shape[0]
+
+    def gram():                                 # views: no table-sized copy
         X, Y, G = F.real, F.imag, np.zeros((3, W + 2 * P), dtype=complex)
         Xa, Xb, Ya, Yb = X[:, M:], X[:, :-M], Y[:, M:], Y[:, :-M]
         dot = lambda a, b: np.einsum("ij,ij->j", a, b)      # column sums
@@ -380,17 +372,18 @@ def _weights(F, m, alpha, n, own):
         G[2, P + M:P + W] = (dot(Xa, Xb) + dot(Ya, Yb)
                              + 1j * (dot(Ya, Xb) - dot(Xa, Yb)))
         G[0, P:P + W - M] = G[2, P + M:P + W].conj()
-        held["gram"], G.flags.writeable = G, False
-    if key not in held:
+        return G
+
+    def build():
         dns = _dn_range(M, (W + 1) // 2, alpha, n)
         i0 = (dns + alpha) * (M // 2) + (W - 1) // 2
         (el, elp), (cl, clp) = _support(n, M, alpha * M // 2)
-        v = _rows(F[m], i0[-dns[0]] - np.arange(n))     # (m, 0); dns[0] <= 0
-        out = [held["gram"][(elp - el) // M + 1, i0[:, None] - el + P]
+        v = _rows(F[0], i0[-dns[0]] - np.arange(n))     # (0, 0); dns[0] <= 0
+        out = [held("gram", gram)[(elp - el) // M + 1, i0[:, None] - el + P]
                .sum(axis=0), v[el] * np.conj(v[elp]),
                np.zeros(cl.size, dtype=complex), v[cl] * v[clp]]
         if own:     # one run of l per S = l + l', symmetric about S/2
-            sign = np.where((np.arange(M) - m) % 2, -1.0, 1.0)
+            sign = np.where(np.arange(M) % 2, -1.0, 1.0)
             for S in sorted(set((cl + clp).tolist())):
                 sel = np.flatnonzero(cl + clp == S)
                 lo, hi = cl[sel[0]], cl[sel[-1]]
@@ -401,39 +394,42 @@ def _weights(F, m, alpha, n, own):
                     p = (-1) ** dn * (sign @ (Z[:, :h] * Z[:, ::-1][:, :h]))
                     out[2][sel[a - lo:b - lo + 1]] += np.r_[
                         p, p[:b - a + 1 - h][::-1]]
-        for w in out:
-            w.flags.writeable = False
-        held[key] = tuple(out)
-    return held[key]
+        return tuple(out)
+    return held(("weights", alpha, n, own), build)
 
 
-def average_power(stats, F, m, P_s):
+def average_power(stats, pf, P_s):
     """Average interference power at (m, 0), summed over the lattice.
 
-    F is the `interference_table` of subcarrier m.  Returns (rest, entry)
-    for the user pair of `stats`: the mean-square interference coefficient
-    summed over every lattice offset (m', dn) != (m, 0), and the (m, 0)
-    entry (for the own pair, the desired power).  An entry is the variance
-    (1/2) Re{v^T eps v^* + v^T eps_check v}, v[l] = F[m', i0 - l] j^(m'-m-dn)
-    and i0 = (dn + alpha) M/2 + L_f - 1, plus the squared mean amplitude:
-    `_lattice` of E{H_eq} = mu + delta[l - alpha M/2] (the filter-bank peak
-    and error rays), zero for a cross pair.  Linear in the bands,
-    the variance sums to (1/2) Re{<eps_band, K_eps> + <check_band, K_chk>}:
-    the phase of v cancels in eps, so K_eps[l, l'] = sum_dn g_{l'-l}[i0 - l]
-    (column Gram bands g_d), and squares to (-1)^(m'-m-dn) in eps_check, so
-    K_chk[l, l'] = sum_dn (-1)^dn sum_m' (-1)^(m'-m) F[m', i0-l] F[m', i0-l'].
-    The (m, 0) variance is formed from row m and leaves the sum; amplitudes
-    stay per entry, (m, 0) zeroed before squaring, so the peak's square is
-    never cancelled.  `_weights` holds the weights with a held table.
+    Returns (rest, entry) for the user pair of `stats`: the mean-square
+    interference coefficient summed over every lattice offset (m', dn) !=
+    (m, 0), and the (m, 0) entry (for the own pair, the desired power);
+    ConfigError when stats and pf differ in M.  Both are formed at m = 0 on
+    the `interference_table` F of pf: the shift to m puts e^{-j2pi ml/M} on
+    v, which cancels on both bands (l' - l in {0, +-M}, l + l' = 0 mod M),
+    and at most flips the sign of a mean amplitude.  An entry is the
+    variance (1/2) Re{v^T eps v^* + v^T eps_check v}, v[l] = F[m', i0 - l]
+    j^(m'-dn) and i0 = (dn + alpha) M/2 + L_f - 1, plus the squared mean
+    amplitude: `_lattice` of E{H_eq} = mu + delta[l - alpha M/2] (the
+    filter-bank peak and error rays), zero for a cross pair.  Linear in the
+    bands, the variance sums to (1/2) Re{<eps_band, K_eps> + <check_band,
+    K_chk>}: the phase of v cancels in eps, so K_eps[l, l'] = sum_dn
+    g_{l'-l}[i0 - l] (column Gram bands g_d), and squares to (-1)^(m'-dn)
+    in eps_check, so K_chk[l, l'] = sum_dn (-1)^dn sum_m' (-1)^m' F[m',
+    i0-l] F[m', i0-l'].  The (0, 0) variance is formed from row 0 and leaves
+    the sum; amplitudes stay per entry, (0, 0) zeroed before squaring, so
+    the peak's square is never cancelled.  `_weights` are held on pf.
     """
-    M, alpha, n = F.shape[0], stats.alpha, stats.n
+    if stats.M != pf.M:
+        raise ConfigError(f"stats of M={stats.M} for a prototype of M={pf.M}")
+    F, alpha, n = interference_table(pf), stats.alpha, stats.n
     own = stats.pair[0] == stats.pair[1]
-    w = _weights(F, m, alpha, n, own)
+    w = _weights(F, alpha, n, own, pf.hold)
     quad = 0.5 * (stats.eps_band @ w[0] + stats.check_band @ w[2]).real
     quad0 = 0.5 * (stats.eps_band @ w[1] + stats.check_band @ w[3]).real
-    mean = stats.mu + own * (np.arange(n) == alpha * M // 2)      # E{H_eq}
-    dns, amp = _lattice(F, m, alpha, mean)
-    amp0, amp[m, -dns[0]] = amp[m, -dns[0]], 0.0      # dns[-dns[0]] = 0
+    mean = stats.mu + own * (np.arange(n) == alpha * pf.M // 2)   # E{H_eq}
+    dns, amp = _lattice(F, 0, alpha, mean)
+    amp0, amp[0, -dns[0]] = amp[0, -dns[0]], 0.0      # dns[-dns[0]] = 0
     return (P_s * (quad - quad0 + np.sum(amp * amp)),
             P_s * (quad0 + amp0 * amp0))
 
@@ -490,12 +486,13 @@ def sir_upper_bound(pf, M, alpha, m):
     summed coefficients), the bank is orthogonal to within float64 precision
     and the bound is +inf; this is the case for kappa=2, whose PHYDYAS pulse
     reconstructs exactly.  The coefficients are `_lattice` of the unit
-    impulse on the table held for (pf, m).
+    impulse at m = 0, which only their signs tell from those of m.
     """
-    if M != pf.M:
-        raise ConfigError(f"need the prototype's M={pf.M}, got M={M}")
-    dns, c = _lattice(interference_table(pf, m), m, 0, np.ones(1))
-    c[m, dns == 0] = 0.0
+    if M != pf.M or not 0 <= m < M:
+        raise ConfigError(f"need M={pf.M} and m in [0, {pf.M}), got M={M}, "
+                          f"m={m}")
+    dns, c = _lattice(interference_table(pf), 0, 0, np.ones(1))
+    c[0, dns == 0] = 0.0
     den = np.sum(c * c)
     if den <= _roundoff_floor(c.size - 1, pf.L_f):
         return np.inf
@@ -514,18 +511,19 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0):
     it is zero, and with no noise the SINR is +inf.  A negative total (the
     leading-order multi-user terms can cancel below round-off) raises
     NumericalError, and M, m or u off the prototype's grid ConfigError.
-    Statistics and powers are formed once per (own pair, source PDP).
+    Statistics and powers are formed once per (own pair, source PDP), the
+    same at every m (`average_power`), the table first, for a lower peak.
     """
-    if M != pf.M or not 0 <= u < len(profiles):
-        raise ConfigError(f"need the prototype's M={pf.M} and a user in "
-                          f"[0, {len(profiles)}), got M={M}, u={u}")
-    F, N_t = interference_table(pf, m), len(profiles)
-    interference, exact_eq, seen = 0.0, True, {}
+    if M != pf.M or not 0 <= m < M or not 0 <= u < len(profiles):
+        raise ConfigError(f"need M={pf.M}, m in [0, {pf.M}) and u in [0, "
+                          f"{len(profiles)}), got M={M}, m={m}, u={u}")
+    interference_table(pf)
+    N_t, interference, exact_eq, seen = len(profiles), 0.0, True, {}
     for up in range(N_t):
         key = (up == u, np.asarray(profiles[up].taps, dtype=float).tobytes())
         if key not in seen:
             stats = error_stats(profiles, M, N_r, alpha, (u, up))
-            rest, entry = average_power(stats, F, m, P_s)
+            rest, entry = average_power(stats, pf, P_s)
             if up == u:     # another user's (m, 0) entry is interference
                 desired, entry = entry, 0.0
                 n_bank = M * _dn_range(M, pf.L_f, alpha, stats.n).size - 1

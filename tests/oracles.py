@@ -3,6 +3,7 @@
 import numpy as np
 
 from fbmclink.fbmc import _tx_phases
+from fbmclink.theory import _support
 
 
 def _gauss_gamma(n, a):
@@ -29,6 +30,22 @@ def tau(profile, M):
     """Subcarrier correlation matrix tau[m,m'] = sum_l q[l] e^{j2pi(m-m')l/M}."""
     t = np.conj(np.fft.fft(profile.taps, M))    # sum_l q[l] e^{+j2pi dl/M}
     return t[(np.arange(M)[:, None] - np.arange(M)) % M]
+
+
+def _dense(stats, band, which):
+    out = np.zeros((stats.n, stats.n), dtype=complex)
+    out[_support(stats.n, stats.M, stats.alpha * stats.M // 2)[which]] = band
+    return out
+
+
+def dense_eps(stats):
+    """The dense (n, n) eps of an `ErrorStats`, zero off its band."""
+    return _dense(stats, stats.eps_band, 0)
+
+
+def dense_check(stats):
+    """The dense (n, n) eps_check of an `ErrorStats`, zero off its band."""
+    return _dense(stats, stats.check_band, 1)
 
 
 def afb_reference(y, pf, offsets):
@@ -81,9 +98,9 @@ def transmux_response(pf, m, m_prime):
 
 
 def window(F, m, alpha, dn, L_h):
-    """V[l, m'] = F_{mm'}[(dn+alpha) M/2 - l] j^{m'-m-dn} for every m' of the
-    `interference_table` F of subcarrier m, l = 0..M+L_h-2 (zero outside the
-    table), shape (M+L_h-1, M)."""
+    """V[l, m'] = F_{mm'}[(dn+alpha) M/2 - l] j^{m'-m-dn} for every m' of a
+    table F of subcarrier m (`interference_table` is that of m = 0),
+    l = 0..M+L_h-2 (zero outside the table), shape (M+L_h-1, M)."""
     M, width = F.shape
     n, L_f = M + L_h - 1, (width + 1) // 2
     i0 = (dn + alpha) * (M // 2) + L_f - 1              # at l = 0

@@ -100,7 +100,9 @@ def test_measure_matches_brute_force_oracle(M, kappa, kind, alpha, eva, peda):
     pf = design_prototype(kappa, M)
     H = draw_channel([eva, peda], 5, 100 * M + kappa)
     assert alpha <= alpha_bound(H.shape[2], M, M)
-    edges = [0, M // 2, M - 1]
+    # m = 2 puts the noise-gain tap phase (-1)^a on the two-stage taps
+    # (D1 = M/4, three taps), which is 1 again at the last one
+    edges = [0, 2, M // 2, M - 1]
     scheme = _scheme(kind, freq_csi(H, M), pf, alpha, edges)
     for m in edges:
         for u in range(H.shape[1]):
@@ -297,6 +299,24 @@ def test_sweep_builds_one_transmultiplexer_table(monkeypatch):
     cfg = replace(_small_cfg(), trials=2)
     sweep(cfg, "N_r", [4, 5, 6], _SCHEMES)
     assert len(calls) == 1
+
+
+def test_every_subcarrier_reads_one_table_per_prototype(monkeypatch, peda):
+    # sweeps at the band edges and the centre (each designs its prototype),
+    # and the closed form and the bound at each on one prototype
+    owners = []
+    build = theory._transmux
+    monkeypatch.setattr(theory, "_transmux",
+                        lambda pf, lags: owners.append(pf) or build(pf, lags))
+    cfg = replace(_small_cfg(), trials=2)
+    M = cfg.M
+    pf = design_prototype(cfg.kappa, M)
+    for m in (0, M // 2, M - 1):
+        sweep(replace(cfg, subcarrier=m), "N_r", [4, 5], _SCHEMES)
+        theory.theoretical_sinr([peda], pf, M, 8, 1, m, 0, 0.01)
+        theory.sir_upper_bound(pf, M, 1, m)
+    assert len(owners) == len({id(o) for o in owners}) == 4
+    assert pf in owners
 
 
 @pytest.mark.parametrize("criterion, axis, points, csi_mode", [

@@ -2,6 +2,7 @@
 
 import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -397,11 +398,11 @@ def test_designs_of_one_key_share_one_inverse_fft(monkeypatch, eva, peda):
 
 def test_held_solve_is_dropped_with_its_csi(eva):
     csi = _csi([eva], 4, 16)
-    single_tap(csi)
-    held = stage1._SOLVES[csi]
+    held = weakref.ref(single_tap(csi).W)
+    assert held() is csi.held[("solve", 16, 0.0)]
     del csi
     gc.collect()
-    assert all(v is not held for v in stage1._SOLVES.values())
+    assert held() is None
 
 
 @pytest.mark.parametrize("criterion,s2", _CASES, ids=["zf", "mmse", "mmse0"])

@@ -7,6 +7,7 @@ split are oracles defined here; the receiver itself uses `stage2._fit`.
 import contextlib
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ def test_one_subcarrier_bank_is_a_row_of_the_all_m_bank(eva, monkeypatch):
         assert one.gbar.shape == (1, 2, 3, 5)
         _assert_rel_close(one.gbar[0], full.taps_for(m), rel=1e-12)
         assert _rel_err(_bumped(one.gbar[0]), full.taps_for(m)) > 1e-12
-    assert len(pinvs) == 1 and len(stage2._MAPS[pf]) == 1
+    assert len(pinvs) == 1 and len(pf.held) == 1
 
 
 def test_held_fit_map_gives_the_fresh_bits(eva):
@@ -356,17 +357,17 @@ def test_held_fit_map_gives_the_fresh_bits(eva):
     taps = design_highrate(freq_csi(draw_channel([eva, eva], 3, 4), M)).taps
     ms = [0, 5, M - 1]
     first = _fit(taps, pf, ms, D1, Lgp)
-    (Q,) = stage2._MAPS[pf].values()
+    (Q,) = pf.held.values()
     assert Q.shape == (M, Lgp) and Q.dtype == float
     with pytest.raises(ValueError, match="read-only"):
         Q[0, 0] = 1.0
     again = _fit(taps, pf, ms, D1, Lgp)
     fresh = _fit(taps, design_prototype(4, M), ms, D1, Lgp)
     assert np.array_equal(again, first) and np.array_equal(fresh, first)
-    held = stage2._MAPS[pf]
-    del pf
+    held = weakref.ref(Q)
+    del pf, Q
     gc.collect()
-    assert all(v is not held for v in stage2._MAPS.values())
+    assert held() is None
 
 
 @pytest.mark.parametrize("kappa", [2, 3, 4])

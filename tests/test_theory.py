@@ -3,6 +3,7 @@
 import gc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from fbmclink.theory import (_dn_range, _ratio_moments,
                              average_power, error_stats, interference_table,
                              noise_power, sir_upper_bound, theoretical_sinr)
 
-from oracles import (_gauss_gamma, afb_reference, tau, transmux_response,
-                     window)
+from oracles import (_gauss_gamma, afb_reference, dense_check, dense_eps,
+                     tau, transmux_response, window)
 
 RATE = 7.68e6
 
@@ -119,8 +120,8 @@ def test_leading_stats_own_pair_oracle():
     st = error_stats([p, p], 8, 6, 1, (0, 0))       # 1/(N_r - N_t) = 1/4
     eps, chk, mu = _wick_oracle(q, q, 8, 4, 1, own=True)
     assert np.abs(eps).max() > 1e-4            # non-vacuous comparison
-    np.testing.assert_allclose(st.eps, eps, atol=1e-12)
-    np.testing.assert_allclose(st.eps_check, chk, atol=1e-12)
+    np.testing.assert_allclose(dense_eps(st), eps, atol=1e-12)
+    np.testing.assert_allclose(dense_check(st), chk, atol=1e-12)
     np.testing.assert_allclose(st.mu, mu, atol=1e-12)
 
 
@@ -132,8 +133,8 @@ def test_leading_stats_spilling_pdp_oracle(alpha):
     st = error_stats([p, p], 8, 6, alpha, (0, 0))
     eps, chk, mu = _wick_oracle(q, q, 8, 4, alpha, own=True)
     assert np.abs(chk).max() > 1e-3 and np.abs(mu).max() > 0.05
-    np.testing.assert_allclose(st.eps, eps, atol=1e-12)
-    np.testing.assert_allclose(st.eps_check, chk, atol=1e-12)
+    np.testing.assert_allclose(dense_eps(st), eps, atol=1e-12)
+    np.testing.assert_allclose(dense_check(st), chk, atol=1e-12)
     np.testing.assert_allclose(st.mu, mu, atol=1e-12)
 
 
@@ -144,9 +145,9 @@ def test_leading_stats_cross_pair_oracle():
     st = error_stats([pa, pb], 8, 6, 1, (0, 1))
     eps, _, _ = _wick_oracle(qb, qa, 8, 4, 1, own=False)
     assert np.abs(eps).max() > 1e-4
-    np.testing.assert_allclose(st.eps, eps, atol=1e-12)
+    np.testing.assert_allclose(dense_eps(st), eps, atol=1e-12)
     # no pseudo-covariance and no mean across independent users
-    assert np.abs(st.eps_check).max() == 0.0
+    assert np.abs(dense_check(st)).max() == 0.0
     assert np.abs(st.mu).max() == 0.0
 
 
@@ -154,10 +155,10 @@ def test_leading_own_pair_cancellation(uni4):
     # when the support stays within M/2 the O(1/N_r) own-pair terms cancel;
     # the surviving error is the O(1/N_r^2) part carried by the exact kernels
     st = error_stats([uni4, uni4], 16, 10, 1, (0, 0))
-    assert np.abs(st.eps).max() < 1e-15
-    assert np.abs(st.eps_check).max() < 1e-15
+    assert np.abs(dense_eps(st)).max() < 1e-15
+    assert np.abs(dense_check(st)).max() < 1e-15
     ex = error_stats([uni4], 16, 8, 1, (0, 0))
-    assert np.abs(ex.eps).max() > 1e-6
+    assert np.abs(dense_eps(ex)).max() > 1e-6
 
 
 def test_case1_window_zeros(uni4):
@@ -166,17 +167,17 @@ def test_case1_window_zeros(uni4):
     for users in (2, 1):    # the leading order, then the exact kernels
         st = error_stats([uni4] * users, M, 8, 1, (0, 0))
         win = slice(L_h - 1, M)
-        assert np.abs(st.eps[win, win]).max() < 1e-14
+        assert np.abs(dense_eps(st)[win, win]).max() < 1e-14
         assert np.abs(st.mu[win]).max() < 1e-14
 
 
 def test_alias_identities(uni4):
     # psi[l] = -psi[l + M] ties the wrap lags to the leading-edge lags
     M = 16
-    st = error_stats([uni4], M, 8, 1, (0, 0))
+    eps = dense_eps(error_stats([uni4], M, 8, 1, (0, 0)))
     for l in range(uni4.L_h - 1):
-        assert abs(st.eps[l, l] - st.eps[l + M, l + M]) < 1e-15
-        assert abs(st.eps[l + M, l] + st.eps[l, l]) < 1e-15
+        assert abs(eps[l, l] - eps[l + M, l + M]) < 1e-15
+        assert abs(eps[l + M, l] + eps[l, l]) < 1e-15
 
 
 def test_error_stats_validation(uni4, eva):
@@ -195,16 +196,16 @@ def test_leading_scale_factors():
     qa = [0.5, 0.3, 0.15, 0.05]
     qb = [0.6, 0.25, 0.1, 0.05]
     pro = [PdpProfile("a", qa, RATE), PdpProfile("b", qb, RATE)]
-    e8 = error_stats(pro, 8, 8, 1, (0, 1)).eps
-    e16 = error_stats(pro, 8, 16, 1, (0, 1)).eps
+    e8 = dense_eps(error_stats(pro, 8, 8, 1, (0, 1)))
+    e16 = dense_eps(error_stats(pro, 8, 16, 1, (0, 1)))
     np.testing.assert_allclose(e16 * 14, e8 * 6, atol=1e-15)
-    e3 = error_stats(pro + pro[:1], 8, 15, 1, (0, 1)).eps     # three users
+    e3 = dense_eps(error_stats(pro + pro[:1], 8, 15, 1, (0, 1)))  # 3 users
     np.testing.assert_allclose(e3 * 12, e8 * 6, atol=1e-15)
 
 
 def _psi_cov(stats):
     """Real covariance of the stacked [Re psi; Im psi]."""
-    xi, xic = stats.eps, stats.eps_check
+    xi, xic = dense_eps(stats), dense_check(stats)
     return 0.5 * np.block([
         [(xi + xic).real, (xic - xi).imag],
         [(xi + xic).imag, (xi - xic).real],
@@ -350,7 +351,7 @@ def test_exact_stats_match_channel_simulation(eva):
     M, N_r, alpha, T = 64, 16, 1, 600
     A = alpha * M // 2
     st = error_stats([eva], M, N_r, alpha, (0, 0))
-    th = np.real(np.diag(st.eps)) + np.abs(st.mu) ** 2
+    th = np.real(np.diag(dense_eps(st))) + np.abs(st.mu) ** 2
     acc = np.zeros(st.n)
     for tr in range(T):
         H = draw_channel([eva], N_r, trial_rng(777, tr))
@@ -414,11 +415,11 @@ def test_noise_power_against_simulation(eva, pf32):
 # ------------------------------------------------------ interference table
 
 def test_interference_table_geometry(pf64, peda):
-    tab = interference_table(pf64, 32)
-    # the own-lattice peak F_{mm}[0], read at lag alpha M/2 of the window
-    assert window(tab, 32, 1, 0, peda.L_h)[32, 32].real == pytest.approx(
+    tab = interference_table(pf64)
+    # the own-lattice peak F_{00}[0], read at lag alpha M/2 of the window
+    assert window(tab, 0, 1, 0, peda.L_h)[32, 0].real == pytest.approx(
         1.0, abs=1e-12)
-    assert window(tab, 32, 1, 1, peda.L_h).shape == (64 + peda.L_h - 1, 64)
+    assert window(tab, 0, 1, 1, peda.L_h).shape == (64 + peda.L_h - 1, 64)
     dns = _dn_range(64, pf64.L_f, 1, 64 + peda.L_h - 1).tolist()
     assert 0 in dns and max(dns) >= 2 * pf64.kappa
 
@@ -441,38 +442,43 @@ def test_dn_range_matches_window_oracle(M, kappa):
 
 @pytest.mark.parametrize("alpha", [0, 1, 2])
 def test_lattice_matches_triple_sum_oracle(alpha):
-    # R[k, m', j] = Re{j^((m'-m-dn) mod 4) sum_l F[m', i0 - l] c[k, l]},
-    # summed term by term with F zero beyond the table
-    M, kappa, m, L = 16, 4, 5, 40
+    # R[k, m', j] = Re{j^((m'-m-dn) mod 4) sum_l F_m[m', i0 - l] c[k, l]},
+    # summed term by term with F_m, the table of subcarrier m by direct
+    # convolution, zero beyond the table; `_lattice` reads the m = 0 table
+    M, kappa, L = 16, 4, 40
     pf = design_prototype(kappa, M)
-    F, W = interference_table(pf, m), 2 * pf.L_f - 1
+    F, W = interference_table(pf), 2 * pf.L_f - 1
     rng = np.random.default_rng(alpha)
     c = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
     c[:, [0, -1]] = 0.0             # the read span is lags 1 .. L-2
     gapped = c.copy()               # two runs: a gap of over M/2 lags
     gapped[:, 6:30] = 0.0
     gapped[1, 30:] = 0.0
-    for c in (c, gapped):
-        dns, R = theory._lattice(F, m, alpha, c)
-        np.testing.assert_array_equal(dns, _dn_range(M, pf.L_f, alpha, L))
-        i0s = ((dns + alpha) * (M // 2) + pf.L_f - 1).tolist()
-        assert i0s[0] - (L - 2) < 0 and i0s[-1] - 1 >= W   # clipped at both ends
-        want = np.zeros((2, M, dns.size))
-        for k in range(2):
-            for mp in range(M):
-                for j, (dn, i0) in enumerate(zip(dns.tolist(), i0s)):
-                    acc = sum(F[mp, i0 - l] * c[k, l] for l in range(L)
-                              if 0 <= i0 - l < W)
-                    want[k, mp, j] = (1j ** ((mp - m - dn) % 4) * acc).real
-        np.testing.assert_allclose(R, want, rtol=0,
-                                   atol=1e-13 * abs(want).max())
-    zero = theory._lattice(F, m, alpha, np.zeros((2, L), dtype=complex))
-    assert np.array_equal(zero[0], dns) and zero[1].shape == R.shape
-    assert not zero[1].any()
+    for m in (0, 5, M - 1):
+        Fm = _table_oracle(pf, M, m)
+        for c in (c, gapped):
+            dns, R = theory._lattice(F, m, alpha, c)
+            np.testing.assert_array_equal(dns, _dn_range(M, pf.L_f, alpha, L))
+            i0s = ((dns + alpha) * (M // 2) + pf.L_f - 1).tolist()
+            # clipped at both ends
+            assert i0s[0] - (L - 2) < 0 and i0s[-1] - 1 >= W
+            want = np.zeros((2, M, dns.size))
+            for k in range(2):
+                for mp in range(M):
+                    for j, (dn, i0) in enumerate(zip(dns.tolist(), i0s)):
+                        acc = sum(Fm[mp, i0 - l] * c[k, l] for l in range(L)
+                                  if 0 <= i0 - l < W)
+                        want[k, mp, j] = (1j ** ((mp - m - dn) % 4)
+                                          * acc).real
+            np.testing.assert_allclose(R, want, rtol=0,
+                                       atol=1e-13 * abs(want).max())
+        zero = theory._lattice(F, m, alpha, np.zeros((2, L), dtype=complex))
+        assert np.array_equal(zero[0], dns) and zero[1].shape == R.shape
+        assert not zero[1].any()
     if alpha == 0:      # the unit impulse reads the loopback columns exactly
-        dns, R = theory._lattice(F, m, 0, np.ones(1))
+        dns, R = theory._lattice(F, 0, 0, np.ones(1))
         np.testing.assert_array_equal(dns, np.arange(1 - 2 * kappa, 2 * kappa))
-        ph = np.array([1, 1j, -1, -1j])[(np.arange(M)[:, None] - m - dns) % 4]
+        ph = np.array([1, 1j, -1, -1j])[(np.arange(M)[:, None] - dns) % 4]
         assert np.array_equal(R, (F[:, dns * (M // 2) + pf.L_f - 1] * ph).real)
 
 
@@ -505,30 +511,29 @@ _SNRS = (1.0, 0.1, 0.01, 1e-3, 0.0)
 
 
 def test_sweep_and_bound_build_one_table_per_prototype(monkeypatch, peda):
+    # every subcarrier reads the one table of the prototype
     calls = _counting_afb(monkeypatch)
     pf = design_prototype(4, 32)
-    for s2 in _SNRS:
-        theoretical_sinr([peda], pf, 32, 8, 1, 16, 0, s2, P_s=0.5)
-    sir_upper_bound(pf, 32, 1, 16)
+    for m in (0, 3, 16, 31):
+        for s2 in _SNRS:
+            theoretical_sinr([peda], pf, 32, 8, 1, m, 0, s2, P_s=0.5)
+        sir_upper_bound(pf, 32, 1, m)
     assert len(calls) == 1
     # an equal but distinct prototype object gets its own table
     theoretical_sinr([peda], design_prototype(4, 32), 32, 8, 1, 16, 0, 0.1,
                      P_s=0.5)
     assert len(calls) == 2
-    F = interference_table(pf, 16)
-    assert not F.flags.writeable
+    F = interference_table(pf)
+    assert F is pf.held["table"] and not F.flags.writeable
     # lag-major: a run of lags across all m' is one contiguous block
     assert F.T.flags.c_contiguous
     with pytest.raises(ValueError):
         F[0, 0] = 0.0
-    # one subcarrier per prototype: asking for another one replaces it
-    interference_table(pf, 3)
-    assert len(calls) == 3 and theory._TABLES[pf][0] == 3
 
 
 def test_held_table_is_freed_with_its_prototype():
     pf = design_prototype(4, 16)
-    held = weakref.ref(interference_table(pf, 8))
+    held = weakref.ref(interference_table(pf))
     assert held() is not None
     del pf
     gc.collect()
@@ -545,9 +550,10 @@ def test_sweep_equals_fresh_prototypes(peda, eva):
         assert held == fresh
 
 
-def _clear_holds():
+def _clear_holds(*owners):
     theory._GEOMETRY[0] = None
-    theory._TABLES.clear()
+    for owner in owners:
+        owner.held.clear()
 
 
 def test_held_terms_equal_evaluations_with_holds_cleared(peda, eva):
@@ -557,12 +563,12 @@ def test_held_terms_equal_evaluations_with_holds_cleared(peda, eva):
     calls = [([peda], N_r, 0, s2, P_s) for P_s in (0.5, 1.0)
              for N_r in (8, 16) for s2 in _SNRS]
     calls += [([peda, eva], 16, u, 0.01, 0.5) for u in (0, 1, 0)]
-    _clear_holds()
+    _clear_holds(pf)
     held = [theoretical_sinr(pro, pf, 64, N_r, 1, 32, u, s2, P_s=P_s)
             for pro, N_r, u, s2, P_s in calls]
     fresh = []
     for pro, N_r, u, s2, P_s in calls:
-        _clear_holds()
+        _clear_holds(pf)
         fresh.append(theoretical_sinr(pro, pf, 64, N_r, 1, 32, u, s2,
                                       P_s=P_s))
     assert held == fresh
@@ -597,26 +603,26 @@ def test_pdp_changed_in_place_gives_the_fresh_result(pf32):
     before = theoretical_sinr([prof], pf32, 32, 8, 1, 16, 0, 0.01)
     prof.taps[:] = [0.2, 0.3, 0.5]
     after = theoretical_sinr([prof], pf32, 32, 8, 1, 16, 0, 0.01)
-    _clear_holds()
+    _clear_holds(pf32)
     want = theoretical_sinr([PdpProfile("r", [0.2, 0.3, 0.5], RATE)], pf32,
                             32, 8, 1, 16, 0, 0.01)
     assert after == want != before
 
 
 def _held_weights(pf):
-    """The arrays held with the table of pf: the Gram bands first."""
-    held = dict(theory._TABLES[pf][2])
+    """The arrays held next to the table of pf: the Gram bands first."""
+    held = dict(pf.held)
+    del held["table"]
     return [held.pop("gram")] + [w for ws in held.values() for w in ws]
 
 
 def test_held_gram_bands_are_read_only(peda, eva):
     pf = design_prototype(4, 32)
-    F = interference_table(pf, 16)
     for prof in (peda, eva):    # two n: own-pair weights for each
         st = error_stats([prof], 32, 8, 1, (0, 0))
-        want = average_power(st, F.copy("K"), 16, 0.5)      # nothing held
+        want = average_power(st, design_prototype(4, 32), 0.5)  # none held
         for _ in range(2):      # the weights built, then read
-            assert average_power(st, F, 16, 0.5) == want
+            assert average_power(st, pf, 0.5) == want
     held = _held_weights(pf)
     assert len(held) == 1 + 2 * 4
     for w in held:
@@ -627,7 +633,7 @@ def test_held_gram_bands_are_read_only(peda, eva):
 def test_held_gram_bands_are_freed_with_their_prototype(peda):
     pf = design_prototype(4, 16)
     st = error_stats([peda], 16, 8, 1, (0, 0))
-    average_power(st, interference_table(pf, 8), 8, 1.0)
+    average_power(st, pf, 1.0)
     held = [weakref.ref(w) for w in _held_weights(pf)]
     assert len(held) == 5 and all(h() is not None for h in held)
     del pf
@@ -640,7 +646,7 @@ def test_nr_points_of_one_pdp_build_one_geometry(monkeypatch, eva, pf64):
     build = theory._geometry
     monkeypatch.setattr(theory, "_geometry",
                         lambda *args: calls.append(1) or build(*args))
-    _clear_holds()
+    _clear_holds(pf64)
     for N_r in (16, 64):
         for s2 in _SNRS:
             theoretical_sinr([eva], pf64, 64, N_r, 1, 32, 0, s2)
@@ -649,37 +655,37 @@ def test_nr_points_of_one_pdp_build_one_geometry(monkeypatch, eva, pf64):
 
 @pytest.mark.parametrize("M", [16, 64, 256])
 def test_bound_reads_the_held_table_bit_for_bit(M):
+    # the loopback columns of the held table are those of a transmux at the
+    # lattice lags alone, and every subcarrier reads the same bound from them
     for kappa in (2, 3, 4):
         dns = np.arange(1 - 2 * kappa, 2 * kappa)
+        pf = design_prototype(kappa, M)
+        alone = sir_upper_bound(pf, M, 1, 0)
+        np.testing.assert_array_equal(
+            interference_table(pf)[:, dns * (M // 2) + pf.L_f - 1],
+            _transmux(pf, range(dns[0] * (M // 2), (dns[-1] + 1) * (M // 2),
+                                M // 2)))
         for m in (0, M // 2, M - 1):
-            pf = design_prototype(kappa, M)
-            alone = sir_upper_bound(pf, M, 1, m)        # nothing held yet
-            F = interference_table(pf, m)
-            np.testing.assert_array_equal(
-                F[:, dns * (M // 2) + pf.L_f - 1],
-                _transmux(pf, m, range(dns[0] * (M // 2),
-                                       (dns[-1] + 1) * (M // 2), M // 2)))
             assert sir_upper_bound(pf, M, 1, m) == alone
 
 
 def test_table_is_the_reference_fold_bit_for_bit():
     pf = design_prototype(4, 256)
     lags = np.arange(1 - pf.L_f, pf.L_f)
-    want = np.conj(afb_reference(pf.subcarrier_filter(128), pf, -lags))
-    assert np.array_equal(interference_table(pf, 128), want)
+    want = np.conj(afb_reference(pf.coeffs, pf, -lags))
+    assert np.array_equal(interference_table(pf), want)
 
 
 def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
     """theoretical_sinr with error_stats and average_power run for every
     user pair, one after another."""
-    F = interference_table(pf, m)
     N_t = len(profiles)
     interference, exact_eq = 0.0, True
     for up in range(N_t):
         stats = error_stats(profiles, M, N_r, alpha, (u, up))
-        exact_eq &= not (stats.eps.any() or stats.eps_check.any()
+        exact_eq &= not (dense_eps(stats).any() or dense_check(stats).any()
                          or stats.mu.any())
-        rest, entry = average_power(stats, F, m, P_s)
+        rest, entry = average_power(stats, pf, P_s)
         if up == u:
             desired = entry
             n_bank = M * _dn_range(M, pf.L_f, alpha, stats.n).size - 1
@@ -720,12 +726,12 @@ def test_multiuser_sinr_evaluates_each_source_pdp_once(monkeypatch):
 
 def test_interference_confined_to_adjacent_ring(pf64, peda):
     # outside |dm| <= 1, |dn| <= 2 kappa the average power is negligible
-    tab = interference_table(pf64, 32)
+    tab = _table_oracle(pf64, 64, 32)
     st = error_stats([peda], 64, 8, 1, (0, 0))
     dns = _dn_range(64, pf64.L_f, 1, st.n).tolist()
     powers = _average_power_oracle(st, tab, 64, 32, 1, dns, 1.0)
     j0 = dns.index(0)
-    _, entry = average_power(st, tab, 32, 1.0)
+    _, entry = average_power(st, pf64, 1.0)
     for desired in (entry, powers[32, j0]):     # desired entry carries P_s
         assert abs(desired - 1.0) < 1e-12
     outside = 0.0
@@ -763,9 +769,8 @@ def test_flat_channels_orthogonal_bank_with_noise():
     noise = noise_power(flat, pf, 64, 8, 0.01)
     got = theoretical_sinr([flat], pf, 64, 8, 1, 32, 0, 0.01, P_s=0.5)
     assert np.isfinite(got)
-    _, desired = average_power(
-        error_stats([flat], 64, 8, 1, (0, 0)),
-        interference_table(pf, 32), 32, 0.5)
+    _, desired = average_power(error_stats([flat], 64, 8, 1, (0, 0)), pf,
+                               0.5)
     assert abs(got - 10 * np.log10(desired / noise)) < 1e-12
     assert theoretical_sinr([flat, flat], pf, 64, 8, 1, 32, 0, 0.0,
                             P_s=0.5) == np.inf
@@ -867,6 +872,42 @@ def test_sinr_trends(peda, pf32):
     hi = [theoretical_sinr([peda], pf32, 32, 8, 1, 16, 0, s2, P_s=0.5)
           for s2 in (50.0, 100.0)]
     assert abs(hi[0] - hi[1] - 3.0103) < 0.01
+
+
+def test_closed_form_is_the_same_on_every_subcarrier(peda, eva, pf32):
+    # a WSSUS channel makes every bin alike, edges included: one user with
+    # and without noise, and a two-user point for each user
+    M = 32
+    for pro, N_r, u, s2 in (([peda], 8, 0, 0.0), ([eva], 16, 0, 0.01),
+                            ([peda, eva], 16, 0, 0.01),
+                            ([peda, eva], 16, 1, 0.01)):
+        got = {theoretical_sinr(pro, pf32, M, N_r, 1, m, u, s2, P_s=0.5)
+               for m in (0, 1, M // 2, M - 1)}
+        assert len(got) == 1 and np.isfinite(got.pop())
+
+
+def test_monte_carlo_at_the_band_edge_agrees_with_the_centre():
+    # the same trials measured at m = 0 and at m = M/2: the two estimates of
+    # one expectation agree within their jackknife errors
+    cfg = SimConfig(M=16, N_t=2, N_r=6, trials=40, master_seed=5,
+                    gamma_db=20.0)
+    schemes = [SchemeSpec("single_tap"), SchemeSpec("two_stage"),
+               SchemeSpec("highrate")]
+    edge, centre = (sweep(replace(cfg, subcarrier=m), "N_r", [6, 12], schemes)
+                    for m in (0, 8))
+    for key, a in edge.reports.items():
+        b = centre.reports[key]
+        for val, se in (("sir_db", "sir_se_db"), ("sinr_db", "sinr_se_db")):
+            err = np.hypot(getattr(a, se), getattr(b, se))
+            assert 0 < err < 3.0
+            assert abs(getattr(a, val) - getattr(b, val)) <= 3 * err
+
+
+def test_average_power_on_a_prototype_of_another_m_is_a_config_error(peda,
+                                                                     pf32):
+    st = error_stats([peda], 16, 8, 1, (0, 0))
+    with pytest.raises(ConfigError, match="M=16"):
+        average_power(st, pf32, 1.0)
 
 
 # ------------------------------------------------ brute-force kernel oracles
@@ -1014,6 +1055,16 @@ def _table_oracle(pf, M, m):
     return np.stack([transmux_response(pf, m, mp) for mp in range(M)])
 
 
+def _shifted_table(F, m):
+    """F_m[m', l] = s e^{j2pi ml/M} F[(m' - m) mod M, l] from the table F of
+    subcarrier 0, s = -1 for m' < m and +1 otherwise."""
+    M, W = F.shape
+    lag = np.arange(W) - (W - 1) // 2
+    s = np.where(np.arange(M) < m, -1.0, 1.0)[:, None]
+    rows = F[(np.arange(M) - m) % M]
+    return s * np.exp(2j * np.pi * (m * lag % M) / M) * rows
+
+
 def _average_power_oracle(stats, F, M, m, alpha, dns, P_s):
     """Per-row [Re v; -Im v] vectors through the dense real covariance."""
     n, L_f = stats.n, (F.shape[1] + 1) // 2
@@ -1110,20 +1161,22 @@ def test_error_stats_matches_lag_loop_oracle(M, alpha, kind):
     users = len(profiles)
     eps, chk, mu = _error_stats_oracle(profiles, M, N_r, alpha, pair,
                                        exact=users == 1, n_eff=N_r - users)
-    _assert_close(st.eps, eps)
+    _assert_close(dense_eps(st), eps)
     if pair[0] == pair[1]:
-        _assert_close(st.eps_check, chk)
+        _assert_close(dense_check(st), chk)
         _assert_close(st.mu, mu)
     else:
-        assert not (st.eps_check.any() or st.mu.any())
+        assert not (dense_check(st).any() or st.mu.any())
 
 
 @pytest.mark.parametrize("kappa", [2, 3, 4])
 @pytest.mark.parametrize("M", [8, 16, 32])
 def test_interference_table_matches_transmux_oracle(M, kappa):
+    # the table of subcarrier 0, and through the shift of
+    # `interference_table` that of any other subcarrier
     pf = design_prototype(kappa, M)
-    for m in (0, M // 2, M - 1):
-        _assert_close(interference_table(pf, m),
+    for m in (0, 1, M // 2, M - 1):
+        _assert_close(_shifted_table(interference_table(pf), m),
                       _table_oracle(pf, M, m))
 
 
@@ -1136,8 +1189,8 @@ def test_average_power_matches_row_oracle(M, kappa, alpha, kind):
     pf = design_prototype(kappa, M)
     st = error_stats(profiles, M, N_r, alpha, pair)
     dns = _dn_range(M, pf.L_f, alpha, st.n).tolist()
+    rest, entry = average_power(st, pf, 0.5)        # the same at every m
     for m in (0, M // 2, M - 1):
-        rest, entry = average_power(st, interference_table(pf, m), m, 0.5)
         want = _average_power_oracle(st, _table_oracle(pf, M, m), M, m,
                                      alpha, dns, 0.5)
         _assert_close(entry, want[m, dns.index(0)])
@@ -1149,7 +1202,7 @@ def test_eps_weights_match_brute_force_sum_on_complex_table():
     # K_eps[l, l'] = sum_dn sum_m' F[m', i0 - l] conj(F[m', i0 - l']). The
     # PHYDYAS tables' +-M Gram bands are real to round-off, so only a table
     # with complex bands shows a lost conjugate there.
-    M, L_f, alpha, n, m = 8, 32, 1, 12, 3
+    M, L_f, alpha, n = 8, 32, 1, 12
     rng = np.random.default_rng(21)
     F = (rng.standard_normal((M, 2 * L_f - 1))
          + 1j * rng.standard_normal((M, 2 * L_f - 1)))
@@ -1160,7 +1213,7 @@ def test_eps_weights_match_brute_force_sum_on_complex_table():
     (el, elp), _ = _support(n, M, alpha * M // 2)
     want = [sum(np.sum(col(i0 - l) * np.conj(col(i0 - lp))) for i0 in i0s)
             for l, lp in zip(el.tolist(), elp.tolist())]
-    got = theory._weights(F, m, alpha, n, False)[0]
+    got = theory._weights(F, alpha, n, False, lambda key, build: build())[0]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
