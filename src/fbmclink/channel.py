@@ -265,7 +265,6 @@ class FreqCsi(Holder):
     def __init__(self, time_taps, M):
         self.time_taps = np.asarray(time_taps, dtype=complex)
         self.M = M
-        self.held = {}
 
 
 def freq_csi(h, M):

@@ -39,20 +39,20 @@ _CHUNK_BYTES = 1 << 20
 
 
 class Holder:
-    """Base of the objects that hold read-only arrays derived from them in
-    their dict `held` (`PrototypeFilter`, `channel.FreqCsi`): an array is
-    freed with its owner, which is not to be changed once one is held.
-    Threads that miss on one key each build the same array; one is kept."""
+    """Base of `PrototypeFilter` and `channel.FreqCsi`: read-only arrays
+    derived from the object, held in its dict `held` and freed with it.
+    The object is not to be changed once one is held."""
 
     def hold(self, key, build):
         """held[key], from build() on the first read: an array or a tuple of
-        arrays, each made read-only before it is held."""
-        out = self.held.get(key)
+        arrays, made read-only. Threads that miss at once each build one."""
+        held = self.__dict__.setdefault("held", {})
+        out = held.get(key)
         if out is None:
             out = build()
             for a in out if isinstance(out, tuple) else (out,):
                 a.flags.writeable = False
-            self.held[key] = out
+            held[key] = out
         return out
 
 
@@ -73,7 +73,6 @@ class PrototypeFilter(Holder):
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.M = int(M)
         self.kappa = int(kappa)
-        self.held = {}
 
     @property
     def L_f(self):

@@ -8,8 +8,8 @@ one tap W[m, u] (single-tap, alpha = 0), the L_g high-rate taps (D1 = 1) or
 the two-stage g-bar of subcarrier m. `_equalized_channel` sums the antennas
 into each user's equalized channel c_{u'} = sum_r g^r * h^{r,u'} with one
 antenna contraction and shifted adds, no FFT, and the real symbol
-s_{m',n-dn} of user u' reaches the phase-compensated output
-(m, n) with the coefficient R[u', m', dn] that `theory._lattice` reads from
+s_{m',n-dn} of user u' reaches the phase-compensated output (m, n) with
+the coefficient R[u', (m' - m) mod M, dn] that `theory._lattice` reads from
 c_{u'} and the table F = `theory.interference_table(pf)` of subcarrier 0
 (entry i at lag i - (L_f - 1)): the closed form's Re{v^T psi} with c in
 place of psi. It is exact (a full transmit/receive chain gives the same
@@ -157,7 +157,7 @@ def _equalized_channel(h, g, D1):
 class CoeffSet:
     """Measured real interference coefficients of one scheme on one trial."""
 
-    R: np.ndarray           # (N_t, M, n_dn)
+    R: np.ndarray           # (N_t, M, n_dn), row k for m' = (m + k) mod M
     dn: np.ndarray          # lattice time offsets, dn[j] = n - n'
     m: int
     u: int
@@ -167,7 +167,7 @@ class CoeffSet:
 
     def desired_power(self):
         j0 = int(np.nonzero(self.dn == 0)[0][0])
-        return self.P_s * float(self.R[self.u, self.m, j0]) ** 2
+        return self.P_s * float(self.R[self.u, 0, j0]) ** 2
 
     def interference_power(self):
         return self.P_s * float(np.sum(self.R ** 2)) - self.desired_power()

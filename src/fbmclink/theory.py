@@ -316,18 +316,17 @@ def _windows(F, lo, hi, i0):
 def _lattice(F, m, alpha, c):
     """(dns, R), dns = `_dn_range`: the coefficient R (..., M, dns.size) with
     which s_{m', n - dn} reaches the phase-compensated output (m, n) through
-    the equalized channel c (..., L), lag 0 first; F the table of
-    subcarrier 0, F_m that of m (`interference_table`):
+    the equalized channel c (..., L), lag 0 first, in row k = (m' - m) mod M;
+    F the table of subcarrier 0, F_m that of m (`interference_table`):
 
-      R[..., m', j] = Re{j^((m'-m-dn) mod 4) sum_l F_m[m', i0 - l] c[..., l]},
+      R[..., k, j] = Re{j^((m'-m-dn) mod 4) sum_l F_m[m', i0 - l] c[..., l]},
       i0 = (dn + alpha) M/2 + L_f - 1,      dn = dns[j].
 
-    At lag (dn + alpha) M/2 - l, F_m's phase is (-1)^{m(dn+alpha)}
-    e^{-j2pi ml/M}: the second factor goes on c, the first and s = j^2 into
-    the power of j. Per dn, one product of the reversed c with the
-    `_windows` view for each run of lags where c is nonzero, runs split only
-    at gaps of over M/2 lags (E{H_eq} at alpha = 0 has two rays, M lags
-    apart); an all-zero c gives zeros without reading F.
+    F_m[m', i0 - l] is s (-1)^{m(dn+alpha)} e^{-j2pi ml/M} F[k, i0 - l]:
+    the lag phase goes on c, s = j^2 and the sign into the power of j. Per
+    dn, one product of the reversed c with the `_windows` view for each run
+    of nonzero lags, split only at gaps of over M/2 lags (E{H_eq} at alpha =
+    0 has two rays, M apart); an all-zero c gives zeros without reading F.
     """
     M, L, L_f = F.shape[0], c.shape[-1], (F.shape[1] + 1) // 2
     dns = _dn_range(M, L_f, alpha, L)
@@ -347,14 +346,12 @@ def _lattice(F, m, alpha, c):
             a, b, W = _windows(F, lo, hi, i0)
             if a <= b:                  # the run reaches the table
                 Z[j] += np.dot(cr[..., L - 1 - b:L - a], W.T)
-    # row (m' - m) mod M to row m', in C order again: sums over R keep order
-    Z = np.moveaxis(Z, 0, -1)
-    R = np.empty(Z.shape, dtype=complex)
-    R[..., m:, :], R[..., :m, :] = Z[..., :M - m, :], Z[..., M - m:, :]
     k = np.arange(M)
-    k[:m] += 2                                  # the wrap sign s = j^2
-    R *= _J[(k[:, None] + ((2 * m - 1) * dns + 2 * m * alpha - m)) & 3]
-    return dns, R.real
+    k[M - m:] += 2 - M                  # m' - m + 2 where m' < m: s = j^2
+    d = ((2 * m - 1) * dns + 2 * m * alpha).reshape((-1,) + (1,) * c.ndim)
+    Z *= _J[(k + d) & 3]
+    # C order again, so that sums over R run in row order
+    return dns, np.ascontiguousarray(Z.real.transpose(*range(1, Z.ndim), 0))
 
 
 def _weights(F, alpha, n, own, held):
@@ -406,16 +403,13 @@ def average_power(stats, pf, P_s):
     (m, 0), and the (m, 0) entry (for the own pair, the desired power);
     ConfigError when stats and pf differ in M.  Both are formed at m = 0 on
     the `interference_table` F of pf: the shift to m puts e^{-j2pi ml/M} on
-    v, which cancels on both bands (l' - l in {0, +-M}, l + l' = 0 mod M),
-    and at most flips the sign of a mean amplitude.  An entry is the
-    variance (1/2) Re{v^T eps v^* + v^T eps_check v}, v[l] = F[m', i0 - l]
-    j^(m'-dn) and i0 = (dn + alpha) M/2 + L_f - 1, plus the squared mean
-    amplitude: `_lattice` of E{H_eq} = mu + delta[l - alpha M/2] (the
-    filter-bank peak and error rays), zero for a cross pair.  Linear in the
-    bands, the variance sums to (1/2) Re{<eps_band, K_eps> + <check_band,
-    K_chk>}: the phase of v cancels in eps, so K_eps[l, l'] = sum_dn
-    g_{l'-l}[i0 - l] (column Gram bands g_d), and squares to (-1)^(m'-dn)
-    in eps_check, so K_chk[l, l'] = sum_dn (-1)^dn sum_m' (-1)^m' F[m',
+    v, which cancels on both bands (l' - l in {0, +-M}, l + l' = 0 mod M).
+    An entry is the variance (1/2) Re{v^T eps v^* + v^T eps_check v}, v[l]
+    = F[m', i0 - l] j^(m'-dn) as in `_lattice`, plus the squared mean
+    amplitude, `_lattice` of E{H_eq} = mu + delta[l - alpha M/2], zero for
+    a cross pair.  Summed, the variance is (1/2) Re{<eps_band, K_eps> +
+    <check_band, K_chk>}: K_eps[l, l'] = sum_dn g_{l'-l}[i0 - l] (column
+    Gram bands g_d) and K_chk[l, l'] = sum_dn (-1)^dn sum_m' (-1)^m' F[m',
     i0-l] F[m', i0-l'].  The (0, 0) variance is formed from row 0 and leaves
     the sum; amplitudes stay per entry, (0, 0) zeroed before squaring, so
     the peak's square is never cancelled.  `_weights` are held on pf.
@@ -489,8 +483,7 @@ def sir_upper_bound(pf, M, alpha, m):
     impulse at m = 0, which only their signs tell from those of m.
     """
     if M != pf.M or not 0 <= m < M:
-        raise ConfigError(f"need M={pf.M} and m in [0, {pf.M}), got M={M}, "
-                          f"m={m}")
+        raise ConfigError(f"need M={pf.M}, 0 <= m < {pf.M}, got M={M}, m={m}")
     dns, c = _lattice(interference_table(pf), 0, 0, np.ones(1))
     c[0, dns == 0] = 0.0
     den = np.sum(c * c)

@@ -75,7 +75,8 @@ def _oracle_measure(H, scheme, pf, m, u):
 def _assert_matches(got, want, rel=1e-12):
     R, dn, noise_gain = want
     assert np.array_equal(got.dn, dn)
-    assert np.abs(got.R - R).max() <= rel * np.abs(R).max()
+    got_R = np.roll(got.R, got.m, axis=-2)  # row (m' - m) mod M to row m'
+    assert np.abs(got_R - R).max() <= rel * np.abs(R).max()
     assert abs(got.noise_gain - noise_gain) <= rel * noise_gain
 
 
@@ -187,7 +188,7 @@ def _check_chain(kind, H, rng, pf, N_d, subcarriers):
             c, = _measure_many(H, [scheme], pf, m, u)
             n = np.arange(c.dn.max(), N_d + c.dn.min())
             assert n.size >= 8
-            pred = np.einsum("vmj,vmjn->n", c.R,
+            pred = np.einsum("vmj,vmjn->n", np.roll(c.R, m, axis=-2),
                              s[:, :, n[None, :] - c.dn[:, None]])
             got = shat[u, m, n]
             assert np.abs(got - pred).max() <= 1e-12 * np.abs(got).max()

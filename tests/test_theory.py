@@ -442,7 +442,7 @@ def test_dn_range_matches_window_oracle(M, kappa):
 
 @pytest.mark.parametrize("alpha", [0, 1, 2])
 def test_lattice_matches_triple_sum_oracle(alpha):
-    # R[k, m', j] = Re{j^((m'-m-dn) mod 4) sum_l F_m[m', i0 - l] c[k, l]},
+    # R[k, m', j] = Re{j^((m'-m-dn) mod 4) sum_l F_m[m', i0 - l] x[k, l]},
     # summed term by term with F_m, the table of subcarrier m by direct
     # convolution, zero beyond the table; `_lattice` reads the m = 0 table
     M, kappa, L = 16, 4, 40
@@ -456,8 +456,9 @@ def test_lattice_matches_triple_sum_oracle(alpha):
     gapped[1, 30:] = 0.0
     for m in (0, 5, M - 1):
         Fm = _table_oracle(pf, M, m)
-        for c in (c, gapped):
-            dns, R = theory._lattice(F, m, alpha, c)
+        for x in (c, gapped):
+            dns, R = theory._lattice(F, m, alpha, x)
+            R = np.roll(R, m, axis=-2)      # row (m' - m) mod M to row m'
             np.testing.assert_array_equal(dns, _dn_range(M, pf.L_f, alpha, L))
             i0s = ((dns + alpha) * (M // 2) + pf.L_f - 1).tolist()
             # clipped at both ends
@@ -466,7 +467,7 @@ def test_lattice_matches_triple_sum_oracle(alpha):
             for k in range(2):
                 for mp in range(M):
                     for j, (dn, i0) in enumerate(zip(dns.tolist(), i0s)):
-                        acc = sum(Fm[mp, i0 - l] * c[k, l] for l in range(L)
+                        acc = sum(Fm[mp, i0 - l] * x[k, l] for l in range(L)
                                   if 0 <= i0 - l < W)
                         want[k, mp, j] = (1j ** ((mp - m - dn) % 4)
                                           * acc).real
@@ -553,7 +554,7 @@ def test_sweep_equals_fresh_prototypes(peda, eva):
 def _clear_holds(*owners):
     theory._GEOMETRY[0] = None
     for owner in owners:
-        owner.held.clear()
+        vars(owner).pop("held", None)
 
 
 def test_held_terms_equal_evaluations_with_holds_cleared(peda, eva):
