@@ -71,22 +71,24 @@ def _write_csv(path, header, rows):
 
 
 def _run_fig3(cfg, scale, out_dir, threads):
+    if cfg.M < 8:
+        raise ConfigError(f"fig3 needs M >= 8 for D1 = M/8, got M={cfg.M}")
+    # per D1, eight lengths from the first at which g-bar can place the
+    # alpha M/2 delay, alpha M/(2 D1) low-rate taps
+    specs = [SchemeSpec("two_stage", D1=D1, Lg_prime=L)
+             for D1 in (cfg.M // 2, cfg.M // 4, cfg.M // 8)
+             for L in range(cfg.alpha * cfg.M // (2 * D1) + 1,
+                            cfg.alpha * cfg.M // (2 * D1) + 9)]
     rows = []
     for ch in cfg.channels:
-        for D1 in (cfg.M // 2, cfg.M // 4, cfg.M // 8):
-            # eight lengths from the first at which g-bar can place the
-            # alpha M/2 delay, alpha M/(2 D1) low-rate taps
-            first = cfg.alpha * cfg.M // (2 * D1) + 1
-            points = list(range(first, first + 8))
-            c = replace(cfg, channels=(ch,), D1=D1)
-            two = SchemeSpec("two_stage", D1=D1, Lg_prime=cfg.Lg_prime)
-            res = sweep(c, "Lg_prime", points,
-                        schemes=[two, SchemeSpec("highrate")], threads=threads)
-            lab2 = [l for l in res.labels if l != "highrate"][0]
-            for pt in points:
-                rep = res.get(pt, lab2)
-                hr = res.get(pt, "highrate")
-                rows.append((pt, D1, ch, rep.sir_db, rep.sir_se_db, hr.sir_db))
+        # one sweep: every spec reads each trial's draw and stage-1 solve
+        c = replace(cfg, channels=(ch,))
+        res = sweep(c, "N_r", [c.N_r], specs + [SchemeSpec("highrate")],
+                    threads=threads)
+        hr = res.get(c.N_r, "highrate").sir_db
+        for sp in specs:
+            r = res.get(c.N_r, sp.label())
+            rows.append((sp.Lg_prime, sp.D1, ch, r.sir_db, r.sir_se_db, hr))
     return [_write_csv(os.path.join(out_dir, "fig3.csv"),
                        ("Lg_prime", "D1", "channel", "sir_db", "sir_se_db",
                         "highrate_sir_db"), rows)]
@@ -197,6 +199,9 @@ def run_preset(name, scale="desk", out_dir="out", config_text=None, seed=None,
     cfg = SimConfig(**items)
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)
+    if name in ("fig3", "fig4") and not cfg.channels:
+        raise ConfigError(f"{name} plots one curve per listed channel; "
+                          "channels is empty")
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write_probe")

@@ -295,19 +295,21 @@ class SweepResult:
         return self.reports[(point, label)]
 
 
-_AXES = ("N_r", "gamma_db", "Lg_prime")
+_AXES = ("N_r", "gamma_db")
 
 
 def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     """Monte Carlo sweep along one axis.
 
-    schemes: the SchemeSpecs to measure, each on the same trials.
-    axis: 'N_r' | 'gamma_db' | 'Lg_prime'; points must be nonempty and
-    strictly increasing. Lg_prime points must be >= 1; N_r points need not be
-    powers of two; gamma_db points may be negative. Within a trial index the
-    channel realization is shared across schemes (and, where the receiver does
-    not depend on the axis, across points). Each report carries the
-    fingerprint of its point's config; an Lg_prime point keeps `config`.
+    schemes: the SchemeSpecs to measure, each on the same trials; a list of
+    specs is how to measure L'_g or D1 variants on shared trials (a
+    single-point sweep when nothing else varies).
+    axis: 'N_r' | 'gamma_db'; points must be nonempty and strictly
+    increasing. N_r points are integers >= 1, not necessarily powers of two;
+    gamma_db points may be negative. Within a trial index the channel
+    realization is shared across schemes (and, where the receiver does not
+    depend on the axis, across points). Each report carries the fingerprint
+    of its point's config.
     """
     if axis not in _AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
@@ -316,38 +318,26 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
         raise ConfigError("sweep needs at least one point")
     if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
         raise ConfigError("sweep points must be strictly increasing")
-    if axis != "gamma_db" and any(int(p) != p or p < 1 for p in points):
+    if axis == "N_r" and any(int(p) != p or p < 1 for p in points):
         raise ConfigError(f"{axis} sweep points must be integers >= 1")
     _check_csi_mode(csi_mode)
     specs = _specs(config, schemes)
     labels = tuple(sp.label() for sp in specs)
-    plan = []       # (point, config, specs)
-    for pt in points:
-        if axis == "Lg_prime":      # selects specs; the config stays
-            plan.append((pt, config, [replace(sp, Lg_prime=int(pt))
-                                      if sp.kind == "two_stage" else sp
-                                      for sp in specs]))
-        else:
-            value = float(pt) if axis == "gamma_db" else int(pt)
-            plan.append((pt, replace(config, **{axis: value}), specs))
-    # trials are shared across points when no receiver depends on the axis:
-    # L'_g only selects among specs, and ZF with perfect CSI ignores the SNR
-    shared = axis == "Lg_prime" or (axis == "gamma_db" and
-                                    csi_mode == "perfect" and
-                                    config.criterion == "zf")
+    # ZF with perfect CSI ignores the SNR: every point reads the first's trials
+    shared = (axis == "gamma_db" and csi_mode == "perfect" and
+              config.criterion == "zf")
     # no axis changes the prototype, N_t or the channel assignment
     pf = design_prototype(config.kappa, config.M)
     profiles = [load_pdp(nm, config.sample_rate)
                 for nm in channel_assignment(config)]
-    if shared:
-        unique = list(dict.fromkeys(sp for _, _, v in plan for sp in v))
-        data = _collect(config, unique, csi_mode, threads, pf, profiles)
-    reports = {}
-    for pt, cfg, v in plan:
-        if not shared:
-            data = _collect(cfg, v, csi_mode, threads, pf, profiles)
+    reports, data = {}, None
+    for pt in points:
+        cfg = replace(config, **{axis: float(pt) if axis == "gamma_db"
+                                 else int(pt)})
+        if data is None or not shared:
+            data = _collect(cfg, specs, csi_mode, threads, pf, profiles)
         fp = fingerprint(cfg)
-        for sp, lab in zip(v, labels):
+        for sp, lab in zip(specs, labels):
             reports[(pt, lab)] = _report(cfg, sp, lab, data[sp], csi_mode, fp)
     log.debug("sweep %s done (%d points)", axis, len(points))
     return SweepResult(axis, tuple(points), labels, reports, fingerprint(config))

@@ -70,10 +70,6 @@ class DecimationPlan:
     def __repr__(self):
         return f"DecimationPlan(M={self.M}, D1={self.D1}, D2={self.D2})"
 
-    def __eq__(self, other):
-        return (isinstance(other, DecimationPlan)
-                and (self.M, self.D1) == (other.M, other.D1))
-
 
 def _held_map(pf, D1, Lg_prime, L):
     """The real (L, Lg_prime) map P pinv(F_0)^T of `_fit`, held on pf."""

@@ -428,7 +428,7 @@ def average_power(stats, pf, P_s):
             P_s * (quad0 + amp0 * amp0))
 
 
-def noise_power(profile, pf, M, N_r, sigma_z2, N_t=1):
+def noise_power(profile, pf, N_r, sigma_z2, N_t=1):
     """Average demodulated-noise power of the two-stage/high-rate ZF receiver.
 
     For a single stream the bin-m'/bin-m'' combiner cross moment
@@ -436,16 +436,17 @@ def noise_power(profile, pf, M, N_r, sigma_z2, N_t=1):
     bin correlation; for N_t > 1 it is approximated by
     tau[m'', m'] / (N_r - N_t), exact (inverse-Wishart mean) on the diagonal
     that carries nearly all the weight.  `profile` is the equalized user's
-    PDP.  That moment K depends only on m'' - m' (mod M), so the equalizer
-    taps are uncorrelated with sum_l E{|g[l]|^2} = K[0], and the power is
-    sigma_z2 K[0] ||p||^2 / (2 c0) for every delay and subcarrier.
+    PDP, and M is pf.M.  That moment K depends only on m'' - m' (mod M), so
+    the equalizer taps are uncorrelated with sum_l E{|g[l]|^2} = K[0], and
+    the power is sigma_z2 K[0] ||p||^2 / (2 c0) for every delay and
+    subcarrier.
     """
     if sigma_z2 == 0:
         return 0.0
     if N_r - N_t < 1:
         raise ConfigError(f"need N_r > N_t for ZF noise statistics, "
                           f"got N_r={N_r}, N_t={N_t}")
-    t = np.conj(np.fft.fft(profile.taps, M))     # column 0 of tau
+    t = np.conj(np.fft.fft(profile.taps, pf.M))  # column 0 of tau
     c0 = t[0].real
     if N_t == 1:    # J1 at rho = 1; the whole vector reuses error_stats' key
         k0 = _ratio_moments(np.abs(t / c0), N_r)[0][0]
@@ -526,8 +527,7 @@ def theoretical_sinr(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s=1.0):
         interference += seen[key][1]
     if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:
         interference = 0.0
-    total = interference + noise_power(profiles[u], pf, M, N_r, sigma_z2,
-                                       N_t=N_t)
+    total = interference + noise_power(profiles[u], pf, N_r, sigma_z2, N_t=N_t)
     if total == 0.0:
         return np.inf
     if not total > 0.0:

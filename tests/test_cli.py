@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from fbmclink.channel import load_pdp
 from fbmclink.cli import main
 from fbmclink.config import P_SYM, SimConfig
 from fbmclink.fbmc import design_prototype
+from fbmclink.metrics import SchemeSpec, sweep
 from fbmclink.theory import theoretical_sinr
 
 _TINY_FIG7 = """\
@@ -125,6 +127,53 @@ def test_fig3_lengths_start_where_the_delay_fits(tmp_path, capsys):
         assert all(x > 16 // (2 * D1) for x in lg)
         assert lg == list(range(16 // (2 * D1) + 1, 16 // (2 * D1) + 9))
     assert all(np.isfinite(float(r["sir_db"])) for r in rows)
+
+
+def test_fig3_rows_equal_separate_sweeps_of_each_d1(tmp_path, monkeypatch):
+    # one sweep per channel measures every D1's lengths and the high-rate
+    # scheme on the trials that a sweep of each D1 alone draws
+    channels = []
+    real = cli.sweep
+    monkeypatch.setattr(cli, "sweep", lambda c, *args, **kwargs: (
+        channels.append(c.channels) or real(c, *args, **kwargs)))
+    code, out = _run(tmp_path, "fig3", "M = 16\nN_r = 4\ntrials = 3\n"
+                     "channels = PedA, EVA\n")
+    assert code == 0 and channels == [("PedA",), ("EVA",)]
+    with open(out / "fig3.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 3 * 8
+    cfg = SimConfig(**{**cli._preset_items("fig3", "desk"), "M": 16,
+                       "N_r": 4, "trials": 3})
+    groups = {}
+    for r in rows:
+        groups.setdefault((r["channel"], int(r["D1"])), []).append(r)
+    assert list(groups) == [(ch, D1) for ch in ("PedA", "EVA")
+                            for D1 in (8, 4, 2)]
+    for (ch, D1), rs in groups.items():
+        specs = [SchemeSpec("two_stage", D1=D1, Lg_prime=int(r["Lg_prime"]))
+                 for r in rs]
+        res = sweep(replace(cfg, channels=(ch,)), "N_r", [4],
+                    specs + [SchemeSpec("highrate")])
+        for r, sp in zip(rs, specs):
+            rep = res.get(4, sp.label())
+            assert float(r["sir_db"]) == rep.sir_db
+            assert float(r["sir_se_db"]) == rep.sir_se_db
+            assert float(r["highrate_sir_db"]) == res.get(4, "highrate").sir_db
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_an_empty_channel_list_exits_2(tmp_path, capsys, preset):
+    # both presets plot one curve per listed channel
+    code, out = _run(tmp_path, preset, "M = 16\ntrials = 2\nchannels =\n")
+    _assert_config_error(code, capsys, "channels is empty")
+    assert not (out / f"{preset}.csv").exists()
+
+
+def test_fig3_below_m_8_exits_2(tmp_path, capsys):
+    # its smallest D1 is M/8
+    code, out = _run(tmp_path, "fig3", "M = 4\ntrials = 2\nchannels = PedA\n")
+    _assert_config_error(code, capsys, "fig3 needs M >= 8")
+    assert not (out / "fig3.csv").exists()
 
 
 def test_fig4_channel_longer_than_m_exits_2_before_the_sweep(

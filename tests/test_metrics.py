@@ -323,7 +323,6 @@ def test_every_subcarrier_reads_one_table_per_prototype(monkeypatch, peda):
 @pytest.mark.parametrize("criterion, axis, points, csi_mode", [
     ("zf", "gamma_db", [0.0, 20.0], "perfect"),      # trials shared
     ("mmse", "gamma_db", [0.0, 20.0], "perfect"),    # trials per point
-    ("mmse", "Lg_prime", [3, 5], "estimated"),       # trials shared
 ])
 def test_sweep_points_equal_single_point_sweeps(criterion, axis, points,
                                                 csi_mode):
@@ -335,6 +334,30 @@ def test_sweep_points_equal_single_point_sweeps(criterion, axis, points,
         for lab in res.labels:
             assert res.get(pt, lab) == alone.get(pt, lab)
             assert res.get(pt, lab).config_fingerprint == fingerprint(point_cfg)
+
+
+def test_specs_of_one_sweep_equal_sweeps_of_each_alone():
+    # L'_g and D1 variants share a trial's draw, CSI estimate and stage-1
+    # solve; no spec's report depends on the others in the list
+    cfg = replace(_small_cfg(), trials=3)
+    specs = _SCHEMES + [SchemeSpec("two_stage", Lg_prime=3),
+                        SchemeSpec("two_stage", D1=8, Lg_prime=5)]
+    res = sweep(cfg, "N_r", [cfg.N_r], specs, csi_mode="estimated")
+    assert len(set(res.labels)) == len(specs)
+    for sp in specs:
+        alone = sweep(cfg, "N_r", [cfg.N_r], [sp], csi_mode="estimated")
+        lab, = alone.labels
+        assert res.get(cfg.N_r, lab) == alone.get(cfg.N_r, lab)
+        assert res.get(cfg.N_r, lab).config_fingerprint == fingerprint(cfg)
+
+
+@pytest.mark.parametrize("axis, points", [
+    ("Lg_prime", [3, 5]), ("D1", [4]), ("N_r", [4, 4]), ("N_r", [0, 4]),
+    ("N_r", [4.5]), ("gamma_db", []),
+])
+def test_sweep_rejects_a_bad_axis_or_points(axis, points):
+    with pytest.raises(ConfigError):
+        sweep(_small_cfg(), axis, points, _SCHEMES)
 
 
 @pytest.mark.parametrize("threads", [0, -4])

@@ -88,8 +88,6 @@ def test_decimation_plan():
     p = DecimationPlan(64, 16)
     assert (p.M, p.D1, p.D2) == (64, 16, 2)
     assert DecimationPlan(64, 32).D2 == 1
-    assert p == DecimationPlan(64, 16)
-    assert p != DecimationPlan(64, 32)
     assert repr(p) == "DecimationPlan(M=64, D1=16, D2=2)"
 
 

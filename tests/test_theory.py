@@ -386,18 +386,18 @@ def test_single_user_sinr_matches_monte_carlo(peda):
 
 def test_noise_power_zero_and_flat(pf32):
     flat = PdpProfile("flat", [1.0], RATE)
-    assert noise_power(flat, pf32, 32, 8, 0.0) == 0.0
+    assert noise_power(flat, pf32, 8, 0.0) == 0.0
     # flat channel: every bin combiner is the same MRC row, power s2/(2(N_r-1))
     for N_r in (4, 8):
-        got = noise_power(flat, pf32, 32, N_r, 0.3)
+        got = noise_power(flat, pf32, N_r, 0.3)
         assert abs(got - 0.3 / (2 * (N_r - 1))) < 1e-12
     with pytest.raises(ValueError, match="N_r > N_t"):
-        noise_power(flat, pf32, 32, 4, 0.3, N_t=4)
+        noise_power(flat, pf32, 4, 0.3, N_t=4)
 
 
 def test_noise_power_against_simulation(eva, pf32):
     s2 = 0.4
-    want = noise_power(eva, pf32, 32, 8, s2)
+    want = noise_power(eva, pf32, 8, s2)
     vals = []
     for tr in range(60):
         rng = trial_rng(55, tr)
@@ -695,7 +695,7 @@ def _sinr_per_user_oracle(profiles, pf, M, N_r, alpha, m, u, sigma_z2, P_s):
         interference += rest
     if exact_eq and interference <= _roundoff_floor(n_bank, pf.L_f) * desired:
         interference = 0.0
-    total = interference + noise_power(profiles[u], pf, M, N_r, sigma_z2,
+    total = interference + noise_power(profiles[u], pf, N_r, sigma_z2,
                                        N_t=N_t)
     return 10.0 * np.log10(desired / total)
 
@@ -767,7 +767,7 @@ def test_flat_channels_orthogonal_bank_with_noise():
     # users (exact multi-user ZF) are still interference-free without noise
     flat = PdpProfile("flat", [1.0], RATE)
     pf = design_prototype(2, 64)
-    noise = noise_power(flat, pf, 64, 8, 0.01)
+    noise = noise_power(flat, pf, 8, 0.01)
     got = theoretical_sinr([flat], pf, 64, 8, 1, 32, 0, 0.01, P_s=0.5)
     assert np.isfinite(got)
     _, desired = average_power(error_stats([flat], 64, 8, 1, (0, 0)), pf,
@@ -1246,7 +1246,7 @@ def test_noise_power_matches_dense_oracle(M, kappa, N_t):
     profile = _oracle_profiles(M)[0]
     for alpha in (0, 1):
         for m in (0, M // 2, M - 1):
-            _assert_close(noise_power(profile, pf, M, 6, 0.3, N_t=N_t),
+            _assert_close(noise_power(profile, pf, 6, 0.3, N_t=N_t),
                           _noise_power_oracle(profile, pf, M, 6, alpha, 0.3,
                                               m, N_t))
 
@@ -1277,7 +1277,7 @@ def test_theory_input_errors_are_config_errors(uni4, eva, pf32):
     cases = [lambda: error_stats([eva], 16, 8, 1, (0, 0)),
              lambda: error_stats([uni4, uni4], 16, 2, 1, (0, 1)),
              lambda: _ratio_moments([0.5], 1),
-             lambda: noise_power(uni4, pf32, 32, 4, 0.3, N_t=4),
+             lambda: noise_power(uni4, pf32, 4, 0.3, N_t=4),
              lambda: theoretical_sinr([uni4] * 4, pf32, 32, 4, 1, 16, 0, 0.1)]
     for call in cases:
         with pytest.raises(ConfigError):
