@@ -257,9 +257,9 @@ class FreqCsi(Holder):
     """Channel state on the M DFT bins, held as time taps.
 
     time_taps, shape (N_r, N_t, L), is what the equalizer designers read:
-    they take its bins at any grid size n with ``bin_response(time_taps,
-    n)``, which folds the taps modulo n. It holds the true taps for perfect
-    CSI and the length-M IDFT of the estimated bins for estimated CSI.
+    they take its M bins with ``bin_response(time_taps, M)``, which folds
+    the taps modulo M. It holds the true taps for perfect CSI and the
+    length-M IDFT of the estimated bins for estimated CSI.
     """
 
     def __init__(self, time_taps, M):

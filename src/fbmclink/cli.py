@@ -14,8 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import load_pdp
-from .config import SimConfig, _parse_items, channel_assignment, fingerprint
-from .config import parse_config, render_config, P_SYM  # re-exported API
+from .config import P_SYM, SimConfig, _parse_items
 from .errors import ConfigError, NumericalError
 from .fbmc import design_prototype
 from .metrics import SchemeSpec, run_mse, sweep

@@ -1,19 +1,12 @@
 """Run configuration: a typed key=value file format, rendering, fingerprints.
 
 Config files are UTF-8 text, one ``key = value`` per line, ``#`` comments.
-``D1``, ``L_g`` and ``subcarrier`` accept ``M``-relative notation ("M/4", "M",
-"M/2"), resolved against the config's ``M`` (the file's, or the default).
-Their defaults are M-relative too: D1 = M/4, L_g = M, subcarrier = M/2. A
-value resolved from such a form reads as an int but keeps its divisor, so
-``dataclasses.replace(cfg, M=...)`` resolves it again at the new M; a plain
-int given explicitly stays as given. The divisor travels with the value:
-``replace(cfg, M=512, D1=cfg.D1)`` and ``SimConfig(M=512, D1=cfg.D1)`` resolve
-it again too, and ``int(cfg.D1)`` pins it. ``render_config`` writes such a
-value in its M-relative form ("M/4", "M"), so a config read back from its
-text resolves again under ``replace(cfg, M=...)`` just as the original does,
-and ``parse_config(render_config(cfg)) == cfg`` holds for every valid config.
-``fingerprint`` hashes the text with the resolved ints, so a value given as
-"M/4" and the same value given as an int share a fingerprint.
+``D1`` and ``subcarrier`` accept ``M``-relative notation ("M/4", "M/2"),
+resolved against the config's ``M`` (the file's, or the default). Their
+defaults are M-relative too: D1 = M/4, subcarrier = M/2. Every value
+resolves once, to a plain int, so ``render_config`` writes ints,
+``parse_config(render_config(cfg)) == cfg`` holds for every valid config,
+and ``fingerprint`` hashes that same text.
 
 ``channels`` names one profile per user (cycled): EVA, ETU, PedA or PedB in
 any case, or the path of a ``delay_ns power_db`` text file (``#`` comments)
@@ -35,22 +28,15 @@ _CHANNEL_NAMES = {"eva": "EVA", "etu": "ETU", "peda": "PedA", "pedb": "PedB"}
 P_SYM = 0.5
 
 
-class _MRelative(int):
-    """An int resolved from M/k that keeps its divisor k."""
-
-
 # divisor k of each M-relative field's default, M/k
-_M_RELATIVE = {"D1": 4, "L_g": 1, "subcarrier": 2}
+_M_RELATIVE = {"D1": 4, "subcarrier": 2}
 
 
 def _resolve_m_relative(key, val, M):
-    """The value of field `key` at this M: the default (0 for D1 and L_g, a
-    negative value for subcarrier, whose 0 is a valid bin), the text "M" or
-    "M/k", or a value resolved from one of those at another M gives M/k;
-    any other plain int is kept as given."""
-    if isinstance(val, _MRelative):
-        k = val.k
-    elif isinstance(val, str):
+    """The value of field `key` at this M: the default (0 for D1, a negative
+    value for subcarrier, whose 0 is a valid bin) or the text "M" or "M/k"
+    gives M/k; any other int is kept as given."""
+    if isinstance(val, str):
         bad = ConfigError(f"{key}: bad M-relative value {val!r}")
         if val != "M" and not val.startswith("M/"):
             raise bad
@@ -64,9 +50,7 @@ def _resolve_m_relative(key, val, M):
         return val
     if k < 1 or M % k != 0:     # a divisor of M is a power of two, as D1 needs
         raise ConfigError(f"{key} = M/{k}: {k} does not divide M = {M}")
-    out = _MRelative(M // k)
-    out.k = k
-    return out
+    return M // k
 
 
 @dataclass
@@ -77,7 +61,6 @@ class SimConfig:
     kappa: int = 4
     N_t: int = 8
     N_r: int = 16
-    L_g: int = 0          # 0 resolves to M
     alpha: int = 1
     D1: int = 0           # 0 resolves to M/4
     Lg_prime: int = 5
@@ -110,7 +93,7 @@ class SimConfig:
         self.channels = tuple(_CHANNEL_NAMES.get(c.lower(), c)
                               for c in self.channels)
         DecimationPlan(self.M, self.D1)
-        for name, lo in (("N_t", 1), ("N_r", 1), ("trials", 1), ("L_g", 1),
+        for name, lo in (("N_t", 1), ("N_r", 1), ("trials", 1),
                          ("Lg_prime", 1), ("alpha", 0), ("L_p", 1),
                          ("master_seed", 0), ("N_d", 2)):
             if getattr(self, name) < lo:
@@ -190,15 +173,13 @@ def parse_config(text):
     return SimConfig(**_parse_items(text))
 
 
-def _render(cfg, m_relative):
-    """key = value lines; M-relative values as "M/k" when m_relative, else
-    as their resolved ints."""
+def render_config(cfg):
+    """Canonical text form, one key = value line per field;
+    parse_config(render_config(cfg)) == cfg."""
     lines = []
     for f in fields(SimConfig):
         v = getattr(cfg, f.name)
-        if m_relative and isinstance(v, _MRelative):
-            v = "M" if v.k == 1 else f"M/{v.k}"
-        elif isinstance(v, tuple):
+        if isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
         elif isinstance(v, float):
             v = repr(v)
@@ -206,13 +187,7 @@ def _render(cfg, m_relative):
     return "\n".join(lines) + "\n"
 
 
-def render_config(cfg):
-    """Canonical text form; parse_config(render_config(cfg)) == cfg, and
-    M-relative values keep their "M/k" form."""
-    return _render(cfg, True)
-
-
 def fingerprint(cfg):
-    """Short stable hash of a config (of its text with every value
-    resolved), for provenance columns in reports."""
-    return hashlib.sha256(_render(cfg, False).encode()).hexdigest()[:16]
+    """Short stable hash of a config (of its rendered text), for provenance
+    columns in reports."""
+    return hashlib.sha256(render_config(cfg).encode()).hexdigest()[:16]

@@ -4,7 +4,7 @@ parameter sweeps.
 
 The coefficient path runs no sample streams. At the full rate, a scheme's
 equalizer of user u at subcarrier m is L taps g^r per antenna at stride D1:
-one tap W[m, u] (single-tap, alpha = 0), the L_g high-rate taps (D1 = 1) or
+one tap W[m, u] (single-tap, alpha = 0), the M high-rate taps (D1 = 1) or
 the two-stage g-bar of subcarrier m. `_equalized_channel` sums the antennas
 into each user's equalized channel c_{u'} = sum_r g^r * h^{r,u'} with one
 antenna contraction and shifted adds, no FFT, and the real symbol
@@ -32,8 +32,8 @@ instants.
 
 A trial's schemes share its stage-1 solve, held on the CSI object
 (``fbmc.Holder``), so a sweep trial solves its bins once for the single-tap
-and every two-stage or high-rate scheme at L_g = M; the fit maps and the
-table are held on the prototype. `run_mse` drops its CSI once the receiver
+and every two-stage or high-rate scheme; the fit maps and the table are
+held on the prototype. `run_mse` drops its CSI once the receiver
 is built, which frees the held solve before the receive pass.
 """
 
@@ -94,12 +94,11 @@ def _build_scheme(spec, csi, pf, cfg, sigma_z2, subcarriers):
     if spec.kind == "single_tap":
         return single_tap(csi, cfg.criterion, sigma_z2, P_SYM)
     if spec.kind == "highrate":
-        return design_highrate(csi, cfg.L_g, cfg.alpha, cfg.criterion,
-                               sigma_z2, P_SYM)
+        return design_highrate(csi, cfg.alpha, cfg.criterion, sigma_z2, P_SYM)
     plan = DecimationPlan(cfg.M, spec.D1)
     return build_lowrate_receiver(csi, pf, plan, cfg.criterion, cfg.alpha,
                                   spec.Lg_prime, sigma_z2, P_SYM,
-                                  L_g=cfg.L_g, subcarriers=subcarriers)
+                                  subcarriers=subcarriers)
 
 
 def _receive(scheme, y, pf, N_d):
@@ -303,7 +302,8 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
 
     schemes: the SchemeSpecs to measure, each on the same trials; a list of
     specs is how to measure L'_g or D1 variants on shared trials (a
-    single-point sweep when nothing else varies).
+    single-point sweep when nothing else varies). Two specs that resolve to
+    one label raise ConfigError.
     axis: 'N_r' | 'gamma_db'; points must be nonempty and strictly
     increasing. N_r points are integers >= 1, not necessarily powers of two;
     gamma_db points may be negative. Within a trial index the channel
@@ -323,6 +323,9 @@ def sweep(config, axis, points, schemes, csi_mode="perfect", threads=1):
     _check_csi_mode(csi_mode)
     specs = _specs(config, schemes)
     labels = tuple(sp.label() for sp in specs)
+    for i, lab in enumerate(labels):
+        if lab in labels[:i]:
+            raise ConfigError(f"two schemes share the label {lab!r}")
     # ZF with perfect CSI ignores the SNR: every point reads the first's trials
     shared = (axis == "gamma_db" and csi_mode == "perfect" and
               config.criterion == "zf")

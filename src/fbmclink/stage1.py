@@ -1,8 +1,8 @@
 """Stage 1: high-rate ZF/MMSE equalizers via frequency sampling, plus the
 single-tap per-subcarrier baseline.
 
-Both designs are one batched solve over frequency bins. The CSI is read at
-omega_k = 2 pi k/n (``channel.bin_response``), and the combiner of every bin
+Both designs are one batched solve over the M DFT bins. The CSI is read at
+omega_k = 2 pi k/M (``channel.bin_response``), and the combiner of every bin
 is the normal-equation solve
 
     G~_k = (H~^H H~ + lam I)^{-1} H~^H = V diag(s / (s^2 + lam)) U^H,
@@ -19,14 +19,12 @@ condition number of H~^H H~, (s_max/s_min)^2, exceeds ``_COND_CUTOFF``; the
 error names the first such bin of the grid and its omega. A bin that passes
 the Gram test is never singular, since _GRAM_COND is far below the cutoff.
 
-Held on the ``FreqCsi`` (``fbmc.Holder``): the solve of each (n, lam), so
-`single_tap` and every `design_highrate` of one trial at L_g = M share one
-batched solve, and the taps of each (L_g, lam, alpha), so the two-stage
-specs of one trial that share a delay run one inverse FFT. The taps are as
-large as the solve, so they double a trial's held bytes while its CSI lives.
+Held on the ``FreqCsi`` (``fbmc.Holder``): the solve of each lam, so
+`single_tap` and every `design_highrate` of one trial share one batched
+solve, and the taps of each (lam, alpha), so the two-stage specs of one
+trial that share a delay run one inverse FFT. The taps are as large as the
+solve, so they double a trial's held bytes while its CSI lives.
 """
-
-import warnings
 
 import numpy as np
 
@@ -40,10 +38,10 @@ _GRAM_COND = 1e3
 
 
 class HighRateEqualizer:
-    """Matrix FIR equalizer G[l], shape (N_t, N_r, L_g), with target delay alpha*M/2.
+    """Matrix FIR equalizer G[l], shape (N_t, N_r, L), with target delay alpha*M/2.
 
-    From `design_highrate`, taps are the read-only taps held for its CSI
-    (see the module docstring), shared by every design of the same key.
+    From `design_highrate`, L = M and taps are the read-only taps held for
+    its CSI (see the module docstring), shared by every design of one key.
     """
 
     def __init__(self, taps, alpha):
@@ -114,45 +112,40 @@ def _solve_bins(A, lam):
     return X
 
 
-def _held_solve(csi, n, lam):
-    """`_solve_bins` on the n-point grid, held on csi; (n, N_t, N_r)."""
-    return csi.hold(("solve", n, lam), lambda: _solve_bins(
-        bin_response(csi.time_taps, n), lam))
+def _held_solve(csi, lam):
+    """`_solve_bins` on the M-point grid, held on csi; (M, N_t, N_r)."""
+    return csi.hold(("solve", lam), lambda: _solve_bins(
+        bin_response(csi.time_taps, csi.M), lam))
 
 
-def alpha_bound(L_h, L_g, M):
-    """Largest admissible delay index: ceil(2(L_h+L_g-1)/M) - 1."""
-    return int(np.ceil(2 * (L_h + L_g - 1) / M)) - 1
+def alpha_bound(L_h, M):
+    """Largest admissible delay index: ceil(2(L_h+M-1)/M) - 1."""
+    return int(np.ceil(2 * (L_h + M - 1) / M)) - 1
 
 
-def design_highrate(csi, L_g=None, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.0):
-    """Frequency-sampled high-rate equalizer with L_g taps and delay alpha*M/2.
+def design_highrate(csi, alpha=1, criterion="zf", sigma_z2=0.0, P_s=1.0):
+    """Frequency-sampled high-rate equalizer with M taps and delay alpha*M/2.
 
-    G[l] = (1/L_g) sum_k G~_k e^{-j omega_k alpha M/2} e^{j 2 pi l k/L_g} with
-    omega_k = 2 pi k/L_g; the delay phase is reduced exactly modulo 2 pi.
+    G[l] = (1/M) sum_k G~_k e^{-j omega_k alpha M/2} e^{j 2 pi l k/M} with
+    omega_k = 2 pi k/M; the delay phase is reduced exactly modulo 2 pi.
     """
     M = csi.M
-    if L_g is None:
-        L_g = M
-    L_h = csi.time_taps.shape[2]
-    bound = alpha_bound(L_h, L_g, M)
+    bound = alpha_bound(csi.time_taps.shape[2], M)
     if not 0 <= alpha <= bound:
         raise ConfigError(f"alpha={alpha} outside the admissible range [0, {bound}]")
     lam = _ridge(criterion, sigma_z2, P_s)
-    if L_g < M:
-        warnings.warn(f"L_g={L_g} below the minimum sampling count M={M}")
 
     def taps():
-        delay = np.arange(L_g) * (alpha * M // 2) % L_g
-        phase = np.exp(-2j * np.pi * delay / L_g)[:, None, None]
-        G = np.fft.ifft(_held_solve(csi, L_g, lam) * phase, axis=0)
+        delay = np.arange(M) * (alpha * M // 2) % M
+        phase = np.exp(-2j * np.pi * delay / M)[:, None, None]
+        G = np.fft.ifft(_held_solve(csi, lam) * phase, axis=0)
         return np.moveaxis(G, 0, 2)
-    return HighRateEqualizer(csi.hold(("taps", L_g, lam, alpha), taps), alpha)
+    return HighRateEqualizer(csi.hold(("taps", lam, alpha), taps), alpha)
 
 
 def apply_highrate(y, eq):
     """x-hat[l] = (G conv y)[l] for antenna streams y (N_r, T); shape (N_t,
-    T + L_g - 1)."""
+    T + L - 1) for L taps, M from `design_highrate`."""
     y = np.asarray(y, dtype=complex)
     if y.shape[0] != eq.taps.shape[1]:
         raise ConfigError(f"{y.shape[0]} antenna streams for N_r={eq.taps.shape[1]}")
@@ -166,4 +159,4 @@ def single_tap(csi, criterion="zf", sigma_z2=0.0, P_s=1.0):
     bins, so alpha = 0 for this scheme).
     """
     lam = _ridge(criterion, sigma_z2, P_s)
-    return SingleTapEqualizer(_held_solve(csi, csi.M, lam))
+    return SingleTapEqualizer(_held_solve(csi, lam))

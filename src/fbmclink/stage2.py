@@ -26,19 +26,19 @@ shows that c_m and D_w^{-1} cancel against its phase,
 
 with p zero outside [0, L_f). Only the final D_w ramp remains, so every
 (m, u, r) fit is g @ B_m, B_m = A_m pinv(F_0)^T D_w. A_m is the real window
-P[t, k] = p[t + L_f - (k+1) D1] under a row phase, so the (L_g, L'_g) matrix
-B_m is the real map Q = P pinv(F_0)^T with that row phase and the column
-ramp D_w:
+P[t, k] = p[t + L_f - (k+1) D1] under a row phase, so the (L, L'_g) matrix
+B_m of taps of length L is the real map Q = P pinv(F_0)^T with that row
+phase and the column ramp D_w:
 
     x_m[k] = w_m^k sum_t g[t] Q[t, k] e^{-j 2 pi (m t mod M) / M},
 
 the M-point DFT over t (folded modulo M) of the real-weighted taps g Q,
 under the ramp. A bank of all M subcarriers in order, as `run_mse` builds,
-is that DFT: one length-M FFT of g Q along t. A bank of a few
+is that DFT: ``channel.bin_response`` of g Q along t. A bank of a few
 subcarriers, as a sweep builds, is one product of the taps with their B_m.
 
-Held on the PrototypeFilter (``fbmc.Holder``): the real (L, L'_g) map Q of
-each (D1, L'_g, L), so every fit of a sweep builds it once. The row phase
+Held on the PrototypeFilter (``fbmc.Holder``): the real map Q of each
+(D1, L'_g, L), so every fit of a sweep builds it once. The row phase
 and the D_w ramp are formed per call: the complex B_m of all M subcarriers
 would hold M times as much.
 """
@@ -46,6 +46,7 @@ would hold M times as much.
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .channel import bin_response
 from .errors import ConfigError
 from .fbmc import _J_POW, _afb
 from .stage1 import design_highrate
@@ -97,11 +98,10 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     module docstring), that is x_m = ramp_m * (DFT over t of g Q at m).
 
     When `subcarriers` lists all M in order, the real-weighted taps g Q are
-    formed once as (..., Lg_prime, M), contiguous along the DFT axis and
-    folded modulo M (or zero-padded) when L != M, and one FFT over that axis
-    gives every subcarrier. Any other list goes through one product of g
-    with the listed subcarriers' B_m = A_m pinv(F_0)^T D_w: the FFT path
-    holds g Q whole, N_t N_r L'_g M entries, however few rows it keeps.
+    formed once as (..., Lg_prime, L), and `bin_response` over t gives every
+    subcarrier. Any other list goes through one product of g with the listed
+    subcarriers' B_m = A_m pinv(F_0)^T D_w: the FFT path holds g Q whole,
+    N_t N_r L'_g L entries, however few rows it keeps.
     """
     if Lg_prime < 1:
         raise ConfigError(f"Lg_prime must be >= 1, got {Lg_prime}")
@@ -114,17 +114,13 @@ def _fit(g, pf, subcarriers, D1, Lg_prime):
     # D_w ramp, argument reduced exactly
     ramp = np.exp(2j * np.pi * (m * np.arange(Lg_prime) * D1 % M) / M)
     if np.array_equal(m[:, 0], np.arange(M)):
-        Qt = Q.T
-        W = np.empty(g.shape[:-1] + (Lg_prime, M), dtype=complex)
-        n = min(L, M)
-        np.multiply(g[..., None, :n], Qt[:, :n], out=W[..., :n])
-        W[..., n:] = 0
-        for t0 in range(M, L, M):           # fold the taps past M
-            n = min(M, L - t0)
-            W[..., :n] += g[..., None, t0:t0 + n] * Qt[:, t0:t0 + n]
-        x = np.fft.fft(W, axis=-1)
-        x *= ramp.T
-        return np.moveaxis(x, -1, 0)
+        # both products run contiguous along t: a fresh g Q takes Q.T's strides
+        W = np.empty(g.shape[:-1] + (Lg_prime, L), dtype=complex)
+        np.multiply(g[..., None, :], Q.T, out=W)
+        x = bin_response(W, M)
+        ramped = np.moveaxis(x, 0, -1)      # x in W's layout
+        ramped *= ramp.T
+        return x
     # row phase of A_m, argument reduced exactly
     phase = np.exp(-2j * np.pi * (m * np.arange(L) % M) / M)
     B = phase[:, :, None] * Q * ramp[:, None, :]
@@ -151,7 +147,7 @@ class LowRateEqualizerBank:
 
 
 def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
-                           sigma_z2=0.0, P_s=1.0, L_g=None, subcarriers=None):
+                           sigma_z2=0.0, P_s=1.0, subcarriers=None):
     """Full two-stage design: Stage-1 filter, then the per-(m,r,u) LS fits.
 
     `subcarriers` restricts the bank to a subset of m values (default: all M).
@@ -160,7 +156,7 @@ def build_lowrate_receiver(csi, pf, plan, criterion="zf", alpha=1, Lg_prime=5,
     stage-1 taps, a subset one matrix product of all N_t*N_r taps with the
     listed subcarriers' B_m (see `_fit`).
     """
-    eq = design_highrate(csi, L_g=L_g, alpha=alpha, criterion=criterion,
+    eq = design_highrate(csi, alpha=alpha, criterion=criterion,
                          sigma_z2=sigma_z2, P_s=P_s)
     if subcarriers is None:
         subcarriers = list(range(pf.M))

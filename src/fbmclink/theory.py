@@ -6,7 +6,7 @@ Notation mirrors the implementation of the rest of the package:
 * q[l]: PDP of a user; tau[m,m'] = sum_l q[l] e^{j 2 pi (m-m') l / M} is the
   per-antenna correlation E{h~_m^r (h~_m'^r)^*} of the channel DFT bins;
 * psi[l] = H_eq[l] - delta[l - alpha M/2], l = 0..M+L_h-2, the equivalent-channel
-  error of the frequency-sampled ZF equalizer (L_g = M);
+  error of the frequency-sampled ZF equalizer (M taps);
 * eps[l,l'] ~ E{psi[l] psi[l']^*}, eps_check[l,l'] ~ E{psi[l] psi[l']} after
   mean removal (per receive-antenna scaling 1/N_r explicit);
 * the interference coefficient seen by lattice point (m,n) from (m',n') is

@@ -267,6 +267,15 @@ def test_schemes_is_not_a_config_key(tmp_path, capsys):
     assert not (out / "fig7.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["L_g = M", "L_g = 64"])
+def test_a_config_file_that_sets_l_g_exits_2(tmp_path, capsys, line):
+    # the high-rate stage always has M taps
+    code, out = _run(tmp_path, "fig4",
+                     f"M = 16\ntrials = 2\nchannels = PedA\n{line}\n")
+    _assert_config_error(code, capsys, "unknown config key 'L_g'")
+    assert not (out / "fig4.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     # two PedA users on the orthogonal kappa=2 bank: the leading-order
     # multi-user interference cancels to a negative round-off total

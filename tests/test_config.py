@@ -1,5 +1,5 @@
 """Config files: the render/parse round trip, the values it rejects, and
-how `replace` treats M-relative values."""
+M-relative values, which resolve once to plain ints."""
 
 import math
 from dataclasses import replace
@@ -32,7 +32,6 @@ def _configs(draw):
         kappa=draw(st.sampled_from([2, 3, 4])),
         N_t=N_t,
         N_r=draw(st.integers(1, 128)),
-        L_g=draw(st.integers(0, 2 * M)),
         alpha=draw(st.integers(0, 4)),
         D1=M >> draw(st.integers(1, log2M)),
         Lg_prime=draw(st.integers(1, 20)),
@@ -73,35 +72,27 @@ def test_rejects_values_that_do_not_round_trip(field, value):
 
 
 
-@pytest.mark.parametrize("M, want", [(64, (16, 64, 32)), (512, (128, 512, 256))])
-def test_replace_m_resolves_the_defaults_again(M, want):
-    cfg = replace(SimConfig(), M=M)
-    assert (cfg.D1, cfg.L_g, cfg.subcarrier) == want
-
-
-def test_replace_m_keeps_explicit_ints_and_resolves_text_again():
-    assert replace(SimConfig(M=64, D1=8), M=256).D1 == 8
-    cfg = parse_config("M = 64\nD1 = M/8\nL_g = M\nsubcarrier = M/4\n")
-    assert (cfg.D1, cfg.L_g, cfg.subcarrier) == (8, 64, 16)
-    cfg = replace(cfg, M=256)
-    assert (cfg.D1, cfg.L_g, cfg.subcarrier) == (32, 256, 64)
-    # the resolved values render in their M-relative form
-    assert "D1 = M/8\nLg_prime" in render_config(cfg)
+def test_m_relative_text_resolves_once_to_plain_ints():
+    cfg = parse_config("M = 64\nD1 = M/8\nsubcarrier = M/4\n")
+    assert (cfg.D1, cfg.subcarrier) == (8, 16)
+    assert all(type(v) is int for v in (cfg.D1, cfg.subcarrier))
+    assert "D1 = 8\nLg_prime" in render_config(cfg)
     assert parse_config(render_config(cfg)) == cfg
 
 
 def test_a_file_round_trip_keeps_how_replace_treats_m():
     a = SimConfig(M=64)
     b = parse_config(render_config(a))
-    assert (replace(b, M=256).D1, replace(a, M=256).D1) == (64, 64)
+    # a new M keeps the resolved ints as given
+    assert (replace(b, M=256).D1, replace(a, M=256).D1) == (16, 16)
     assert replace(b, M=256) == replace(a, M=256)
-    # the fingerprint hashes the resolved ints: the text and the int forms
-    # share it, and it is the value that earlier CSVs carry
-    ints = SimConfig(M=64, D1=16, L_g=64, subcarrier=32)
+    # the text and the int forms share one fingerprint; no CSV column
+    # carries it
+    ints = SimConfig(M=64, D1=16, subcarrier=32)
     assert "D1 = 16\n" in render_config(ints)
     assert fingerprint(a) == fingerprint(b) == fingerprint(ints)
-    assert fingerprint(a) == "a701d668c9ed0188"
-    assert fingerprint(SimConfig()) == "de2054cbb2f30fa7"
+    assert fingerprint(a) == "da15910fa164738c"
+    assert fingerprint(SimConfig()) == "9414e5a02bf8b934"
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,21 +112,13 @@ def test_subcarrier_zero_is_a_bin_not_the_default():
     assert SimConfig(subcarrier=0).subcarrier == 0
     assert replace(SimConfig(), subcarrier=0).subcarrier == 0
     assert parse_config("subcarrier = 0\n").subcarrier == 0
-    assert replace(SimConfig(subcarrier=0), M=64).subcarrier == 0
-
-
-def test_a_resolved_value_keeps_its_divisor_when_copied():
-    cfg = SimConfig()
-    assert replace(cfg, M=512, D1=cfg.D1).D1 == 128
-    assert SimConfig(M=512, D1=cfg.D1).D1 == 128
-    # int() drops the divisor, so the value stays as given
-    assert replace(cfg, M=512, D1=int(cfg.D1)).D1 == 64
+    assert replace(SimConfig(M=64, subcarrier=0), M=256).subcarrier == 0
 
 
 @pytest.mark.parametrize("text, match", [
     ("D1 = M/3\n", "3 does not divide M = 256"),
     ("M = 16\nD1 = M\n", "D1=16 invalid"),
-    ("M = 16\nL_g = M/32\n", "32 does not divide M = 16"),
+    ("M = 16\nD1 = M/32\n", "32 does not divide M = 16"),
     ("subcarrier = M/0\n", "does not divide"),
     ("D1 = Mx\n", "bad M-relative value 'Mx'"),
     ("D1 = M/two\n", "bad M-relative value"),
@@ -150,16 +133,17 @@ def test_bad_m_relative_values_are_config_errors(text, match):
 @given(_configs(), st.integers(2, 10),
        st.sampled_from([None, 0, "M/2", "M/4", "M/64"]))
 def test_replace_m_works_or_raises_config_error(cfg, log2M, d1):
-    # d1 None keeps the drawn config's explicit ints
+    # d1 None keeps the drawn config's D1; any other resolves at cfg's M
     try:
         if d1 is not None:
-            cfg = replace(cfg, D1=d1, L_g="M/2", subcarrier=-1)
+            cfg = replace(cfg, D1=d1, subcarrier=-1)
+            assert cfg.D1 == cfg.M // (4 if d1 == 0 else int(d1[2:]))
+            assert cfg.subcarrier == cfg.M // 2
         new = replace(cfg, M=2 ** log2M)
     except ConfigError:
         return
     assert new.M == 2 ** log2M
     assert 1 <= new.D1 <= new.M // 2 and 0 <= new.subcarrier < new.M
-    if d1 is not None:
-        assert new.D1 == new.M // (4 if d1 == 0 else int(d1[2:]))
-        assert (new.L_g, new.subcarrier) == (new.M // 2, new.M // 2)
+    # a new M keeps the resolved ints
+    assert (new.D1, new.subcarrier) == (cfg.D1, cfg.subcarrier)
     assert parse_config(render_config(new)) == new

@@ -1,9 +1,11 @@
-"""Import budget: the package starts on numpy alone and loads nothing later.
+"""Imports: the package starts on numpy alone and loads nothing later, and
+each module reads every name it imports.
 
-Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded for the oracles.
+Each load check runs in a fresh interpreter, since the test process itself
+has scipy loaded for the oracles.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -54,3 +56,21 @@ def test_simulation_calls_load_no_new_numpy_or_scipy_module():
         "                 1, 32, 0, 0.1)\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))")
     assert [m for m in new if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_every_imported_name_is_read():
+    # __init__ imports to re-export; every other module imports to use
+    unread = []
+    for f in sorted((Path(__file__).resolve().parents[1]
+                     / "src" / "fbmclink").glob("*.py")):
+        if f.name == "__init__.py":
+            continue
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        imported = {(a.asname or a.name).split(".")[0]
+                    for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    for a in n.names}
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{f.name}: {name}" for name in sorted(imported - read)]
+    assert unread == []

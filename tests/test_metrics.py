@@ -85,9 +85,9 @@ def _scheme(kind, csi, pf, alpha, subcarriers):
     if kind == "single_tap":
         return single_tap(csi)
     if kind == "highrate":
-        return design_highrate(csi, L_g=M, alpha=alpha)
+        return design_highrate(csi, alpha=alpha)
     return build_lowrate_receiver(csi, pf, DecimationPlan(M, M // 4),
-                                  alpha=alpha, Lg_prime=3, L_g=M,
+                                  alpha=alpha, Lg_prime=3,
                                   subcarriers=subcarriers)
 
 
@@ -100,7 +100,7 @@ def _scheme(kind, csi, pf, alpha, subcarriers):
 def test_measure_matches_brute_force_oracle(M, kappa, kind, alpha, eva, peda):
     pf = design_prototype(kappa, M)
     H = draw_channel([eva, peda], 5, 100 * M + kappa)
-    assert alpha <= alpha_bound(H.shape[2], M, M)
+    assert alpha <= alpha_bound(H.shape[2], M)
     # m = 2 puts the noise-gain tap phase (-1)^a on the two-stage taps
     # (D1 = M/4, three taps), which is 1 again at the last one
     edges = [0, 2, M // 2, M - 1]
@@ -118,12 +118,12 @@ def test_measure_matches_brute_force_oracle(M, kappa, kind, alpha, eva, peda):
 @pytest.mark.parametrize("N_t", [1, 2, 4])
 def test_equalized_channel_of_zf_is_the_delay_modulo_m(N_t, alpha, eva, peda,
                                                         uni4):
-    # perfect CSI, ZF, L_g = M: the taps invert the channel on the M bins, so
+    # perfect CSI, ZF, M taps: the taps invert the channel on the M bins, so
     # c_{u,u'} folded modulo M is delta_{uu'} delta[(l - alpha M/2) mod M]
     M = 16
     H = draw_channel([eva, peda, uni4, eva][:N_t], 3 * N_t, 10 * N_t + alpha)
-    assert alpha <= alpha_bound(H.shape[2], M, M)
-    scheme = design_highrate(freq_csi(H, M), L_g=M, alpha=alpha)
+    assert alpha <= alpha_bound(H.shape[2], M)
+    scheme = design_highrate(freq_csi(H, M), alpha=alpha)
     for u in range(N_t):
         g, D1, a = _taps(scheme, M // 2, u)
         assert (D1, a) == (1, alpha)
@@ -152,7 +152,7 @@ def _oracle_equalized_channel(h, g, D1):
 def test_equalized_channel_matches_brute_force_convolution(users, kind, K, D1,
                                                            eva, peda):
     # K below and above L_h (28 with EVA, 12 for PedA alone) take the two
-    # layouts of the shifted adds; high-rate taps are L_g = M, D1 = 1
+    # layouts of the shifted adds; high-rate taps are M = K taps, D1 = 1
     profiles = [{"eva": eva, "peda": peda}[nm] for nm in users.split(",")]
     rng = make_rng(K + D1)
     H = draw_channel(profiles, 5, rng)
@@ -163,7 +163,7 @@ def test_equalized_channel_matches_brute_force_convolution(users, kind, K, D1,
         if kind == "single_tap":
             scheme = single_tap(csi)
         else:
-            scheme = design_highrate(csi, L_g=K, alpha=1)
+            scheme = design_highrate(csi, alpha=1)
         g, d, _ = _taps(scheme, 7, 0)
         assert (g.shape[1], d) == (K, D1)
     want = _oracle_equalized_channel(H, g, D1)
@@ -358,6 +358,18 @@ def test_specs_of_one_sweep_equal_sweeps_of_each_alone():
 def test_sweep_rejects_a_bad_axis_or_points(axis, points):
     with pytest.raises(ConfigError):
         sweep(_small_cfg(), axis, points, _SCHEMES)
+
+
+@pytest.mark.parametrize("schemes, label", [
+    # unequal specs: the high-rate label ignores D1
+    ([SchemeSpec("highrate"), SchemeSpec("highrate", D1=8)], "highrate"),
+    # at M = 16 the config's D1 = 4 and L'_g = 5 fill the first spec's zeros
+    ([SchemeSpec("two_stage"), SchemeSpec("two_stage", D1=4, Lg_prime=5)],
+     "two_stage_D1_4_Lgp_5"),
+], ids=["highrate", "two_stage"])
+def test_sweep_rejects_two_specs_of_one_label(schemes, label):
+    with pytest.raises(ConfigError, match=f"label '{label}'"):
+        sweep(_small_cfg(), "N_r", [4], schemes)
 
 
 @pytest.mark.parametrize("threads", [0, -4])

@@ -134,8 +134,8 @@ def test_mmse_limits(eva):
     # sigma_z2 = 0 collapses to ZF
     np.testing.assert_allclose(single_tap(csi, "mmse", 0.0, 0.5).W,
                                single_tap(csi).W, atol=1e-14)
-    np.testing.assert_allclose(design_highrate(csi, 64, 1, "mmse", 0.0, 0.5).taps,
-                               design_highrate(csi, 64, 1).taps, atol=1e-14)
+    np.testing.assert_allclose(design_highrate(csi, 1, "mmse", 0.0, 0.5).taps,
+                               design_highrate(csi, 1).taps, atol=1e-14)
     # closed form (H^H H + lam I)^{-1} H^H == P_s H^H (P_s H H^H + s2 I)^{-1}
     m, s2, P_s = 9, 0.3, 0.5
     A = bin_response(csi.time_taps, csi.M)[m]
@@ -164,24 +164,22 @@ _CASES = [("zf", 0.0), ("mmse", 0.3), ("mmse", 0.0)]
 
 
 def _oracle_csi(profiles, est, N_r, M=16, seed=11):
-    # with EVA (L_h = 28) among the users the taps fold at L_g = M/2
+    # with EVA (L_h = 28) among the users the taps fold at M = 8 and 16
     csi = freq_csi(draw_channel(profiles, N_r, seed), M)
     return estimate_csi_mmse(csi, 8.0, 0.5, seed + 1) if est else csi
 
 
-@pytest.mark.filterwarnings("ignore:L_g=8 below")
 @pytest.mark.parametrize("N_r", [2, 5])
 @pytest.mark.parametrize("alpha", [0, 1, 2])
-@pytest.mark.parametrize("L_g", [8, 16, 32])
+@pytest.mark.parametrize("M", [8, 16, 32])
 @pytest.mark.parametrize("est", [False, True], ids=["perfect", "estimated"])
 @pytest.mark.parametrize("criterion,s2", _CASES, ids=["zf", "mmse", "mmse0"])
-def test_highrate_matches_per_bin_oracle(criterion, s2, est, L_g, alpha, N_r,
+def test_highrate_matches_per_bin_oracle(criterion, s2, est, M, alpha, N_r,
                                          eva, peda):
-    M = 16
     csi = _oracle_csi([eva, peda], est, N_r, M)
-    got = design_highrate(csi, L_g, alpha, criterion, s2, 0.5)
-    assert (got.taps.shape[2], got.alpha) == (L_g, alpha)
-    assert _close(got.taps, oracle_highrate(csi, L_g, alpha, criterion, s2, 0.5))
+    got = design_highrate(csi, alpha, criterion, s2, 0.5)
+    assert (got.taps.shape[2], got.alpha) == (M, alpha)
+    assert _close(got.taps, oracle_highrate(csi, M, alpha, criterion, s2, 0.5))
 
 
 @pytest.mark.parametrize("N_r", [2, 5])
@@ -198,7 +196,7 @@ def test_mmse_with_fewer_antennas_than_users_matches_oracle(eva, peda):
     csi = _oracle_csi([eva, peda], False, 1)
     assert _close(single_tap(csi, "mmse", 0.3, 0.5).W,
                   oracle_single_tap(csi, "mmse", 0.3, 0.5))
-    assert _close(design_highrate(csi, 16, 1, "mmse", 0.3, 0.5).taps,
+    assert _close(design_highrate(csi, 1, "mmse", 0.3, 0.5).taps,
                   oracle_highrate(csi, 16, 1, "mmse", 0.3, 0.5))
 
 
@@ -214,7 +212,7 @@ def test_oracle_comparison_catches_a_bump(monkeypatch, eva, peda):
     for est in (False, True):
         csi = _oracle_csi([eva, peda], est, 5)
         for criterion, s2 in _CASES:
-            assert not _close(design_highrate(csi, 16, 1, criterion, s2, 0.5).taps,
+            assert not _close(design_highrate(csi, 1, criterion, s2, 0.5).taps,
                               oracle_highrate(csi, 16, 1, criterion, s2, 0.5))
             assert not _close(single_tap(csi, criterion, s2, 0.5).W,
                               oracle_single_tap(csi, criterion, s2, 0.5))
@@ -233,10 +231,10 @@ def test_singular_bin_is_the_first_failing_one(uni4):
 # ------------------------------------------------------------ FIR realization
 
 def test_alpha_bound_values():
-    assert alpha_bound(28, 64, 64) == 2
-    assert alpha_bound(1, 64, 64) == 1
-    assert alpha_bound(12, 64, 64) == 2
-    assert alpha_bound(1, 1, 64) == 0
+    assert alpha_bound(28, 64) == 2
+    assert alpha_bound(1, 64) == 1
+    assert alpha_bound(12, 64) == 2
+    assert alpha_bound(65, 64) == 3
 
 
 def test_design_rejects_bad_alpha(eva):
@@ -247,12 +245,6 @@ def test_design_rejects_bad_alpha(eva):
         design_highrate(csi, alpha=-1)
     with pytest.raises(ConfigError, match="zf|mmse"):
         design_highrate(csi, criterion="dfe")
-
-
-def test_short_filter_warns(eva):
-    csi = _csi([eva], 4, 64)
-    with pytest.warns(UserWarning, match="below the minimum sampling count"):
-        design_highrate(csi, L_g=32, alpha=0)
 
 
 def test_flat_channel_gives_pure_delay():
@@ -359,16 +351,16 @@ def test_single_tap_and_highrate_share_one_solve(monkeypatch, eva, peda):
     calls = _count_solves(monkeypatch)
     csi = _csi([eva, peda], 6, 32)
     st = single_tap(csi)
-    design_highrate(csi, L_g=32, alpha=1)
-    design_highrate(csi, L_g=32, alpha=2)
+    design_highrate(csi, alpha=1)
+    design_highrate(csi, alpha=2)
     assert calls == [(32, 0.0)]
-    # another ridge or another grid is another solve
+    # another ridge is another solve, which the designs share too
     single_tap(csi, "mmse", 0.3, 0.5)
-    design_highrate(csi, L_g=64, alpha=1)
-    assert calls == [(32, 0.0), (32, 0.6), (64, 0.0)]
+    design_highrate(csi, alpha=1, criterion="mmse", sigma_z2=0.3, P_s=0.5)
+    assert calls == [(32, 0.0), (32, 0.6)]
     # another CSI object with the same taps is solved again
     single_tap(freq_csi(csi.time_taps, 32))
-    assert len(calls) == 4
+    assert len(calls) == 3
     # the held solve is single_tap's W, and it rejects writes
     assert st.W is single_tap(csi).W
     with pytest.raises(ValueError, match="read-only"):
@@ -381,25 +373,24 @@ def test_designs_of_one_key_share_one_inverse_fft(monkeypatch, eva, peda):
     monkeypatch.setattr(stage1.np.fft, "ifft",
                         lambda *a, **k: calls.append(1) or ifft(*a, **k))
     csi = _csi([eva, peda], 6, 32)
-    first = design_highrate(csi, L_g=32, alpha=1)
-    again = design_highrate(csi, L_g=32, alpha=1)
+    first = design_highrate(csi, alpha=1)
+    again = design_highrate(csi, alpha=1)
     assert len(calls) == 1 and again.taps is first.taps
-    # another delay, ridge or length is another inverse transform
-    design_highrate(csi, L_g=32, alpha=2)
+    # another delay or ridge is another inverse transform
+    design_highrate(csi, alpha=2)
     assert len(calls) == 2
-    design_highrate(csi, L_g=32, alpha=1, criterion="mmse", sigma_z2=0.3)
-    design_highrate(csi, L_g=64, alpha=1)
-    assert len(calls) == 4
+    design_highrate(csi, alpha=1, criterion="mmse", sigma_z2=0.3)
+    assert len(calls) == 3
     with pytest.raises(ValueError, match="read-only"):
         first.taps[0, 0, 0] = 1.0
-    fresh = design_highrate(freq_csi(csi.time_taps, 32), L_g=32, alpha=1)
+    fresh = design_highrate(freq_csi(csi.time_taps, 32), alpha=1)
     assert np.array_equal(fresh.taps, first.taps)
 
 
 def test_held_solve_is_dropped_with_its_csi(eva):
     csi = _csi([eva], 4, 16)
     held = weakref.ref(single_tap(csi).W)
-    assert held() is csi.held[("solve", 16, 0.0)]
+    assert held() is csi.held[("solve", 0.0)]
     del csi
     gc.collect()
     assert held() is None
@@ -409,8 +400,8 @@ def test_held_solve_is_dropped_with_its_csi(eva):
 def test_solve_order_does_not_change_the_bits(criterion, s2, eva, peda):
     first, second = (_oracle_csi([eva, peda], True, 5) for _ in range(2))
     st = single_tap(first, criterion, s2, 0.5)
-    hr = design_highrate(first, 16, 1, criterion, s2, 0.5)
-    hr2 = design_highrate(second, 16, 1, criterion, s2, 0.5)
+    hr = design_highrate(first, 1, criterion, s2, 0.5)
+    hr2 = design_highrate(second, 1, criterion, s2, 0.5)
     st2 = single_tap(second, criterion, s2, 0.5)
     assert np.array_equal(st.W, st2.W)
     assert np.array_equal(hr.taps, hr2.taps)

@@ -4,7 +4,6 @@ Decimation, the two reference band constructions of g-bar and the polyphase
 split are oracles defined here; the receiver itself uses `stage2._fit`.
 """
 
-import contextlib
 import gc
 import tracemalloc
 import weakref
@@ -286,11 +285,11 @@ def test_fit_matches_brute_force_oracle(M, D1, Lgp, eva):
     pf = design_prototype(4, M)
     plan = DecimationPlan(M, D1)
     csi = freq_csi(draw_channel([eva, eva], 3, 21), M)
-    taps = design_highrate(csi, L_g=M).taps
+    taps = design_highrate(csi).taps
     edges = [0, M // 2, M - 1]
     subset = [M - 1, 3, M // 2]
-    full = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp, L_g=M)
-    sub = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp, L_g=M,
+    full = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp)
+    sub = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp,
                                  subcarriers=subset)
     for bank, ms in ((full, edges), (sub, subset)):
         for m in ms:
@@ -375,15 +374,15 @@ def test_held_fit_map_gives_the_fresh_bits(eva):
 def test_all_m_fit_is_the_per_subcarrier_product(kappa, L, Lgp, D1,
                                                  monkeypatch):
     # M=16: taps of length M/2, M, 2M and M+13, fitted at D1 = M/2 and M/8;
-    # all M in order take one FFT, every other list the product
+    # all M in order take one transform, every other list the product
     M = 16
     pf = design_prototype(kappa, M)
     rng = make_rng(100 * L + 10 * Lgp + D1)
     g = rng.standard_normal((2, 3, L)) + 1j * rng.standard_normal((2, 3, L))
     ffts = []
-    fft = np.fft.fft
-    monkeypatch.setattr(stage2.np.fft, "fft",
-                        lambda *a, **k: ffts.append(1) or fft(*a, **k))
+    transform = stage2.bin_response
+    monkeypatch.setattr(stage2, "bin_response",
+                        lambda *a, **k: ffts.append(1) or transform(*a, **k))
     got = _fit(g, pf, range(M), D1, Lgp)
     assert len(ffts) == 1 and got.shape == (M, 2, 3, Lgp)
     want = np.stack([_fit(g, pf, [m], D1, Lgp)[0] for m in range(M)])
@@ -418,24 +417,21 @@ def test_all_m_fit_peak_memory():
 
 
 @pytest.mark.parametrize("kappa", [2, 3, 4])
-@pytest.mark.parametrize("L_g", [8, 32, 29])
-def test_fit_of_any_stage1_length_matches_oracle(kappa, L_g, eva):
-    # M=16: L_g = M/2 (below the sampling count, so it warns), 2M, and a
-    # length that is not a multiple of M
+@pytest.mark.parametrize("L", [8, 32, 29])
+def test_fit_of_any_stage1_length_matches_oracle(kappa, L):
+    # M=16: random taps of length M/2, 2M, and a length that is not a
+    # multiple of M, fitted for all M subcarriers in order
     M, D1, Lgp = 16, 4, 5
     pf = design_prototype(kappa, M)
-    plan = DecimationPlan(M, D1)
-    csi = freq_csi(draw_channel([eva, eva], 3, 30 + kappa), M)
-    warns = (pytest.warns(UserWarning, match="minimum sampling count")
-             if L_g < M else contextlib.nullcontext())
-    with warns:
-        taps = design_highrate(csi, L_g=L_g).taps
-        bank = build_lowrate_receiver(csi, pf, plan, Lg_prime=Lgp, L_g=L_g)
+    rng = make_rng(30 + kappa)
+    taps = (rng.standard_normal((2, 3, L))
+            + 1j * rng.standard_normal((2, 3, L)))
+    bank = _fit(taps, pf, range(M), D1, Lgp)
     for m in (0, 5, M - 1):
         want = np.array([[_oracle_fit(taps[u, r], pf, m, D1, Lgp)
                           for r in range(3)] for u in range(2)])
-        _assert_rel_close(bank.taps_for(m), want)
-        assert _rel_err(_bumped(bank.taps_for(m)), want) > 1e-10
+        _assert_rel_close(bank[m], want)
+        assert _rel_err(_bumped(bank[m]), want) > 1e-10
 
 
 def test_bank_rejects_bad_lg_prime(eva, pf16):
